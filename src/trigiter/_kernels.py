@@ -1,84 +1,28 @@
-"""Escape-time grid kernels: a numba path and a numpy fallback.
+"""Escape-time grid kernel: vectorized numpy over a (real, imag) grid.
 
-Both backends implement the same per-component update formulas and the
-same membership rule (squared magnitude of the final iterate below the
-threshold, non-finite counts as escaped), so each is deterministic for
-fixed inputs.  The numba path evaluates scalar libm calls, the numpy
-path vectorized ufuncs; the two may differ by an ulp on chaotic orbits,
-which is why the backend is an explicit choice rather than a silent one.
-
-Set TRIGITER_NO_NUMBA=1 to make the numpy path the default.
+Every cell follows the same per-component update formulas and the same
+membership rule: the squared magnitude of the final iterate must be
+below the threshold, and a non-finite iterate counts as escaped.  The
+ufuncs are elementwise, so a cell's outcome does not depend on how the
+rows are split into chunks, and the kernel is deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-ENV_FLAG = "TRIGITER_NO_NUMBA"
 
 CODE_COS = 0
 CODE_SIN = 1
 CODE_JULIA_QUADRATIC = 2
 CODE_MANDELBROT = 3
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-
-def default_backend() -> str:
-    """Backend used when the caller does not pick one explicitly."""
-    if os.environ.get(ENV_FLAG, "") not in ("", "0"):
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def _survive_py(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
-    # Reference loop in plain python; numba compiles this same function.
-    n_x = xs.size
-    n_y = ys.size
-    out = np.zeros((n_x, n_y), dtype=np.bool_)
-    for r in range(n_x):
-        for i in range(n_y):
-            a = xs[r]
-            b = ys[i]
-            if code == 3:
-                cr, ci = a, b
-                a, b = 0.0, 0.0
-            else:
-                cr, ci = c_re, c_im
-            escaped = False
-            for _ in range(iterations):
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    break
-                if early_exit and not (a * a + b * b < threshold):
-                    escaped = True
-                    break
-                if code == 0:
-                    na = math.cos(a) * math.cosh(b)
-                    nb = -math.sin(a) * math.sinh(b)
-                elif code == 1:
-                    na = math.sin(a) * math.cosh(b)
-                    nb = math.cos(a) * math.sinh(b)
-                else:
-                    na = a * a - b * b + cr
-                    nb = 2.0 * a * b + ci
-                a, b = na, nb
-            out[r, i] = (not escaped) and (a * a + b * b < threshold)
-    return out
-
-
-if HAVE_NUMBA:
-    _survive_numba = njit(cache=True, nogil=True)(_survive_py)
-
-
-def _survive_numpy(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
+def survive(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
+    """Boolean survival grid, shape (len(xs), len(ys)), [real, imag] indexed."""
+    # The astype and .copy() calls look redundant, but dropping them
+    # raised peak RSS on long runs of large scans (a different malloc
+    # heap layout), so they stay.
     a, b = np.meshgrid(xs, ys, indexing="ij")
     a = a.astype(np.float64)
     b = b.astype(np.float64)
@@ -107,21 +51,3 @@ def _survive_numpy(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
     if early_exit:
         alive &= ~escaped
     return alive
-
-
-def survive(xs, ys, code, c_re, c_im, iterations, threshold, early_exit, backend=None):
-    """Boolean survival grid, shape (len(xs), len(ys)), [real, imag] indexed."""
-    name = backend or default_backend()
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return _survive_numba(
-            xs, ys, code, c_re, c_im, iterations, threshold, early_exit
-        )
-    if name == "numpy":
-        return _survive_numpy(
-            xs, ys, code, c_re, c_im, iterations, threshold, early_exit
-        )
-    raise ValueError(f"unknown backend {name!r}: expected 'numba' or 'numpy'")

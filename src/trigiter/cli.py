@@ -83,6 +83,8 @@ def _parse_region(text: str) -> tuple[float, float, float, float]:
         x1, y1, x2, y2 = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"region {text!r} contains a non-numeric entry") from None
+    if not all(map(math.isfinite, (x1, y1, x2, y2))):
+        raise ValueError(f"--region {text!r} has a non-finite corner")
     return x1, y1, x2, y2
 
 
@@ -202,7 +204,7 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--early-exit",
         action="store_true",
-        help="abandon orbits at the first threshold crossing (approximate, faster)",
+        help="count a point as escaped once its orbit crosses the threshold",
     )
 
 

@@ -6,7 +6,7 @@ an orbit may wander past the threshold and return.  Orbits that leave
 the finite range are escaped by definition.  Grids are sampled by
 cumulative stepping (each coordinate is the previous plus a fixed
 increment, not an independently rounded product), which pins the output
-bytes of a scan regardless of backend chunking or worker count.
+bytes of a scan regardless of worker count.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ class EscapeParams:
     """Escape test configuration.
 
     `threshold_sq` bounds the squared magnitude, so the default 10
-    corresponds to |z| < sqrt(10).  With `early_exit` the orbit is
-    abandoned (and the point counted as escaped) as soon as the bound
-    is reached, which is faster but can drop points whose orbits would
-    have returned below it.
+    corresponds to |z| < sqrt(10).  With `early_exit` a point counts as
+    escaped as soon as its orbit reaches the bound, so points whose
+    orbits would have returned below it are dropped.
     """
 
     iterations: int = 50
@@ -89,6 +88,8 @@ class ScanRegion:
         if not isinstance(self.grid, int) or self.grid < 2:
             raise ValueError(f"grid must be an integer >= 2, got {self.grid!r}")
         a, b = complex(self.corner1), complex(self.corner2)
+        if not all(map(math.isfinite, (a.real, a.imag, b.real, b.imag))):
+            raise ValueError(f"corners must be finite, got {a!r} and {b!r}")
         lo = complex(min(a.real, b.real), min(a.imag, b.imag))
         hi = complex(max(a.real, b.real), max(a.imag, b.imag))
         object.__setattr__(self, "corner1", lo)
@@ -151,7 +152,6 @@ def point_survives(
     initial: complex,
     mapping,
     params: EscapeParams = EscapeParams(),
-    backend: str | None = None,
 ) -> bool:
     """Escape test for a single starting point (parameter point for MANDELBROT)."""
     code, c_re, c_im = _map_code(mapping)
@@ -165,18 +165,16 @@ def point_survives(
         params.iterations,
         params.threshold_sq,
         params.early_exit,
-        backend=backend,
     )
     return bool(grid[0, 0])
 
 
 def _cumulative_axis(start: float, step: float, count: int) -> np.ndarray:
-    out = np.empty(count)
-    value = start
-    for i in range(count):
-        out[i] = value
-        value += step
-    return out
+    # accumulate adds left to right, so out[i] == out[i-1] + step exactly
+    steps = np.full(count, step)
+    steps[0] = start
+    with np.errstate(all="ignore"):  # overflow and inf - inf, silent as in Python floats
+        return np.add.accumulate(steps)
 
 
 def scan_raw(
@@ -188,7 +186,6 @@ def scan_raw(
     mapping,
     params: EscapeParams = EscapeParams(),
     workers: int | None = None,
-    backend: str | None = None,
 ) -> PointSet:
     """Scan the rectangle (x1, y1)-(x2, y2) without normalizing corner order.
 
@@ -208,30 +205,21 @@ def scan_raw(
     step_im = (float(y2) - float(y1)) / (n - 1)
 
     ys = _cumulative_axis(float(y1), step_im, n)
-    # Row origins: xs_first is the coordinate of each row's first sample,
-    # xs_rest the (+0.0 adjusted) value used by the rest of the row and
-    # carried into the next row's origin.
-    xs_first = np.empty(n)
-    xs_rest = np.empty(n)
-    x = float(x1)
-    for r in range(n):
-        xs_first[r] = x
-        x = x + 0.0
-        xs_rest[r] = x
-        x = x + step_re
+    # Adding +0.0 turns a -0.0 origin into +0.0 for every sample except
+    # the very first, which keeps x1 as given.
+    xs = _cumulative_axis(float(x1) + 0.0, step_re, n)
 
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    backend_name = backend or _kernels.default_backend()
 
     mask = np.empty((n, n), dtype=bool)
     bounds = np.linspace(0, n, min(workers, n) + 1, dtype=int)
 
     def run_chunk(lo: int, hi: int) -> None:
         mask[lo:hi] = _kernels.survive(
-            xs_rest[lo:hi],
+            xs[lo:hi],
             ys,
             code,
             c_re,
@@ -239,7 +227,6 @@ def scan_raw(
             params.iterations,
             params.threshold_sq,
             params.early_exit,
-            backend=backend_name,
         )
 
     spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
@@ -252,13 +239,14 @@ def scan_raw(
 
     mask.setflags(write=False)
     points: list[complex] = []
-    for r in range(n):
-        row = mask[r]
-        first = xs_first[r]
-        rest = xs_rest[r]
-        for i in range(n):
-            if row[i]:
-                points.append(complex(first if i == 0 else rest, ys[i]))
+    for r in np.flatnonzero(mask.any(axis=1)):
+        cols = np.flatnonzero(mask[r])
+        row = np.empty(cols.size, dtype=np.complex128)
+        row.real = xs[r]
+        row.imag = ys[cols]
+        points += row.tolist()
+    if mask[0, 0]:
+        points[0] = complex(float(x1), ys[0])
     return PointSet(tuple(points), mask, n * n)
 
 
@@ -267,7 +255,6 @@ def scan(
     mapping,
     params: EscapeParams = EscapeParams(),
     workers: int | None = None,
-    backend: str | None = None,
 ) -> PointSet:
     """Scan a normalized region; see scan_raw for sampling semantics."""
     return scan_raw(
@@ -279,7 +266,6 @@ def scan(
         mapping,
         params,
         workers=workers,
-        backend=backend,
     )
 
 

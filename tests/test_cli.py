@@ -291,6 +291,13 @@ class TestExitCodes:
         assert code == 1
         assert "x1,y1,x2,y2" in err
 
+    @pytest.mark.parametrize("region", ["nan,0,1,1", "0,0,inf,1"])
+    def test_non_finite_region(self, capsys, region):
+        code, out, err = run_cli(capsys, ["julia", "--f", "cos", "--region", region])
+        assert code == 1
+        assert out == ""
+        assert "--region" in err
+
     def test_bad_tolerance(self, capsys):
         code, _, err = run_cli(capsys, ["dottie", "--tol", "0"])
         assert code == 1
@@ -338,6 +345,7 @@ class TestEntryPoints:
 
     def test_console_script_help(self):
         exe = shutil.which("trigiter")
+        assert exe, "console script should be installed"
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         for name in ("dottie", "iterate", "derivative", "series", "bounds",

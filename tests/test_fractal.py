@@ -17,12 +17,9 @@ from trigiter import (
     scan,
     scan_raw,
 )
-from trigiter import _kernels
 
 COS = TrigKind.COSINE
 SIN = TrigKind.SINE
-
-BACKENDS = ["numpy"] + (["numba"] if _kernels.HAVE_NUMBA else [])
 
 
 class TestPointSurvives:
@@ -110,6 +107,8 @@ class TestScanSemantics:
             (2.5, 2.5, -2.5, -2.5, 9),  # reversed corners scan descending
             (-0.0, -0.0, 1.0, 1.0, 7),
             (-1.0, -1.0, 1.0, 1.0, 16),
+            (0.0, 0.0, -0.0, -0.0, 4),  # zero steps keep the signed corners
+            (-0.0, 1.0, 0.0, -1.0, 5),  # only the first sample keeps -0.0
         ]
         for name, kind in (("cos", COS), ("sin", SIN)):
             for x1, y1, x2, y2, n in regions:
@@ -123,6 +122,13 @@ class TestScanSemantics:
             scan_raw(0.0, 0.0, 1.0, 1.0, 1, COS)
         with pytest.raises(ValueError, match=">= 2"):
             ScanRegion(0j, 1 + 1j, 0)
+
+    @pytest.mark.parametrize(
+        "corner", [complex(math.nan, 0.0), complex(0.0, math.inf)], ids=["nan", "inf"]
+    )
+    def test_region_rejects_non_finite_corners(self, corner):
+        with pytest.raises(ValueError, match="finite"):
+            ScanRegion(corner, 1 + 1j, 5)
 
     def test_region_normalization(self):
         region = ScanRegion(2.5 + 2.5j, -2.5 - 2.5j, 5)
@@ -155,36 +161,15 @@ class TestDeterminism:
         b = scan_raw(-1.0, -1.0, 1.0, 1.0, 3, SIN, workers=1)
         assert list(a) == list(b)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_central_symmetry_bitwise(self, backend):
+    def test_central_symmetry_bitwise(self):
         # Exact-binary region: step 3.125 / 100 = 2**-5, so every sample
         # coordinate is exactly the negative of its mirror and cos/sin
         # orbits mirror bitwise.
         n = 101
         for kind in (COS, SIN):
-            ps = scan_raw(
-                -1.5625, -1.5625, 1.5625, 1.5625, n, kind, backend=backend
-            )
+            ps = scan_raw(-1.5625, -1.5625, 1.5625, 1.5625, n, kind)
             m = ps.mask
             assert np.array_equal(m, m[::-1, ::-1])
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_agree(self, backend):
-        base = scan_raw(-2.5, -2.5, 2.5, 2.5, 33, COS, backend="numpy")
-        other = scan_raw(-2.5, -2.5, 2.5, 2.5, 33, COS, backend=backend)
-        assert np.array_equal(base.mask, other.mask)
-        assert format_points(base) == format_points(other)
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("TRIGITER_NO_NUMBA", "1")
-        assert _kernels.default_backend() == "numpy"
-        monkeypatch.delenv("TRIGITER_NO_NUMBA")
-        expected = "numba" if _kernels.HAVE_NUMBA else "numpy"
-        assert _kernels.default_backend() == expected
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            scan_raw(0.0, 0.0, 1.0, 1.0, 2, COS, backend="fortran")
 
 
 class TestEscapeParams:
