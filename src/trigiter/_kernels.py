@@ -1,11 +1,20 @@
-"""Escape-time grid kernel: vectorized numpy over a (real, imag) grid.
+"""Escape-time grid kernel: vectorized numpy over an active set of orbits.
 
 Every cell follows the same per-component update formulas and the same
 membership rule: the squared magnitude of the final iterate must be
-below the threshold, and a non-finite iterate counts as escaped.  The
-ufuncs are elementwise, so a cell's outcome does not depend on how the
-rows are split into chunks, and the kernel is deterministic for fixed
-inputs.
+below the threshold, and a non-finite iterate counts as escaped.  With
+early exit every iterate z_0..z_N must stay below the threshold.
+
+The grid is flattened and each step computes only the orbits that can
+still survive, carrying their cell indices along.  With early exit an
+orbit is dropped as soon as it reaches the threshold, which already
+fails it.  Without early exit an orbit is dropped once a component is
+non-finite: for all four maps a non-finite state maps to a non-finite
+state, and a non-finite final iterate fails the final test, so the
+dropped orbit could never have survived.  The orbits that are kept run
+the same ufuncs on the same values as on the full grid, so a cell's
+outcome does not depend on which other cells share its tile, and the
+output bytes do not depend on how rows are split into tiles.
 """
 
 from __future__ import annotations
@@ -24,19 +33,30 @@ def survive(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
     # raised peak RSS on long runs of large scans (a different malloc
     # heap layout), so they stay.
     a, b = np.meshgrid(xs, ys, indexing="ij")
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
-    if code == CODE_MANDELBROT:
+    shape = a.shape
+    a = a.astype(np.float64).ravel()
+    b = b.astype(np.float64).ravel()
+    mandelbrot = code == CODE_MANDELBROT
+    if mandelbrot:
         cr, ci = a.copy(), b.copy()
         a = np.zeros_like(a)
         b = np.zeros_like(b)
     else:
         cr, ci = c_re, c_im
-    escaped = np.zeros(a.shape, dtype=bool)
+    cells = np.arange(a.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iterations):
             if early_exit:
-                escaped |= ~(a * a + b * b < threshold)
+                keep = a * a + b * b < threshold
+            else:
+                keep = np.isfinite(a)
+                keep &= np.isfinite(b)
+            if not keep.all():
+                a, b, cells = a[keep], b[keep], cells[keep]
+                if mandelbrot:
+                    cr, ci = cr[keep], ci[keep]
+                if not cells.size:
+                    break
             if code == CODE_COS:
                 na = np.cos(a) * np.cosh(b)
                 nb = -np.sin(a) * np.sinh(b)
@@ -47,7 +67,6 @@ def survive(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
                 na = a * a - b * b + cr
                 nb = 2.0 * a * b + ci
             a, b = na, nb
-        alive = a * a + b * b < threshold
-    if early_exit:
-        alive &= ~escaped
+        alive = np.zeros(shape, dtype=bool)
+        alive.flat[cells] = a * a + b * b < threshold
     return alive

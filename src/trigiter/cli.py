@@ -193,7 +193,11 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
         help="escape bound on the squared magnitude (default %(default)s)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, help="scan threads (default: all cores)"
+        "--workers",
+        type=int,
+        default=None,
+        help="scan threads, capped at the usable CPUs and at one per tile of rows"
+        " (default: all usable CPUs)",
     )
     parser.add_argument(
         "--format",

@@ -169,6 +169,21 @@ def point_survives(
     return bool(grid[0, 0])
 
 
+# Cells per kernel call.  Tiles of whole rows bound the kernel's working
+# memory by the tile, not by the grid, and a thread takes the next tile
+# when it finishes one, so a tile whose orbits escape early does not
+# leave its thread idle.
+_TILE_CELLS = 1 << 15
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _cumulative_axis(start: float, step: float, count: int) -> np.ndarray:
     # accumulate adds left to right, so out[i] == out[i-1] + step exactly
     steps = np.full(count, step)
@@ -196,6 +211,10 @@ def scan_raw(
     so the very first sample is the only place -0.0 can appear on the
     real axis; the coordinates reproduce that faithfully.  Corners given
     in descending order scan in descending order.
+
+    Rows are scanned in tiles of about 32k cells by a pool of at most
+    `workers` threads (default: the usable CPUs), and never more threads
+    than tiles or usable CPUs.
     """
     if not isinstance(grid, int) or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
@@ -210,14 +229,15 @@ def scan_raw(
     xs = _cumulative_axis(float(x1) + 0.0, step_re, n)
 
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _usable_cpus()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
 
     mask = np.empty((n, n), dtype=bool)
-    bounds = np.linspace(0, n, min(workers, n) + 1, dtype=int)
+    rows = max(1, _TILE_CELLS // n)
 
-    def run_chunk(lo: int, hi: int) -> None:
+    def run_tile(lo: int) -> None:
+        hi = lo + rows
         mask[lo:hi] = _kernels.survive(
             xs[lo:hi],
             ys,
@@ -229,13 +249,9 @@ def scan_raw(
             params.early_exit,
         )
 
-    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-    if len(spans) <= 1:
-        for lo, hi in spans:
-            run_chunk(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            list(pool.map(lambda span: run_chunk(*span), spans))
+    tiles = range(0, n, rows)
+    with ThreadPoolExecutor(max_workers=min(workers, len(tiles), _usable_cpus())) as pool:
+        list(pool.map(run_tile, tiles))
 
     mask.setflags(write=False)
     points: list[complex] = []

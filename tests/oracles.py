@@ -23,9 +23,13 @@ def _sinh(x: float) -> float:
         return math.copysign(math.inf, x)
 
 
-def straightline_scan(x1, y1, x2, y2, n, name, iterations=50, threshold=10.0):
-    """Scalar escape-time scan with cumulative stepping; returns formatted text."""
-    lines = []
+def grid_samples(x1, y1, x2, y2, n):
+    """(re, im) of each sample in scan order, by cumulative stepping.
+
+    The imaginary coordinate restarts from y1 for each real step; the
+    real coordinate accumulates, and only the very first sample keeps
+    x1 as given (later samples carry ``x + 0.0``, which drops a -0.0).
+    """
     dzr = (x2 - x1) / (n - 1)
     dzi = (y2 - y1) / (n - 1)
     ys = []
@@ -38,19 +42,44 @@ def straightline_scan(x1, y1, x2, y2, n, name, iterations=50, threshold=10.0):
         first = x
         rest = x + 0.0
         for i in range(n):
-            re = first if i == 0 else rest
-            a, b = re, ys[i]
-            for _ in range(iterations):
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    break
-                if name == "cos":
-                    a, b = math.cos(a) * _cosh(b), -math.sin(a) * _sinh(b)
-                else:
-                    a, b = math.sin(a) * _cosh(b), math.cos(a) * _sinh(b)
-            if a * a + b * b < threshold:
-                lines.append("%25s %25s" % ("%.16g" % re, "%.16g" % ys[i]))
+            yield (first if i == 0 else rest), ys[i]
         x = rest + dzr
-    return "".join(line + "\n" for line in lines)
+
+
+def _lines(samples):
+    return "".join("%25s %25s\n" % ("%.16g" % re, "%.16g" % im) for re, im in samples)
+
+
+def straightline_scan(x1, y1, x2, y2, n, name, iterations=50, threshold=10.0):
+    """Scalar escape-time scan with cumulative stepping; returns formatted text."""
+    survivors = []
+    for re, im in grid_samples(x1, y1, x2, y2, n):
+        a, b = re, im
+        for _ in range(iterations):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                break
+            if name == "cos":
+                a, b = math.cos(a) * _cosh(b), -math.sin(a) * _sinh(b)
+            else:
+                a, b = math.sin(a) * _cosh(b), math.cos(a) * _sinh(b)
+        if a * a + b * b < threshold:
+            survivors.append((re, im))
+    return _lines(survivors)
+
+
+def quadratic_scan(x1, y1, x2, y2, n, c=None, iterations=50, threshold=10.0, early_exit=False):
+    """Scalar scan of z -> z*z + c in the same sample order; returns formatted text.
+
+    With ``c=None`` the map is the Mandelbrot family: each sample is the
+    parameter and the orbit starts at 0.
+    """
+    survivors = []
+    for re, im in grid_samples(x1, y1, x2, y2, n):
+        z = complex(re, im)
+        start, param = (0j, z) if c is None else (z, c)
+        if quadratic_survives(start, param, iterations, threshold, early_exit):
+            survivors.append((re, im))
+    return _lines(survivors)
 
 
 def orbit_survives(z: complex, name: str, iterations=50, threshold=10.0) -> bool:
@@ -68,10 +97,14 @@ def orbit_survives(z: complex, name: str, iterations=50, threshold=10.0) -> bool
     return abs(z.real) ** 2 + abs(z.imag) ** 2 < threshold
 
 
-def quadratic_survives(v: complex, c: complex, iterations=50, threshold=10.0) -> bool:
+def quadratic_survives(v: complex, c: complex, iterations=50, threshold=10.0, early_exit=False) -> bool:
+    """Final-iterate test of z -> z*z + c from v; with early_exit every
+    iterate z_0..z_N must stay below the threshold."""
     z = complex(v)
     for _ in range(iterations):
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            return False
+        if early_exit and not z.real * z.real + z.imag * z.imag < threshold:
             return False
         z = z * z + c
     norm = z.real * z.real + z.imag * z.imag

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -372,6 +373,11 @@ class TestEntryPoints:
     def test_console_script_help(self):
         proc = self.run_console_script(["--help"])
         assert proc.returncode == 0
+        # argparse lists the subcommands as {dottie,iterate,...}; compare
+        # whole names, so that a renamed subcommand cannot match a substring
+        listed = re.search(r"\{([\w,-]+)\}", proc.stdout)
+        assert listed, proc.stdout
+        choices = listed.group(1).split(",")
         for name in ("dottie", "iterate", "derivative", "series", "bounds",
                      "extrema", "julia", "mandelbrot", "legacy"):
-            assert name in proc.stdout
+            assert name in choices

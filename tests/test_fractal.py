@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
+from trigiter import fractal
 from trigiter import (
     MANDELBROT,
     EscapeParams,
@@ -146,15 +148,81 @@ class TestScanSemantics:
         assert ps[-1] == -2.5 - 2.5j
 
 
+def record_tiles(monkeypatch):
+    """Row count of every kernel call that scans make from now on."""
+    rows = []
+    survive = fractal._kernels.survive
+
+    def recording(xs, *args):
+        rows.append(len(xs))
+        return survive(xs, *args)
+
+    monkeypatch.setattr(fractal._kernels, "survive", recording)
+    return rows
+
+
+class TestActiveSetKernel:
+    REGIONS = [
+        (-2.2, -1.7, 1.3, 2.9, 23),
+        (0.6, 1.3, -2.1, -1.2, 19),  # reversed corners scan descending
+        (-0.0, -0.0, 1.0, 1.0, 7),
+    ]
+    QUADRATICS = [(MANDELBROT, None), (Quadratic(-0.8 + 0.156j), -0.8 + 0.156j)]
+
+    # 5-row tiles over 23 rows leave a ragged 3-row tile; 1 cell forces one-row tiles
+    @pytest.mark.parametrize("tile_cells", [1 << 15, 5 * 23, 1], ids=["one", "ragged", "rows"])
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    # below |z| = 1 many bounded orbits cross the threshold and come back,
+    # so early exit changes the outcome of some cells
+    @pytest.mark.parametrize("threshold", [10.0, 1.0])
+    @pytest.mark.parametrize("mapping,c", QUADRATICS, ids=["mandelbrot", "quadratic"])
+    def test_quadratic_scans_match_scalar_oracle(
+        self, monkeypatch, mapping, c, threshold, early_exit, tile_cells
+    ):
+        params = EscapeParams(iterations=60, threshold_sq=threshold, early_exit=early_exit)
+        whole = {r: scan_raw(*r, mapping, params) for r in self.REGIONS}
+        monkeypatch.setattr(fractal, "_TILE_CELLS", tile_cells)
+        rows = record_tiles(monkeypatch)
+        for region in self.REGIONS:
+            ps = scan_raw(*region, mapping, params)
+            expected = oracles.quadratic_scan(*region, c, 60, threshold, early_exit)
+            assert format_points(ps) == expected, region
+            assert np.array_equal(ps.mask, whole[region].mask)
+            assert format_points(ps, padded=False) == format_points(whole[region], padded=False)
+        if tile_cells == 5 * 23:
+            assert rows[:5] == [5, 5, 5, 5, 3]
+        if tile_cells == 1:
+            assert rows == [1] * sum(r[-1] for r in self.REGIONS)
+
+
 class TestDeterminism:
-    def test_worker_count_does_not_change_bytes(self):
-        texts = {
-            w: format_points(scan_raw(-2.5, -2.5, 2.5, 2.5, 64, COS, workers=w))
-            for w in (1, 2, 3, 8, 64, 200)
-        }
-        first = texts[1]
-        assert first
-        assert all(t == first for t in texts.values())
+    @staticmethod
+    def outputs_by_workers(monkeypatch, mapping, params, workers):
+        # 5-row tiles give 13 tiles over 64 rows, and claiming 8 CPUs lets
+        # every worker count above 1 start several threads; a short switch
+        # interval interleaves them often
+        monkeypatch.setattr(fractal, "_TILE_CELLS", 5 * 64)
+        monkeypatch.setattr(fractal, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            return [
+                format_points(scan_raw(-2.5, -2.5, 2.5, 2.5, 64, mapping, params, workers=w))
+                for w in workers
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_count_does_not_change_bytes(self, monkeypatch):
+        texts = self.outputs_by_workers(monkeypatch, COS, EscapeParams(), (1, 2, 3, 8, 64, 200))
+        assert texts[0]
+        assert all(t == texts[0] for t in texts)
+
+    def test_worker_count_does_not_change_early_exit_bytes(self, monkeypatch):
+        params = EscapeParams(iterations=80, early_exit=True)
+        texts = self.outputs_by_workers(monkeypatch, MANDELBROT, params, (1, 2, 3, 8))
+        assert texts[0]
+        assert all(t == texts[0] for t in texts)
 
     def test_workers_beyond_rows_are_safe(self):
         a = scan_raw(-1.0, -1.0, 1.0, 1.0, 3, SIN, workers=50)
@@ -170,6 +238,73 @@ class TestDeterminism:
             ps = scan_raw(-1.5625, -1.5625, 1.5625, 1.5625, n, kind)
             m = ps.mask
             assert np.array_equal(m, m[::-1, ::-1])
+
+
+class RecordingPool:
+    """ThreadPoolExecutor stand-in: records max_workers, runs tiles inline."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every scan's pool; tiles run inline, no thread starts."""
+    sizes = []
+    monkeypatch.setattr(
+        fractal, "ThreadPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers)
+    )
+    monkeypatch.setattr(fractal.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    return sizes
+
+
+class TestThreadPool:
+    @pytest.mark.parametrize(
+        "workers,expected", [(None, 3), (1, 1), (2, 2), (5000, 3)], ids=["default", "1", "2", "5000"]
+    )
+    def test_pool_is_bounded_by_workers_and_usable_cpus(
+        self, monkeypatch, pool_sizes, workers, expected
+    ):
+        monkeypatch.setattr(fractal, "_TILE_CELLS", 40)  # one row per tile: 40 tiles
+        scan_raw(-1.0, -1.0, 1.0, 1.0, 40, COS, workers=workers)
+        assert pool_sizes == [expected]
+
+    def test_pool_is_bounded_by_tiles(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(fractal, "_TILE_CELLS", 2 * 9)  # rows 0-1, ..., 8: 5 tiles
+        scan_raw(-1.0, -1.0, 1.0, 1.0, 9, COS, workers=5000)
+        scan_raw(-1.0, -1.0, 1.0, 1.0, 2, COS, workers=5000)
+        assert pool_sizes == [3, 1]
+
+    def test_default_falls_back_to_cpu_count(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(fractal, "_TILE_CELLS", 40)
+        monkeypatch.delattr(fractal.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(fractal.os, "cpu_count", lambda: 4)
+        scan_raw(-1.0, -1.0, 1.0, 1.0, 40, COS)
+        monkeypatch.setattr(fractal.os, "cpu_count", lambda: None)
+        scan_raw(-1.0, -1.0, 1.0, 1.0, 40, COS)
+        assert pool_sizes == [4, 1]
+
+    def test_cli_workers_flag_is_capped(self, monkeypatch, capsys, pool_sizes):
+        from trigiter.cli import main
+
+        monkeypatch.setattr(fractal, "_TILE_CELLS", 40)
+        assert main(["julia", "--f", "cos", "--grid", "40", "--workers", "5000"]) == 0
+        assert capsys.readouterr().out
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            scan_raw(-1.0, -1.0, 1.0, 1.0, 4, COS, workers=workers)
 
 
 class TestEscapeParams:
