@@ -16,7 +16,7 @@ import re
 import sys
 
 from .derivatives import extrema_locations, iterated_derivative
-from .fractal import MANDELBROT, EscapeParams, ScanRegion, format_points, scan, scan_raw
+from .fractal import MANDELBROT, MAX_GRID, EscapeParams, ScanRegion, format_points, scan, scan_raw
 from .iteration import (
     ConvergenceError,
     SolverMethod,
@@ -159,6 +159,8 @@ def _cmd_extrema(args: argparse.Namespace) -> int:
 
 def _run_scan(args: argparse.Namespace, mapping) -> int:
     x1, y1, x2, y2 = _parse_region(args.region)
+    if not 2 <= args.grid <= MAX_GRID:
+        raise ValueError(f"--grid must be between 2 and {MAX_GRID}, got {args.grid}")
     params = EscapeParams(
         iterations=args.iterations,
         threshold_sq=args.threshold,
@@ -166,7 +168,7 @@ def _run_scan(args: argparse.Namespace, mapping) -> int:
     )
     region = ScanRegion(complex(x1, y1), complex(x2, y2), args.grid)
     result = scan(region, mapping, params, workers=args.workers)
-    sys.stdout.write(format_points(result.points, padded=(args.format == "gnuplot")))
+    sys.stdout.write(format_points(result, padded=(args.format == "gnuplot")))
     return 0
 
 
@@ -184,7 +186,12 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
         default="-2.5,-2.5,2.5,2.5",
         help="corners as x1,y1,x2,y2 (default %(default)s)",
     )
-    parser.add_argument("--grid", type=int, default=500, help="samples per axis (default %(default)s)")
+    parser.add_argument(
+        "--grid",
+        type=int,
+        default=500,
+        help=f"samples per axis, at most {MAX_GRID} (default %(default)s)",
+    )
     parser.add_argument("--iterations", type=int, default=50, help="orbit length (default %(default)s)")
     parser.add_argument(
         "--threshold",
@@ -293,12 +300,15 @@ def _run_legacy(args: list[str]) -> int:
     if grid < 2:
         print(f"Grid ({grid_text}) must be >= 2", file=sys.stderr)
         return 1
+    if grid > MAX_GRID:
+        print(f"Grid ({grid_text}) must be <= {MAX_GRID}", file=sys.stderr)
+        return 1
     if name not in ("sin", "cos"):
         print(f"Type sin or cos but not {name}", file=sys.stderr)
         return 1
     kind = TrigKind.COSINE if name == "cos" else TrigKind.SINE
     result = scan_raw(x1, y1, x2, y2, grid, kind)
-    sys.stdout.write(format_points(result.points))
+    sys.stdout.write(format_points(result))
     return 0
 
 

@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "EscapeParams",
     "ScanRegion",
     "PointSet",
+    "MAX_GRID",
     "point_survives",
     "scan",
     "scan_raw",
@@ -85,8 +87,7 @@ class ScanRegion:
     grid: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.grid, int) or self.grid < 2:
-            raise ValueError(f"grid must be an integer >= 2, got {self.grid!r}")
+        _check_grid(self.grid)
         a, b = complex(self.corner1), complex(self.corner2)
         if not all(map(math.isfinite, (a.real, a.imag, b.real, b.imag))):
             raise ValueError(f"corners must be finite, got {a!r} and {b!r}")
@@ -98,32 +99,60 @@ class ScanRegion:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Scan outcome: surviving samples in scan order plus the full mask.
+    """Scan outcome: the survival mask over the grid and the grid's axes.
 
-    `points` holds one entry per surviving grid cell (coordinates may
-    repeat on degenerate zero-step grids); `mask[r, i]` indexes real
-    step r, imaginary step i; `scanned` counts every cell evaluated.
+    `mask[r, i]` tells whether the sample at real step r, imaginary
+    step i survives; `xs[r]` is the real coordinate of row r and `ys[i]`
+    the imaginary coordinate of column i.  `first` is the real
+    coordinate of the very first sample, kept as given: it differs from
+    `xs[0]` only when a scan starts at -0.0 (see scan_raw).  The three
+    arrays are read-only; arrays the caller could still write are copied.
+
+    len(), indexing and iteration see the survivors in scan order (they
+    may repeat on degenerate zero-step grids); `points` holds them as
+    Python complex numbers, built on first use.  `scanned` counts every
+    cell evaluated.
     """
 
-    points: tuple[complex, ...]
     mask: np.ndarray = field(repr=False)
-    scanned: int
+    xs: np.ndarray = field(repr=False)
+    ys: np.ndarray = field(repr=False)
+    first: float
 
     def __post_init__(self) -> None:
-        if self.mask.dtype != np.bool_ or self.mask.ndim != 2:
+        mask = np.asarray(self.mask)
+        if mask.dtype != np.bool_ or mask.ndim != 2:
             raise ValueError("mask must be a two-dimensional boolean array")
-        if self.scanned != self.mask.size:
+        xs = np.asarray(self.xs, dtype=np.float64)
+        ys = np.asarray(self.ys, dtype=np.float64)
+        if xs.shape != mask.shape[:1] or ys.shape != mask.shape[1:]:
             raise ValueError(
-                f"scanned ({self.scanned}) must equal the mask size ({self.mask.size})"
+                f"axis lengths ({xs.shape}, {ys.shape}) must match the mask shape {mask.shape}"
             )
-        if len(self.points) != int(self.mask.sum()):
-            raise ValueError(
-                f"points ({len(self.points)}) must match the mask's surviving"
-                f" cell count ({int(self.mask.sum())})"
-            )
+        for name, array in (("mask", mask), ("xs", xs), ("ys", ys)):
+            if array.flags.writeable:
+                array = array.copy()
+                array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "first", float(self.first))
+
+    @property
+    def scanned(self) -> int:
+        return self.mask.size
+
+    @cached_property
+    def points(self) -> tuple[complex, ...]:
+        rows, cols = np.nonzero(self.mask)
+        z = np.empty(rows.size, dtype=np.complex128)
+        z.real = self.xs[rows]
+        z.imag = self.ys[cols]
+        points = z.tolist()
+        if points and self.mask[0, 0]:
+            points[0] = complex(self.first, self.ys[0])
+        return tuple(points)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return int(np.count_nonzero(self.mask))
 
     def __getitem__(self, index):
         return self.points[index]
@@ -167,6 +196,19 @@ def point_survives(
         params.early_exit,
     )
     return bool(grid[0, 0])
+
+
+# Worst-case memory of a scan's result: a 52-byte gnuplot line for every
+# cell, plus the cell's byte of mask.  The grid is capped so that this
+# stays within the budget, and the cap is checked before anything is
+# allocated.
+_SCAN_BUDGET_BYTES = 1 << 30
+MAX_GRID = math.isqrt(_SCAN_BUDGET_BYTES // (52 + 1))
+
+
+def _check_grid(grid) -> None:
+    if not isinstance(grid, int) or not 2 <= grid <= MAX_GRID:
+        raise ValueError(f"grid must be an integer >= 2 and <= {MAX_GRID}, got {grid!r}")
 
 
 # Cells per kernel call.  Tiles of whole rows bound the kernel's working
@@ -216,8 +258,7 @@ def scan_raw(
     `workers` threads (default: the usable CPUs), and never more threads
     than tiles or usable CPUs.
     """
-    if not isinstance(grid, int) or grid < 2:
-        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
+    _check_grid(grid)
     code, c_re, c_im = _map_code(mapping)
     n = grid
     step_re = (float(x2) - float(x1)) / (n - 1)
@@ -254,16 +295,7 @@ def scan_raw(
         list(pool.map(run_tile, tiles))
 
     mask.setflags(write=False)
-    points: list[complex] = []
-    for r in np.flatnonzero(mask.any(axis=1)):
-        cols = np.flatnonzero(mask[r])
-        row = np.empty(cols.size, dtype=np.complex128)
-        row.real = xs[r]
-        row.imag = ys[cols]
-        points += row.tolist()
-    if mask[0, 0]:
-        points[0] = complex(float(x1), ys[0])
-    return PointSet(tuple(points), mask, n * n)
+    return PointSet(mask, xs, ys, float(x1))
 
 
 def scan(
@@ -295,5 +327,48 @@ def format_point(z: complex, padded: bool = True) -> str:
 
 
 def format_points(points, padded: bool = True) -> str:
-    """Newline-terminated lines for each point; empty input gives an empty string."""
-    return "".join(format_point(z, padded) + "\n" for z in points)
+    """Newline-terminated lines for each point; empty input gives an empty string.
+
+    A PointSet is formatted from two string tables, one entry per grid
+    row and per column, so each coordinate is formatted once per axis
+    index instead of once per survivor.  The lines are the ones
+    format_point gives for the PointSet's points.
+    """
+    if not isinstance(points, PointSet):
+        return "".join(format_point(z, padded) + "\n" for z in points)
+    mask = points.mask
+    if not mask.any():
+        return ""
+    re_strs = ["%.16g" % x for x in points.xs.tolist()]
+    im_strs = ["%.16g" % y for y in points.ys.tolist()]
+    first = "%.16g" % points.first
+    if padded:
+        return _gnuplot_lines(mask, re_strs, im_strs, first)
+    return _plain_lines(mask, re_strs, im_strs, first)
+
+
+def _gnuplot_lines(mask, re_strs, im_strs, first) -> str:
+    # %.16g of a double is at most 23 characters, so every padded cell
+    # is 26 bytes and every line 52; the lines are fixed-width records.
+    re_tab = np.array(["%25s " % s for s in re_strs], dtype="S")
+    im_tab = np.array(["%25s\n" % s for s in im_strs], dtype="S")
+    assert re_tab.itemsize == im_tab.itemsize == 26, "a coordinate wider than 25 columns"
+    rows, cols = np.nonzero(mask)
+    lines = np.empty((rows.size, 2), dtype="S26")
+    lines[:, 0] = re_tab[rows]
+    lines[:, 1] = im_tab[cols]
+    if mask[0, 0]:
+        lines[0, 0] = "%25s " % first
+    return str(lines.data, "ascii")
+
+
+def _plain_lines(mask, re_strs, im_strs, first) -> str:
+    im_lines = [s + "\n" for s in im_strs]
+    rows = []
+    for r in np.flatnonzero(mask.any(axis=1)).tolist():
+        prefix = re_strs[r] + " "
+        cols = np.flatnonzero(mask[r]).tolist()
+        rows.append(prefix + prefix.join(map(im_lines.__getitem__, cols)))
+    if mask[0, 0]:
+        rows[0] = first + rows[0][len(re_strs[0]):]
+    return "".join(rows)

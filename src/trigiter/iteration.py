@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath
-
 __all__ = [
     "DOTTIE",
     "TrigKind",
@@ -208,6 +206,8 @@ def dottie_digits(digits: int = MAX_DIGITS) -> str:
     """
     if not isinstance(digits, int) or not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must be an integer in [1, {MAX_DIGITS}], got {digits!r}")
+    import mpmath  # imported here only: it is a large share of the CLI's start-up time
+
     with mpmath.workdps(digits + 15):
         root = mpmath.findroot(lambda t: mpmath.cos(t) - t, mpmath.mpf("0.74"))
         if abs(mpmath.cos(root) - root) > mpmath.mpf(10) ** -(digits + 5):

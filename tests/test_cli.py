@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import trigiter
-from trigiter import MANDELBROT, EscapeParams, ScanRegion, dottie, dottie_digits, scan
+from trigiter import MANDELBROT, MAX_GRID, EscapeParams, ScanRegion, dottie, dottie_digits, scan
 from trigiter.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_scan_5x5.txt"
@@ -79,6 +79,16 @@ class TestLegacyQuirks:
         _, suffixed, _ = run_cli(capsys, ["legacy", "0", "0", "1", "1", "5x", "cos"])
         _, clean, _ = run_cli(capsys, ["legacy", "0", "0", "1", "1", "5", "cos"])
         assert suffixed == clean
+
+    @pytest.mark.parametrize("raw", [str(MAX_GRID + 1), "99999999999999", "5000x"])
+    def test_grid_over_cap_is_refused_before_scanning(self, capsys, monkeypatch, raw):
+        import trigiter.cli as cli
+
+        monkeypatch.setattr(cli, "scan_raw", None)  # a scan would end in exit 2
+        code, out, err = run_cli(capsys, ["legacy", "0", "0", "1", "1", raw, "cos"])
+        assert code == 1
+        assert out == ""
+        assert err == f"Grid ({raw}) must be <= {MAX_GRID}\n"
 
 
 class TestDottieCommand:
@@ -300,6 +310,19 @@ class TestExitCodes:
         assert out == ""
         assert "--region" in err
 
+    @pytest.mark.parametrize(
+        "command", [["julia", "--f", "cos"], ["mandelbrot"]], ids=["julia", "mandelbrot"]
+    )
+    @pytest.mark.parametrize("grid", ["1", str(MAX_GRID + 1), "99999999999999"])
+    def test_grid_outside_its_range(self, capsys, monkeypatch, command, grid):
+        import trigiter.cli as cli
+
+        monkeypatch.setattr(cli, "scan", None)  # a scan would end in exit 2
+        code, out, err = run_cli(capsys, [*command, "--grid", grid])
+        assert code == 1
+        assert out == ""
+        assert "--grid" in err and str(MAX_GRID) in err
+
     def test_bad_tolerance(self, capsys):
         code, _, err = run_cli(capsys, ["dottie", "--tol", "0"])
         assert code == 1
@@ -329,6 +352,25 @@ class TestExitCodes:
 
 
 class TestEntryPoints:
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        src = pathlib.Path(trigiter.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "import trigiter.cli\n"
+            "assert 'mpmath' not in sys.modules, 'importing trigiter.cli imported mpmath'\n"
+            "trigiter.cli.main(['dottie', '--digits', '20'])\n"
+            "assert 'mpmath' in sys.modules\n"
+        )
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0.73908513321516064166\n"
+
     def test_module_invocation_matches_golden(self):
         proc = subprocess.run(
             [sys.executable, "-m", "trigiter", "legacy", "-2.5", "-2.5", "2.5", "2.5", "5", "cos"],

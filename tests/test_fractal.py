@@ -356,22 +356,97 @@ class TestRealAxisCoverage:
 
 
 class TestPointSet:
+    @staticmethod
+    def full_scan(x1=0.0):
+        # one cosine step under a huge bound: every cell of the 2x2 grid survives
+        return scan_raw(x1, 0.0, 1.0, 1.0, 2, COS, EscapeParams(iterations=1, threshold_sq=1e30))
+
     def test_sequence_protocol(self):
-        ps = scan_raw(
-            0.0, 0.0, 1.0, 1.0, 2, COS, EscapeParams(iterations=1, threshold_sq=1e30)
-        )
+        ps = self.full_scan()
+        assert ps.scanned == 4
         assert len(ps) == 4
         assert ps[0] == 0j
+        assert ps[-1] == 1 + 1j
         assert list(iter(ps)) == [0j, 1j, 1 + 0j, 1 + 1j]
+        assert ps.points == (0j, 1j, 1 + 0j, 1 + 1j)
+        assert ps.points is ps.points
 
-    def test_mask_is_read_only(self):
+    def test_len_counts_survivors(self):
+        ps = scan_raw(-2.5, -2.5, 2.5, 2.5, 21, COS)
+        assert 0 < len(ps) < ps.scanned == 21 * 21
+        assert len(ps) == len(ps.points) == int(ps.mask.sum())
+
+    def test_fields_are_mask_and_axes(self):
+        ps = scan_raw(1.0, 3.0, -1.0, 2.0, 3, SIN, EscapeParams(iterations=0, threshold_sq=1e30))
+        assert ps.mask.shape == (3, 3) and ps.mask.all()
+        assert ps.xs.tolist() == [1.0, 0.0, -1.0]
+        assert ps.ys.tolist() == [3.0, 2.5, 2.0]
+        assert ps.first == 1.0
+
+    def test_negative_zero_first_point(self):
+        ps = self.full_scan(x1=-0.0)
+        assert math.copysign(1.0, ps.first) == -1.0
+        assert math.copysign(1.0, ps.xs[0]) == 1.0
+        assert [math.copysign(1.0, z.real) for z in ps] == [-1.0, 1.0, 1.0, 1.0]
+        first_two = ["%25s %25s" % ("-0", "0"), "%25s %25s" % ("0", "1")]
+        assert format_points(ps).splitlines()[:2] == first_two
+        assert format_points(ps, padded=False).splitlines()[:2] == ["-0 0", "0 1"]
+
+    @pytest.mark.parametrize("name", ["mask", "xs", "ys"])
+    def test_arrays_are_read_only(self, name):
         ps = scan_raw(0.0, 0.0, 1.0, 1.0, 2, COS)
         with pytest.raises(ValueError):
-            ps.mask[0, 0] = False
+            getattr(ps, name)[0] = 0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PointSet(points=(0j,), mask=np.zeros((2, 2), dtype=bool), scanned=3)
+    def test_caller_arrays_are_copied(self):
+        mask, xs, ys = np.ones((2, 3), dtype=bool), np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0])
+        ps = PointSet(mask, xs, ys, 0.0)
+        assert mask.flags.writeable and xs.flags.writeable and ys.flags.writeable
+        mask[0, 0], xs[0], ys[0] = False, 5.0, 5.0
+        assert ps.mask[0, 0] and ps.xs[0] == 0.0 and ps.ys[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "xs,ys",
+        [(np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(3)), (np.zeros((2, 1)), np.zeros(2))],
+        ids=["rows", "columns", "two-dimensional"],
+    )
+    def test_validation(self, xs, ys):
+        with pytest.raises(ValueError, match="axis lengths"):
+            PointSet(np.zeros((2, 2), dtype=bool), xs, ys, 0.0)
+
+    @pytest.mark.parametrize(
+        "mask", [np.zeros((2, 2), dtype=int), np.zeros(4, dtype=bool)], ids=["int", "flat"]
+    )
+    def test_mask_must_be_a_boolean_matrix(self, mask):
+        with pytest.raises(ValueError, match="mask"):
+            PointSet(mask, np.zeros(2), np.zeros(2), 0.0)
+
+
+class TestGridCap:
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        """Fail the test if a scan gets as far as building an axis or a tile."""
+
+        def refuse(*args):
+            raise AssertionError("allocated before the grid was checked")
+
+        monkeypatch.setattr(fractal, "_cumulative_axis", refuse)
+        monkeypatch.setattr(fractal._kernels, "survive", refuse)
+
+    def test_cap_comes_from_the_budget(self):
+        cell_bytes = 52 + 1  # worst-case gnuplot line and mask byte
+        cap = fractal.MAX_GRID
+        assert cap * cap * cell_bytes <= fractal._SCAN_BUDGET_BYTES < (cap + 1) ** 2 * cell_bytes
+
+    @pytest.mark.parametrize("grid", [fractal.MAX_GRID + 1, 10**12])
+    def test_scan_raw_rejects_grid_over_cap(self, no_allocation, grid):
+        with pytest.raises(ValueError, match=f"<= {fractal.MAX_GRID}"):
+            scan_raw(0.0, 0.0, 1.0, 1.0, grid, COS)
+
+    def test_region_rejects_grid_over_cap(self):
+        assert ScanRegion(0j, 1 + 1j, fractal.MAX_GRID).grid == fractal.MAX_GRID
+        with pytest.raises(ValueError, match=f"<= {fractal.MAX_GRID}"):
+            ScanRegion(0j, 1 + 1j, fractal.MAX_GRID + 1)
 
 
 class TestFormatting:
