@@ -16,18 +16,29 @@ import re
 import sys
 
 from .derivatives import extrema_locations, iterated_derivative
-from .fractal import MANDELBROT, MAX_GRID, EscapeParams, ScanRegion, format_points, scan, scan_raw
+from .fractal import MANDELBROT, MAX_GRID, MAX_ITERATIONS, EscapeParams, ScanRegion, _max_iterations
+from .fractal import format_points, scan, scan_raw
 from .iteration import (
+    MAX_DIGITS,
     ConvergenceError,
     SolverMethod,
     TrigKind,
+    _check_count,
     cos_range,
     dottie,
     dottie_digits,
     iterate,
     sin_envelope,
 )
-from .series import iterated_series
+from .series import MAX_TRUNCATION, iterated_series
+
+# Caps on the count flags, each checked where its flag is parsed.  A map
+# step takes 0.1-0.5 us, so MAX_STEPS steps take under a second; a series
+# composition 1.5 ms at working order 30 and 0.15 s at MAX_TRUNCATION;
+# an extremum line 18 us to print, up to four per period.
+MAX_STEPS = 10**6
+MAX_SERIES_ORDER = 100
+MAX_PERIODS = 10**4
 
 _INT_PREFIX = re.compile(r"[ \t\n\r\f\v]*([+-]?\d+)")
 _FLOAT_PREFIX = re.compile(
@@ -64,15 +75,42 @@ def _fmt_value(v: complex | float) -> str:
     return _fmt(v)
 
 
+def _flag(convert):
+    """argparse type from `convert`: a ValueError becomes a usage error naming the flag."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _count(name: str, low: int = 0, high: int | None = None):
+    return _flag(lambda text: _check_count(int(text), name, low, high))
+
+
+def _finite(name: str, positive: bool = False):
+    def convert(text: str) -> float:
+        value = float(text)
+        if math.isfinite(value) and (value > 0.0 or not positive):
+            return value
+        raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {text!r}")
+
+    return _flag(convert)
+
+
 def _parse_value(text: str) -> complex | float:
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        return complex(text)
-    except ValueError:
-        raise ValueError(f"{text!r} is neither a real nor a complex number") from None
+    for convert in (float, complex):
+        try:
+            value = convert(text)
+        except ValueError:
+            continue
+        if math.isfinite(value.real) and math.isfinite(value.imag):
+            return value
+        raise ValueError(f"start value must be finite, got {text!r}")
+    raise ValueError(f"{text!r} is neither a real nor a complex number")
 
 
 def _parse_region(text: str) -> tuple[float, float, float, float]:
@@ -84,7 +122,7 @@ def _parse_region(text: str) -> tuple[float, float, float, float]:
     except ValueError:
         raise ValueError(f"region {text!r} contains a non-numeric entry") from None
     if not all(map(math.isfinite, (x1, y1, x2, y2))):
-        raise ValueError(f"--region {text!r} has a non-finite corner")
+        raise ValueError(f"region {text!r} has a non-finite corner")
     return x1, y1, x2, y2
 
 
@@ -158,14 +196,10 @@ def _cmd_extrema(args: argparse.Namespace) -> int:
 
 
 def _run_scan(args: argparse.Namespace, mapping) -> int:
-    x1, y1, x2, y2 = _parse_region(args.region)
-    if not 2 <= args.grid <= MAX_GRID:
-        raise ValueError(f"--grid must be between 2 and {MAX_GRID}, got {args.grid}")
-    params = EscapeParams(
-        iterations=args.iterations,
-        threshold_sq=args.threshold,
-        early_exit=args.early_exit,
-    )
+    x1, y1, x2, y2 = args.region
+    cap = _max_iterations(args.grid)
+    _check_count(args.iterations, f"--iterations at --grid {args.grid}", 0, cap)
+    params = EscapeParams(args.iterations, args.threshold, args.early_exit)
     region = ScanRegion(complex(x1, y1), complex(x2, y2), args.grid)
     result = scan(region, mapping, params, workers=args.workers)
     sys.stdout.write(format_points(result, padded=(args.format == "gnuplot")))
@@ -183,25 +217,31 @@ def _cmd_mandelbrot(args: argparse.Namespace) -> int:
 def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--region",
+        type=_flag(_parse_region),
         default="-2.5,-2.5,2.5,2.5",
         help="corners as x1,y1,x2,y2 (default %(default)s)",
     )
     parser.add_argument(
         "--grid",
-        type=int,
+        type=_count("grid", 2, MAX_GRID),
         default=500,
         help=f"samples per axis, at most {MAX_GRID} (default %(default)s)",
     )
-    parser.add_argument("--iterations", type=int, default=50, help="orbit length (default %(default)s)")
+    parser.add_argument(
+        "--iterations",
+        type=_count("iterations", 0, MAX_ITERATIONS),
+        default=50,
+        help="orbit length; the cap shrinks with the grid (default %(default)s)",
+    )
     parser.add_argument(
         "--threshold",
-        type=float,
+        type=_finite("threshold", True),
         default=10.0,
         help="escape bound on the squared magnitude (default %(default)s)",
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_count("workers", 1),
         default=None,
         help="scan threads, capped at the usable CPUs and at one per tile of rows"
         " (default: all usable CPUs)",
@@ -224,16 +264,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("dottie", help="solve cos(x) = x")
-    p.add_argument("--tol", type=float, default=1e-12, help="tolerance (default %(default)s)")
+    tol = _finite("tolerance", True)
+    p.add_argument("--tol", type=tol, default=1e-12, help="tolerance (default %(default)s)")
     p.add_argument(
         "--method",
         choices=tuple(m.value for m in SolverMethod),
         default=SolverMethod.FIXED_POINT.value,
     )
-    p.add_argument("--max-iterations", type=int, default=1000)
+    p.add_argument("--max-iterations", type=_count("max_iterations", 1, MAX_STEPS), default=1000)
     p.add_argument(
         "--digits",
-        type=int,
+        type=_count("digits", 1, MAX_DIGITS),
         default=None,
         help="print this many digits via extended precision instead (max 64)",
     )
@@ -241,32 +282,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iterate", help="apply cos or sin n times")
     p.add_argument("--f", required=True, choices=("cos", "sin"))
-    p.add_argument("--n", required=True, type=int, help="iteration count")
-    p.add_argument("--v", type=_parse_value, default=0.0, help="start value (real or complex)")
+    p.add_argument("--n", required=True, type=_count("order", 0, MAX_STEPS), help="iteration count")
+    p.add_argument("--v", type=_flag(_parse_value), default=0.0, help="real or complex start")
     p.set_defaults(func=_cmd_iterate)
 
     p = sub.add_parser("derivative", help="closed-form iterate derivative")
     p.add_argument("--f", required=True, choices=("cos", "sin"))
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--x", required=True, type=float)
+    p.add_argument("--n", required=True, type=_count("order", 0, MAX_STEPS))
+    p.add_argument("--x", required=True, type=_finite("x"))
     p.add_argument("--check", action="store_true", help="print a finite-difference cross-check")
     p.set_defaults(func=_cmd_derivative)
 
     p = sub.add_parser("series", help="Maclaurin coefficients of an iterate")
     p.add_argument("--f", required=True, choices=("cos", "sin"))
-    p.add_argument("--order", required=True, type=int, help="iteration count")
-    p.add_argument("--terms", required=True, type=int, help="truncation order")
+    order, terms = _count("order", 0, MAX_SERIES_ORDER), _count("truncation", 0, MAX_TRUNCATION)
+    p.add_argument("--order", required=True, type=order, help="iteration count")
+    p.add_argument("--terms", required=True, type=terms, help="truncation order")
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("bounds", help="range of an iterate")
     p.add_argument("--f", required=True, choices=("cos", "sin"))
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_count("order", 1, MAX_STEPS))
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("extrema", help="extrema loci of an iterate")
     p.add_argument("--f", required=True, choices=("cos", "sin"))
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--periods", type=int, default=1, help="half-width in multiples of pi")
+    p.add_argument("--n", required=True, type=_count("order", 1, MAX_STEPS))
+    periods = _count("periods", 1, MAX_PERIODS)
+    p.add_argument("--periods", type=periods, default=1, help="half-width in multiples of pi")
     p.set_defaults(func=_cmd_extrema)
 
     p = sub.add_parser("julia", help="escape-time scan of a trig map")

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .iteration import TrigKind
+from .iteration import TrigKind, _check_count
 
 __all__ = [
     "Quadratic",
@@ -69,10 +69,7 @@ class EscapeParams:
     early_exit: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.iterations, int) or self.iterations < 0:
-            raise ValueError(
-                f"iterations must be a non-negative integer, got {self.iterations!r}"
-            )
+        _check_count(self.iterations, "iterations")
         t = float(self.threshold_sq)
         if not math.isfinite(t) or t <= 0.0:
             raise ValueError(f"threshold_sq must be positive and finite, got {self.threshold_sq!r}")
@@ -87,7 +84,7 @@ class ScanRegion:
     grid: int
 
     def __post_init__(self) -> None:
-        _check_grid(self.grid)
+        _check_count(self.grid, "grid", 2, MAX_GRID)
         a, b = complex(self.corner1), complex(self.corner2)
         if not all(map(math.isfinite, (a.real, a.imag, b.real, b.imag))):
             raise ValueError(f"corners must be finite, got {a!r} and {b!r}")
@@ -206,9 +203,21 @@ _SCAN_BUDGET_BYTES = 1 << 30
 MAX_GRID = math.isqrt(_SCAN_BUDGET_BYTES // (52 + 1))
 
 
-def _check_grid(grid) -> None:
-    if not isinstance(grid, int) or not 2 <= grid <= MAX_GRID:
-        raise ValueError(f"grid must be an integer >= 2 and <= {MAX_GRID}, got {grid!r}")
+# A scan's work in cell-steps: grid * grid cells per iteration plus the
+# fixed cost of the kernel's array calls in each step, counted as 1024
+# cells (a dense cell-step takes about 35 ns, the fixed cost 9-50 us).
+# The budget, 10-40 s of one thread's kernel time, admits the legacy
+# scanner's 50 iterations at MAX_GRID; it is checked before allocation.
+_SCAN_WORK_BUDGET = 1 << 30
+_STEP_OVERHEAD_CELLS = 1 << 10
+
+
+def _max_iterations(grid: int) -> int:
+    return _SCAN_WORK_BUDGET // (grid * grid + _STEP_OVERHEAD_CELLS)
+
+
+MAX_ITERATIONS = _max_iterations(2)
+"""Most iterations any scan may run: the cap at the smallest grid."""
 
 
 # Cells per kernel call.  Tiles of whole rows bound the kernel's working
@@ -256,9 +265,12 @@ def scan_raw(
 
     Rows are scanned in tiles of about 32k cells by a pool of at most
     `workers` threads (default: the usable CPUs), and never more threads
-    than tiles or usable CPUs.
+    than tiles or usable CPUs.  The iteration count is capped by a work
+    budget that shrinks with the grid: 52 iterations at MAX_GRID,
+    MAX_ITERATIONS at grid 2.
     """
-    _check_grid(grid)
+    _check_count(grid, "grid", 2, MAX_GRID)
+    _check_count(params.iterations, f"iterations at grid {grid}", 0, _max_iterations(grid))
     code, c_re, c_im = _map_code(mapping)
     n = grid
     step_re = (float(x2) - float(x1)) / (n - 1)
@@ -271,8 +283,7 @@ def scan_raw(
 
     if workers is None:
         workers = _usable_cpus()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    _check_count(workers, "workers", 1)
 
     mask = np.empty((n, n), dtype=bool)
     rows = max(1, _TILE_CELLS // n)

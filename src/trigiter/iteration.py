@@ -36,6 +36,16 @@ MAX_DIGITS = 64
 """Largest decimal precision served by :func:`dottie_digits`."""
 
 
+def _check_count(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """`value` if an int in [low, high] (None: no upper limit), else a ValueError naming `name`."""
+    if isinstance(value, int) and low <= value and (high is None or value <= high):
+        return value
+    limits = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+    if high is not None:
+        limits += f" <= {high}" if low == 0 else f" and <= {high}"
+    raise ValueError(f"{name} must be {limits}, got {value!r}")
+
+
 class TrigKind(Enum):
     """Which trigonometric map is being iterated."""
 
@@ -70,8 +80,7 @@ class IterationSpec:
     initial: complex | float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or self.order < 0:
-            raise ValueError(f"order must be a non-negative integer, got {self.order!r}")
+        _check_count(self.order, "order")
 
     def evaluate(self) -> complex | float:
         return iterate(self.kind, self.order, self.initial)
@@ -142,8 +151,7 @@ def iterate(kind: TrigKind, order: int, initial: complex | float = 0.0) -> compl
     complex orbit that overflows is reported as a non-finite value, not
     an exception.
     """
-    if not isinstance(order, int) or order < 0:
-        raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    _check_count(order, "order")
     if isinstance(initial, complex):
         return _iterate_complex(kind, order, initial)
     return _iterate_real(kind, order, float(initial))
@@ -166,8 +174,7 @@ def dottie(
             f"tolerance must be positive and finite, got {tolerance!r}; "
             f"the smallest usable tolerance is {math.ulp(0.0):g}"
         )
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    _check_count(max_iterations, "max_iterations", 1)
 
     best = math.inf
     if method is SolverMethod.FIXED_POINT:
@@ -204,8 +211,7 @@ def dottie_digits(digits: int = MAX_DIGITS) -> str:
     `digits` counts significant digits and must lie in [1, 64]; the
     constant starts 0.739..., so they coincide with decimal places.
     """
-    if not isinstance(digits, int) or not 1 <= digits <= MAX_DIGITS:
-        raise ValueError(f"digits must be an integer in [1, {MAX_DIGITS}], got {digits!r}")
+    _check_count(digits, "digits", 1, MAX_DIGITS)
     import mpmath  # imported here only: it is a large share of the CLI's start-up time
 
     with mpmath.workdps(digits + 15):
@@ -222,10 +228,7 @@ def cos_range(order: int) -> RangeBound:
     depends on the parity of n.  The first iterate spans [-1, 1] and is
     left to the caller.
     """
-    if not isinstance(order, int) or order < 2:
-        raise ValueError(
-            f"order must be an integer >= 2, got {order!r}; the order-1 range is [-1, 1]"
-        )
+    _check_count(order, "order", 2)
     parity = order % 2
     lower = _iterate_real(TrigKind.COSINE, order - 1 - parity, 1.0)
     upper = _iterate_real(TrigKind.COSINE, order - 2 + parity, 1.0)
@@ -240,8 +243,7 @@ def sin_envelope(order: int) -> float:
     line into it, touching both ends; the sequence decreases to 0, so
     repeated sine flattens everything toward the axis.
     """
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+    _check_count(order, "order", 1)
     return _iterate_real(TrigKind.SINE, order, 1.0)
 
 
@@ -253,8 +255,7 @@ def intersection_distances(order: int) -> tuple[float, float]:
     and a long one.  Returns (short, long): (2D, 2(pi - D)) for order 1
     and (2D, pi - 2D) for every higher order.
     """
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+    _check_count(order, "order", 1)
     short = 2.0 * DOTTIE
     if order == 1:
         return short, 2.0 * (math.pi - DOTTIE)

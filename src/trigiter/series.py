@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iteration import TrigKind
+from .iteration import TrigKind, _check_count
 
 __all__ = [
     "PowerSeries",
@@ -25,6 +25,10 @@ __all__ = [
     "compose",
     "iterated_series",
 ]
+
+
+MAX_TRUNCATION = 170
+"""Largest truncation order: k! converts to a double only up to k = 170."""
 
 
 class TailBoundError(ValueError):
@@ -79,8 +83,7 @@ class PowerSeries:
     @classmethod
     def identity(cls, order: int) -> "PowerSeries":
         """The series of x itself padded to the given truncation order."""
-        if order < 1:
-            raise ValueError("identity needs order >= 1")
+        _check_count(order, "order", 1)
         return cls((0.0, 1.0) + (0.0,) * (order - 1))
 
     def __call__(self, x: float) -> float:
@@ -102,8 +105,7 @@ class PowerSeries:
 
     def truncate(self, order: int) -> "PowerSeries":
         """Crop (or zero-pad) to the given order, charging cropped mass to the tail."""
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+        _check_count(order, "order")
         if order >= self.order:
             return PowerSeries(
                 self.coefficients + (0.0,) * (order - self.order), self.tail_bound
@@ -128,8 +130,7 @@ class PowerSeries:
 
 def cos_series(order: int = 16) -> PowerSeries:
     """Maclaurin series of cos truncated at the given order."""
-    if not isinstance(order, int) or order < 0:
-        raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    _check_count(order, "order", 0, MAX_TRUNCATION)
     coeffs = [0.0] * (order + 1)
     for k in range(0, order + 1, 2):
         coeffs[k] = (-1.0) ** (k // 2) / math.factorial(k)
@@ -138,8 +139,7 @@ def cos_series(order: int = 16) -> PowerSeries:
 
 def sin_series(order: int = 17) -> PowerSeries:
     """Maclaurin series of sin truncated at the given order."""
-    if not isinstance(order, int) or order < 0:
-        raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    _check_count(order, "order", 0, MAX_TRUNCATION)
     coeffs = [0.0] * (order + 1)
     for k in range(1, order + 1, 2):
         coeffs[k] = (-1.0) ** (k // 2) / math.factorial(k)
@@ -240,16 +240,14 @@ def iterated_series(
     Composition is carried out at a working truncation of at least 30
     terms so low-order coefficients converge to full double precision,
     then cropped to `truncation`.  Cosine iterates keep only even
-    powers; sine iterates only odd ones.
+    powers; sine iterates only odd ones.  `truncation` and the working
+    order are at most MAX_TRUNCATION.
     """
-    if not isinstance(order, int) or order < 0:
-        raise ValueError(f"order must be a non-negative integer, got {order!r}")
-    if not isinstance(truncation, int) or truncation < 0:
-        raise ValueError(f"truncation must be a non-negative integer, got {truncation!r}")
+    _check_count(order, "order")
+    _check_count(truncation, "truncation", 0, MAX_TRUNCATION)
     if order == 0:
-        if truncation < 1:
-            raise ValueError("the identity needs truncation >= 1")
-        return PowerSeries.identity(truncation)
+        # cropped to the constant 0, the identity keeps |x| <= 1 as its tail
+        return PowerSeries.identity(max(truncation, 1)).truncate(truncation)
     working = max(truncation, 30) if working_order is None else working_order
     if working < truncation:
         raise ValueError("working_order must be >= truncation")

@@ -5,6 +5,7 @@ expected behavior (scalar loops, stdlib only) rather than calling into
 the package, so agreement is meaningful.
 """
 
+import itertools
 import math
 from decimal import Decimal, getcontext
 
@@ -143,3 +144,23 @@ def decimal_dottie(precision: int = 90) -> Decimal:
     for _ in range(12):
         x = x + (decimal_cos(x) - x) / (1 + decimal_sin(x))
     return x
+
+
+def multinomial_product_derivative(tables, order):
+    """Order-n derivative of a product by the multinomial rule, term by term.
+
+    Loops over every tuple of per-factor derivative orders in 0..order
+    and keeps those summing to order, each weighted by
+    order! / (k_1! ... k_m!).
+    """
+    total = 0
+    for ks in itertools.product(range(order + 1), repeat=len(tables)):
+        if sum(ks) != order:
+            continue
+        term = math.factorial(order)
+        for k in ks:
+            term //= math.factorial(k)
+        for k, table in zip(ks, tables):
+            term = term * table[k]
+        total = total + term
+    return total

@@ -1,14 +1,12 @@
-import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from trigiter import (
     TrigKind,
-    composition_count,
-    enumerate_compositions,
     extrema_locations,
     iterate,
     iterated_derivative,
@@ -79,43 +77,6 @@ class TestIteratedDerivative:
             iterated_derivative(COS, -2, 0.0)
 
 
-class TestCompositions:
-    def test_two_parts(self):
-        assert enumerate_compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
-
-    def test_single_part(self):
-        assert enumerate_compositions(5, 1) == [(5,)]
-
-    def test_zero_total(self):
-        assert enumerate_compositions(0, 3) == [(0, 0, 0)]
-
-    def test_lexicographic_order_and_count(self):
-        got = enumerate_compositions(4, 3)
-        assert got == sorted(got)
-        assert len(got) == composition_count(4, 3) == 15
-
-    def test_against_brute_force(self):
-        for total, parts in ((3, 2), (4, 3), (5, 4)):
-            brute = sorted(
-                t
-                for t in itertools.product(range(total + 1), repeat=parts)
-                if sum(t) == total
-            )
-            assert enumerate_compositions(total, parts) == brute
-
-    def test_cap_names_count(self):
-        count = composition_count(30, 9)
-        assert count > 10_000_000
-        with pytest.raises(ValueError, match=str(count)):
-            enumerate_compositions(30, 9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            enumerate_compositions(-1, 2)
-        with pytest.raises(ValueError):
-            enumerate_compositions(2, 0)
-
-
 class TestProductNthDerivative:
     def test_first_derivative_is_product_rule(self):
         u, v = [3.0, 5.0], [7.0, 11.0]
@@ -141,6 +102,26 @@ class TestProductNthDerivative:
             for order in range(0, 9):
                 ones = [[1] * (order + 1)] * parts
                 assert product_nth_derivative(ones, order) == parts**order
+
+    def test_matches_multinomial_oracle(self):
+        rng = random.Random(59)
+        for parts in range(1, 7):
+            for order in range(0, 9):
+                ints = [[rng.randint(-9, 9) for _ in range(order + 1)] for _ in range(parts)]
+                fracs = [
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)]
+                    for _ in range(parts)
+                ]
+                for tables in (ints, fracs):
+                    got = product_nth_derivative(tables, order)
+                    assert got == oracles.multinomial_product_derivative(tables, order)
+                    assert type(got) is type(tables[0][0])
+
+    @pytest.mark.parametrize("parts, order", [(10, 12), (12, 14)])
+    def test_coefficient_sum_is_power_for_many_factors(self, parts, order):
+        # C(n+m-1, m-1) multinomial terms: 1.4M for (12, 14), quick only as a fold
+        ones = [[1] * (order + 1)] * parts
+        assert product_nth_derivative(ones, order) == parts**order
 
     def test_three_factor_cross_check(self):
         # d^2/dx^2 of x^2 * sin(x) * e^x at x = 1 is 6e(sin 1 + cos 1)

@@ -449,6 +449,29 @@ class TestGridCap:
             ScanRegion(0j, 1 + 1j, fractal.MAX_GRID + 1)
 
 
+    def test_iterations_cap_admits_the_scans_in_use(self):
+        # the legacy scanner's 50 iterations at the largest grid, and up
+        # to 400 iterations at grid 1000
+        assert fractal._max_iterations(fractal.MAX_GRID) >= 50
+        assert fractal._max_iterations(1000) >= 400
+        assert fractal.MAX_ITERATIONS == fractal._max_iterations(2)
+
+    def test_iterations_cap_comes_from_the_work_budget(self):
+        for grid in (2, 40, 1000, fractal.MAX_GRID):
+            cap = fractal._max_iterations(grid)
+            per_step = grid * grid + fractal._STEP_OVERHEAD_CELLS
+            assert cap * per_step <= fractal._SCAN_WORK_BUDGET < (cap + 1) * per_step
+
+    @pytest.mark.parametrize(
+        "grid, iterations",
+        [(2, fractal.MAX_ITERATIONS + 1), (fractal.MAX_GRID, 53), (40, 10**12)],
+    )
+    def test_scan_raw_rejects_iterations_over_cap(self, no_allocation, grid, iterations):
+        cap = fractal._max_iterations(grid)
+        with pytest.raises(ValueError, match=f"iterations at grid {grid} .*<= {cap},"):
+            scan_raw(0.0, 0.0, 1.0, 1.0, grid, COS, EscapeParams(iterations))
+
+
 class TestFormatting:
     def test_format_point_padded(self):
         line = format_point(complex(-2.5, 1.25))

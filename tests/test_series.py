@@ -14,6 +14,7 @@ from trigiter import (
     iterated_series,
     sin_series,
 )
+from trigiter.series import MAX_TRUNCATION
 
 COS = TrigKind.COSINE
 SIN = TrigKind.SINE
@@ -217,6 +218,12 @@ class TestIteratedSeries:
         s = iterated_series(COS, 0, 3)
         assert s.coefficients == (0.0, 1.0, 0.0, 0.0)
 
+    def test_order_zero_cropped_to_a_constant(self):
+        # x on |x| <= 1, cropped to the constant 0, keeps |x| as its tail
+        s = iterated_series(SIN, 0, 0)
+        assert s.coefficients == (0.0,)
+        assert s.tail_bound == 1.0
+
     def test_second_derivative_link(self):
         # series curvature at 0 equals the closed-form second derivative
         from trigiter import second_derivative_at_zero
@@ -236,3 +243,15 @@ class TestIteratedSeries:
             iterated_series(COS, -1, 4)
         with pytest.raises(ValueError):
             iterated_series(COS, 2, -1)
+
+    def test_truncation_capped_where_factorials_leave_the_double_range(self):
+        # 171! exceeds the largest double; the cap turns that overflow into a ValueError
+        assert iterated_series(COS, 1, MAX_TRUNCATION).order == MAX_TRUNCATION
+        for call in (
+            lambda: iterated_series(COS, 3, MAX_TRUNCATION + 1),
+            lambda: iterated_series(COS, 3, 2, working_order=MAX_TRUNCATION + 1),
+            lambda: cos_series(MAX_TRUNCATION + 1),
+            lambda: sin_series(MAX_TRUNCATION + 1),
+        ):
+            with pytest.raises(ValueError, match=f"<= {MAX_TRUNCATION}"):
+                call()
