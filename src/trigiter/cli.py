@@ -138,7 +138,10 @@ def _cmd_dottie(args: argparse.Namespace) -> int:
     if args.digits is not None:
         print(dottie_digits(args.digits))
         return 0
-    result = dottie(args.tol, SolverMethod(args.method), args.max_iterations)
+    try:
+        result = dottie(args.tol, SolverMethod(args.method), args.max_iterations)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{exc}; raise --max-iterations or loosen --tol") from None
     decimals = 12
     if 0.0 < args.tol <= 1.0:
         decimals = min(17, max(0, round(-math.log10(args.tol))))
@@ -195,6 +198,13 @@ def _cmd_extrema(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_blocks(result, padded: bool = True) -> None:
+    # One block of text at a time, so a scan holds its mask and one
+    # block's lines rather than the whole output.
+    for block in result.row_blocks():
+        sys.stdout.write(format_points(block, padded=padded))
+
+
 def _run_scan(args: argparse.Namespace, mapping) -> int:
     x1, y1, x2, y2 = args.region
     cap = _max_iterations(args.grid)
@@ -202,7 +212,7 @@ def _run_scan(args: argparse.Namespace, mapping) -> int:
     params = EscapeParams(args.iterations, args.threshold, args.early_exit)
     region = ScanRegion(complex(x1, y1), complex(x2, y2), args.grid)
     result = scan(region, mapping, params, workers=args.workers)
-    sys.stdout.write(format_points(result, padded=(args.format == "gnuplot")))
+    _write_blocks(result, padded=(args.format == "gnuplot"))
     return 0
 
 
@@ -351,7 +361,7 @@ def _run_legacy(args: list[str]) -> int:
         return 1
     kind = TrigKind.COSINE if name == "cos" else TrigKind.SINE
     result = scan_raw(x1, y1, x2, y2, grid, kind)
-    sys.stdout.write(format_points(result))
+    _write_blocks(result)
     return 0
 
 

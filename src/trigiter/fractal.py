@@ -15,7 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -157,6 +157,22 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
+    def row_blocks(self):
+        """Yield this set cut into blocks of whole rows, in scan order.
+
+        Each block is a PointSet of about _TILE_CELLS cells that views
+        this set's read-only arrays, so nothing is copied; its `first` is
+        this set's `first` for block 0 and its own first row's coordinate
+        after that.  Formatting the blocks one at a time and joining the
+        text gives the bytes format_points gives for the whole set, with
+        only one block's text alive at a time.
+        """
+        rows = _tile_rows(self.mask.shape[1])
+        for lo in range(0, self.mask.shape[0], rows):
+            hi = lo + rows
+            first = self.first if lo == 0 else self.xs[lo]
+            yield PointSet(self.mask[lo:hi], self.xs[lo:hi], self.ys, first)
+
 
 def _map_code(mapping) -> tuple[int, float, float]:
     if mapping is TrigKind.COSINE:
@@ -195,10 +211,11 @@ def point_survives(
     return bool(grid[0, 0])
 
 
-# Worst-case memory of a scan's result: a 52-byte gnuplot line for every
-# cell, plus the cell's byte of mask.  The grid is capped so that this
-# stays within the budget, and the cap is checked before anything is
-# allocated.
+# Worst-case memory of a scan's whole output as one string, as
+# format_points returns it: a 52-byte gnuplot line for every cell, plus
+# the cell's byte of mask.  (The command line writes row blocks and
+# holds only one.)  The grid is capped so that this stays within the
+# budget, and the cap is checked before anything is allocated.
 _SCAN_BUDGET_BYTES = 1 << 30
 MAX_GRID = math.isqrt(_SCAN_BUDGET_BYTES // (52 + 1))
 
@@ -223,8 +240,14 @@ MAX_ITERATIONS = _max_iterations(2)
 # Cells per kernel call.  Tiles of whole rows bound the kernel's working
 # memory by the tile, not by the grid, and a thread takes the next tile
 # when it finishes one, so a tile whose orbits escape early does not
-# leave its thread idle.
+# leave its thread idle.  PointSet.row_blocks cuts output blocks of the
+# same size, which bounds the text alive at once.
 _TILE_CELLS = 1 << 15
+
+
+def _tile_rows(cols: int) -> int:
+    """Whole rows of `cols` cells in one tile: at least one."""
+    return max(1, _TILE_CELLS // max(1, cols))
 
 
 def _usable_cpus() -> int:
@@ -286,7 +309,7 @@ def scan_raw(
     _check_count(workers, "workers", 1)
 
     mask = np.empty((n, n), dtype=bool)
-    rows = max(1, _TILE_CELLS // n)
+    rows = _tile_rows(n)
 
     def run_tile(lo: int) -> None:
         hi = lo + rows
@@ -342,8 +365,9 @@ def format_points(points, padded: bool = True) -> str:
 
     A PointSet is formatted from two string tables, one entry per grid
     row and per column, so each coordinate is formatted once per axis
-    index instead of once per survivor.  The lines are the ones
-    format_point gives for the PointSet's points.
+    index instead of once per survivor.  The column table is cached on
+    the column coordinates, so the row blocks of one scan build it once.
+    The lines are the ones format_point gives for the PointSet's points.
     """
     if not isinstance(points, PointSet):
         return "".join(format_point(z, padded) + "\n" for z in points)
@@ -351,18 +375,29 @@ def format_points(points, padded: bool = True) -> str:
     if not mask.any():
         return ""
     re_strs = ["%.16g" % x for x in points.xs.tolist()]
-    im_strs = ["%.16g" % y for y in points.ys.tolist()]
+    im_lines = _column_line_ends(points.ys.tobytes(), padded)
     first = "%.16g" % points.first
     if padded:
-        return _gnuplot_lines(mask, re_strs, im_strs, first)
-    return _plain_lines(mask, re_strs, im_strs, first)
+        return _gnuplot_lines(mask, re_strs, im_lines, first)
+    return _plain_lines(mask, re_strs, im_lines, first)
 
 
-def _gnuplot_lines(mask, re_strs, im_strs, first) -> str:
+@lru_cache(maxsize=2)
+def _column_line_ends(ys: bytes, padded: bool):
+    # The end of each column's lines, keyed on the float64 bytes of the
+    # column coordinates: a read-only S26 array padded, a tuple plain.
+    im_strs = ["%.16g" % y for y in np.frombuffer(ys).tolist()]
+    if not padded:
+        return tuple(s + "\n" for s in im_strs)
+    im_tab = np.array(["%25s\n" % s for s in im_strs], dtype="S")
+    im_tab.setflags(write=False)
+    return im_tab
+
+
+def _gnuplot_lines(mask, re_strs, im_tab, first) -> str:
     # %.16g of a double is at most 23 characters, so every padded cell
     # is 26 bytes and every line 52; the lines are fixed-width records.
     re_tab = np.array(["%25s " % s for s in re_strs], dtype="S")
-    im_tab = np.array(["%25s\n" % s for s in im_strs], dtype="S")
     assert re_tab.itemsize == im_tab.itemsize == 26, "a coordinate wider than 25 columns"
     rows, cols = np.nonzero(mask)
     lines = np.empty((rows.size, 2), dtype="S26")
@@ -373,8 +408,7 @@ def _gnuplot_lines(mask, re_strs, im_strs, first) -> str:
     return str(lines.data, "ascii")
 
 
-def _plain_lines(mask, re_strs, im_strs, first) -> str:
-    im_lines = [s + "\n" for s in im_strs]
+def _plain_lines(mask, re_strs, im_lines, first) -> str:
     rows = []
     for r in np.flatnonzero(mask.any(axis=1)).tolist():
         prefix = re_strs[r] + " "

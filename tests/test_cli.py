@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pathlib
@@ -12,6 +13,8 @@ from trigiter import MANDELBROT, MAX_GRID, EscapeParams, ScanRegion, dottie, dot
 from trigiter.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_scan_5x5.txt"
+# SHA-256 of `trigiter legacy -2.5 -2.5 2.5 2.5 1000 cos`
+HEADLINE_SHA256 = "9b8a595276e22bcdcfcb0db0b45b7a14048c2e623b9d3aebc5b16f169281e759"
 
 
 def run_cli(capsys, args):
@@ -44,6 +47,12 @@ class TestLegacyGolden:
     def test_sixteen_significant_digits_in_output(self, capsys):
         _, out, _ = run_cli(capsys, ["legacy", "0", "0", "1", "1", "4", "cos"])
         assert "0.3333333333333333" in out
+
+
+    def test_headline_scan_digest(self, capsys):
+        code, out, _ = run_cli(capsys, ["legacy", "-2.5", "-2.5", "2.5", "2.5", "1000", "cos"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == HEADLINE_SHA256
 
 
 class TestLegacyQuirks:
@@ -270,6 +279,65 @@ class TestScanCommands:
         )
         assert code == 0
         assert len(out.splitlines()) == 25
+
+
+class WriteOnlyStream:
+    """stdout stand-in with nothing but write and flush; keeps each write."""
+
+    __slots__ = ("chunks",)
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedOutput:
+    SCANS = {
+        "legacy": (["legacy", "-2.5", "-2.5", "2.5", "2.5", "300", "sin"], 300),
+        "julia": (["julia", "--f", "cos", "--grid", "300", "--format", "plain"], 300),
+        "mandelbrot": (["mandelbrot", "--region", "-2,-1.5,1,1.5", "--grid", "400"], 400),
+    }
+
+    @pytest.mark.parametrize("argv, grid", SCANS.values(), ids=SCANS.keys())
+    def test_write_only_stdout_gets_the_same_bytes_in_blocks(self, capsys, monkeypatch, argv, grid):
+        from trigiter import fractal
+
+        _, expected, _ = run_cli(capsys, argv)
+        stream = WriteOnlyStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(argv) == 0
+        assert "".join(stream.chunks) == expected
+        # one write per block of whole rows, never the whole output at once
+        assert len(stream.chunks) == -(-grid // fractal._tile_rows(grid))
+        assert max(map(len, stream.chunks)) <= 52 * grid * fractal._tile_rows(grid)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+    def test_headline_scan_peak_memory(self):
+        # The wrapper's RUSAGE_CHILDREN sees only the scan it runs.
+        src = pathlib.Path(trigiter.__file__).resolve().parents[1]
+        wrapper = (
+            "import os, resource, subprocess, sys\n"
+            "argv = ['legacy', '-2.5', '-2.5', '2.5', '2.5', '1000', 'cos']\n"
+            "with open(os.devnull, 'w') as null:\n"
+            "    subprocess.run([sys.executable, '-m', 'trigiter', *argv], stdout=null, check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mib = int(proc.stdout) / 1024
+        assert peak_mib < 80, f"grid 1000 scan peaked at {peak_mib:.1f} MiB"
 
 
 class TestExitCodes:

@@ -69,6 +69,15 @@ def test_refused_at_parse_naming_the_flag(argv, flag):
     assert seconds < 1.0
 
 
+@pytest.mark.parametrize("method", ["fixed-point", "newton"])
+def test_too_few_dottie_iterations_name_the_flags(method):
+    code, out, err, _ = run(["dottie", "--method", method, "--max-iterations", "1"])
+    assert code == 1
+    assert out == ""
+    assert "--max-iterations" in err and "--tol" in err
+    assert "best residual" in err
+
+
 def test_iterations_cap_shrinks_with_the_grid(monkeypatch):
     import trigiter.cli as cli
 
@@ -125,7 +134,7 @@ COMMANDS = {
         {
             "--tol": ("positive", finite_reals(1e-300, 1e300)),
             "--method": ("choice", st.sampled_from(["fixed-point", "newton"])),
-            "--max-iterations": ("count", small_ints(200, 1000)),
+            "--max-iterations": ("count", small_ints(1, 1000)),
             "--digits": ("count", small_ints(1, MAX_DIGITS)),
         },
         (),

@@ -2,10 +2,12 @@
 
 `format_points` formats a PointSet from one string per grid row and one
 per column; a plain sequence of complex goes through `format_point` one
-point at a time.  Both must give the same bytes for every scan.
+point at a time.  Both must give the same bytes for every scan, and so
+must the row blocks of a PointSet formatted one at a time and joined.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from trigiter import (
     format_points,
     scan_raw,
 )
+from trigiter import fractal
 
 MAPS = {
     "cos": TrigKind.COSINE,
@@ -129,3 +132,84 @@ def test_random_scans_match_straightline_oracle(x1, y1, x2, y2, grid, name):
     ps = scan_raw(x1, y1, x2, y2, grid, MAPS[name])
     assert format_points(ps) == oracles.straightline_scan(x1, y1, x2, y2, grid, name)
     assert format_points(ps, padded=False) == format_points(ps.points, padded=False)
+
+
+def joined_blocks(ps, padded=True):
+    return "".join(format_points(block, padded) for block in ps.row_blocks())
+
+
+def tile_of_rows(rows, cols):
+    """Patch the tile size so that blocks (and scan tiles) hold `rows` rows of `cols` cells."""
+    return mock.patch.object(fractal, "_TILE_CELLS", rows * cols)
+
+
+def assert_blocks_join_to_whole(ps, rows):
+    blocks = list(ps.row_blocks())
+    assert [block.mask.shape[0] for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 1 <= blocks[-1].mask.shape[0] <= rows
+    assert sum(block.scanned for block in blocks) == ps.scanned
+    assert sum(len(block) for block in blocks) == len(ps)
+    # compared by repr, which tells -0.0 from 0.0 and lets nan equal nan
+    assert [repr(z) for block in blocks for z in block] == list(map(repr, ps))
+    for block in blocks:
+        # views of the set's read-only arrays, not copies
+        assert block.ys is ps.ys
+        assert np.shares_memory(block.mask, ps.mask) and np.shares_memory(block.xs, ps.xs)
+    for padded in (True, False):
+        assert joined_blocks(ps, padded) == format_points(ps, padded)
+
+
+class TestRowBlocks:
+    # 1 row per block, and 2 or 3 rows, which leave a shorter last block
+    # on most of the regions' grids
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
+    @pytest.mark.parametrize("region", REGIONS.values(), ids=REGIONS.keys())
+    @pytest.mark.parametrize("mapping", MAPS.values(), ids=MAPS.keys())
+    def test_joined_blocks_match_the_whole(self, mapping, region, params, rows):
+        with tile_of_rows(rows, region[-1]):
+            assert_blocks_join_to_whole(scan_raw(*region, mapping, params), rows)
+
+    def test_default_blocks_are_about_one_tile(self):
+        ps = scan_raw(-2.5, -2.5, 2.5, 2.5, 300, TrigKind.COSINE)
+        blocks = list(ps.row_blocks())
+        rows = fractal._TILE_CELLS // 300
+        assert [block.scanned for block in blocks] == [rows * 300] * 2 + [(300 - 2 * rows) * 300]
+        assert_blocks_join_to_whole(ps, rows)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_empty_blocks_and_a_later_first_cell(self, rows):
+        # survivors only in rows 2, 3 and 5: the first blocks are empty,
+        # and a later block's first cell survives with a -0.0 row coordinate
+        xs = [0.5, 1.5, -0.0, 2.5, 3.5, -1.0]
+        ys = [-0.0, 0.25, 0.5]
+        mask = np.zeros((6, 3), dtype=bool)
+        mask[2, 0] = mask[3, 2] = mask[5, 1] = True
+        ps = PointSet(mask, xs, ys, -0.0)
+        with tile_of_rows(rows, 3):
+            assert_blocks_join_to_whole(ps, rows)
+        assert format_points(ps).splitlines()[0] == "%25s %25s" % ("-0", "-0")
+
+    def test_all_escaped_scan_writes_nothing(self):
+        ps = scan_raw(*REGIONS["escaping"], MAPS["cos"])
+        with tile_of_rows(1, 4):
+            blocks = list(ps.row_blocks())
+        assert len(blocks) == 4 and all(len(block) == 0 for block in blocks)
+        assert joined_blocks(ps) == joined_blocks(ps, padded=False) == ""
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    x1=coordinate,
+    y1=coordinate,
+    x2=coordinate,
+    y2=coordinate,
+    grid=st.integers(min_value=2, max_value=40),
+    name=st.sampled_from(["cos", "sin"]),
+    rows=st.integers(min_value=1, max_value=5),
+)
+def test_random_row_blocks_match_straightline_oracle(x1, y1, x2, y2, grid, name, rows):
+    with tile_of_rows(rows, grid):
+        ps = scan_raw(x1, y1, x2, y2, grid, MAPS[name])
+        assert joined_blocks(ps) == oracles.straightline_scan(x1, y1, x2, y2, grid, name)
+        assert joined_blocks(ps, padded=False) == format_points(ps.points, padded=False)
