@@ -15,16 +15,105 @@ dropped orbit could never have survived.  The orbits that are kept run
 the same ufuncs on the same values as on the full grid, so a cell's
 outcome does not depend on which other cells share its tile, and the
 output bytes do not depend on how rows are split into tiles.
+
+An orbit is also dropped, and marked as surviving, once it enters a
+trap: a region its map sends into itself, in which every point is below
+the threshold.  Every later iterate then stays in the trap and passes
+the final test and the early-exit test; the iterates before it were
+tested as they ran.  The trap tests are proofs about the float orbit the
+kernel computes, with rounding inside their slack, so the outcome is the
+one the full iteration gives.  Each trap is used only when the threshold
+exceeds the squared magnitude of every point of it:
+
+- cos, the Dottie disk B(D, 0.34), for threshold > 1.17.  On the disk
+  |sin w| <= sqrt(sin^2(D + 0.34) + sinh^2 0.34) < 0.9473, so cos maps
+  it into B(D, 0.3221), leaving 0.0179 for rounding; every point of it
+  has |z|^2 <= (D + 0.34)^2 < 1.1645.
+- sin, the real-axis petal 0 < |x| <= 1.5, |y| <= 0.49 |x|, for
+  threshold > 2.8.  For 0 < |x| < pi/2 the real part of sin z,
+  sin x cosh y, keeps the sign of x and, while |y| <= |x|/2 < pi/4,
+  stays within cosh(pi/4) < 1.33 of zero; the slope |Im|/|Re| =
+  tanh|y| / tan|x| <= |y|/|x| does not grow.  Rounding can raise the
+  slope by a relative 1e-15 per step, which 0.49 < 0.5 absorbs over
+  any permitted iteration count; every point has |z|^2 <=
+  1.5^2 (1 + 0.49^2) < 2.8.
+
+For the Mandelbrot family the parameters c in the main cardioid or the
+period-2 bulb, with a margin of 1e-3 on the multiplier of the attracting
+cycle, are marked as surviving before the tile is iterated, for
+threshold > 4: the orbit of 0 of a parameter in the set stays within
+|z| <= 2.  A tile whose axes miss the box [-1.25, 0.375] x [-0.65, 0.65]
+around both components skips the test.  That test is about the exact
+orbit, not the float one; the margin keeps the cycle attracting under
+rounding, and tests compare it cell by cell with scalar iteration next
+to both boundaries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .iteration import DOTTIE
+
 CODE_COS = 0
 CODE_SIN = 1
 CODE_JULIA_QUADRATIC = 2
 CODE_MANDELBROT = 3
+
+# Least threshold above which each trap lies wholly below it.
+DOTTIE_DISK_THRESHOLD = 1.17
+SINE_PETAL_THRESHOLD = 2.8
+MANDELBROT_INTERIOR_THRESHOLD = 4.0
+
+_DISK_RADIUS_SQ = 0.34 * 0.34
+_PETAL_REACH = 1.5
+_PETAL_SLOPE = 0.49
+_MULTIPLIER_BOUND = 1.0 - 1e-3
+
+
+def _in_dottie_disk(a, b):
+    d = a - DOTTIE
+    d *= d
+    d += b * b
+    return d < _DISK_RADIUS_SQ
+
+
+def _in_sine_petal(a, b):
+    x = np.abs(a)
+    inside = x > 0.0
+    inside &= x <= _PETAL_REACH
+    inside &= np.abs(b) <= _PETAL_SLOPE * x
+    return inside
+
+
+def _in_mandelbrot_interior(cr, ci):
+    """Parameters whose attracting fixed point or 2-cycle has |multiplier| <= 1 - 1e-3."""
+    # Main cardioid: the fixed point's multiplier is 1 - s with
+    # s = sqrt(u), u = 1 - 4c.  |1 - s|^2 = 1 - 2 Re s + |u| and
+    # Re s = sqrt((|u| + Re u) / 2), so |1 - s| <= r is
+    # 2 (|u| + Re u) >= (1 + |u| - r^2)^2; the cardioid has |u| <= 4,
+    # which also keeps an infinite u out.
+    ur = 1.0 - 4.0 * cr
+    m = np.hypot(ur, 4.0 * ci)
+    inside = m <= 4.0
+    inside &= 2.0 * (m + ur) >= (1.0 + m - _MULTIPLIER_BOUND**2) ** 2
+    # period-2 bulb: the 2-cycle's multiplier is 4(c + 1)
+    inside |= (cr + 1.0) ** 2 + ci**2 <= (_MULTIPLIER_BOUND / 4.0) ** 2
+    return inside
+
+
+def _meets_interior_box(xs, ys):
+    """Whether the tile's axes meet [-1.25, 0.375] x [-0.65, 0.65], which holds both components."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    return bool(((xs >= -1.25) & (xs <= 0.375)).any() and (np.abs(ys) <= 0.65).any())
+
+
+def _trap(code, threshold):
+    if code == CODE_COS and threshold > DOTTIE_DISK_THRESHOLD:
+        return _in_dottie_disk
+    if code == CODE_SIN and threshold > SINE_PETAL_THRESHOLD:
+        return _in_sine_petal
+    return None
 
 
 def survive(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
@@ -36,21 +125,33 @@ def survive(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
     shape = a.shape
     a = a.astype(np.float64).ravel()
     b = b.astype(np.float64).ravel()
-    mandelbrot = code == CODE_MANDELBROT
-    if mandelbrot:
-        cr, ci = a.copy(), b.copy()
-        a = np.zeros_like(a)
-        b = np.zeros_like(b)
-    else:
-        cr, ci = c_re, c_im
+    alive = np.zeros(a.size, dtype=bool)
     cells = np.arange(a.size)
+    mandelbrot = code == CODE_MANDELBROT
+    trap = _trap(code, threshold)
     with np.errstate(over="ignore", invalid="ignore"):
+        if mandelbrot:
+            cr, ci = a.copy(), b.copy()
+            if threshold > MANDELBROT_INTERIOR_THRESHOLD and _meets_interior_box(xs, ys):
+                inside = _in_mandelbrot_interior(cr, ci)
+                alive[inside] = True
+                outside = ~inside
+                cr, ci, cells = cr[outside], ci[outside], cells[outside]
+            a = np.zeros_like(cr)
+            b = np.zeros_like(ci)
+        else:
+            cr, ci = c_re, c_im
         for _ in range(iterations):
             if early_exit:
                 keep = a * a + b * b < threshold
             else:
                 keep = np.isfinite(a)
                 keep &= np.isfinite(b)
+            if trap is not None:
+                trapped = trap(a, b)
+                if trapped.any():
+                    alive[cells[trapped]] = True
+                    keep &= ~trapped
             if not keep.all():
                 a, b, cells = a[keep], b[keep], cells[keep]
                 if mandelbrot:
@@ -67,6 +168,5 @@ def survive(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
                 na = a * a - b * b + cr
                 nb = 2.0 * a * b + ci
             a, b = na, nb
-        alive = np.zeros(shape, dtype=bool)
-        alive.flat[cells] = a * a + b * b < threshold
-    return alive
+        alive[cells] = a * a + b * b < threshold
+    return alive.reshape(shape)

@@ -83,12 +83,15 @@ def quadratic_scan(x1, y1, x2, y2, n, c=None, iterations=50, threshold=10.0, ear
     return _lines(survivors)
 
 
-def orbit_survives(z: complex, name: str, iterations=50, threshold=10.0) -> bool:
-    """Escape test via cmath, an implementation unrelated to the package's."""
+def orbit_survives(z: complex, name: str, iterations=50, threshold=10.0, early_exit=False) -> bool:
+    """Escape test via cmath, an implementation unrelated to the package's;
+    with early_exit every iterate z_0..z_N must stay below the threshold."""
     import cmath
 
     f = cmath.cos if name == "cos" else cmath.sin
     for _ in range(iterations):
+        if early_exit and not abs(z.real) ** 2 + abs(z.imag) ** 2 < threshold:
+            return False
         try:
             z = f(z)
         except (OverflowError, ValueError):

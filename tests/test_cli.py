@@ -13,8 +13,11 @@ from trigiter import MANDELBROT, MAX_GRID, EscapeParams, ScanRegion, dottie, dot
 from trigiter.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_scan_5x5.txt"
-# SHA-256 of `trigiter legacy -2.5 -2.5 2.5 2.5 1000 cos`
-HEADLINE_SHA256 = "9b8a595276e22bcdcfcb0db0b45b7a14048c2e623b9d3aebc5b16f169281e759"
+# SHA-256 of `trigiter legacy -2.5 -2.5 2.5 2.5 1000 cos` and of `... sin`
+HEADLINE_SHA256 = {
+    "cos": "9b8a595276e22bcdcfcb0db0b45b7a14048c2e623b9d3aebc5b16f169281e759",
+    "sin": "91f7486522d05069dd5fa62513224fde902bc93c79f1f36d46b22bce5daa6dec",
+}
 
 
 def run_cli(capsys, args):
@@ -52,7 +55,12 @@ class TestLegacyGolden:
     def test_headline_scan_digest(self, capsys):
         code, out, _ = run_cli(capsys, ["legacy", "-2.5", "-2.5", "2.5", "2.5", "1000", "cos"])
         assert code == 0
-        assert hashlib.sha256(out.encode("ascii")).hexdigest() == HEADLINE_SHA256
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == HEADLINE_SHA256["cos"]
+
+    def test_headline_sin_scan_digest(self, capsys):
+        code, out, _ = run_cli(capsys, ["legacy", "-2.5", "-2.5", "2.5", "2.5", "1000", "sin"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == HEADLINE_SHA256["sin"]
 
 
 class TestLegacyQuirks:

@@ -7,6 +7,10 @@ must the row blocks of a PointSet formatted one at a time and joined.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -196,6 +200,36 @@ class TestRowBlocks:
             blocks = list(ps.row_blocks())
         assert len(blocks) == 4 and all(len(block) == 0 for block in blocks)
         assert joined_blocks(ps) == joined_blocks(ps, padded=False) == ""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    @pytest.mark.parametrize("padded", [True, False], ids=["gnuplot", "plain"])
+    def test_whole_string_peak_is_the_text_and_one_block(self, padded):
+        # The peak while formatting over the resident size just before it,
+        # in a fresh process.  VmHWM, unlike ru_maxrss, starts afresh at
+        # exec, so the size of this test process does not show.  Every
+        # cell of the grid survives; 16 B/cell leaves room for one block.
+        script = (
+            "from trigiter import TrigKind, format_points, scan_raw\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(l.split()[1]) * 1024 for l in f if l.startswith(key + ':'))\n"
+            "ps = scan_raw(-0.1, -0.1, 0.1, 0.1, 1000, TrigKind.COSINE, workers=1)\n"
+            "before = status('VmRSS')\n"
+            f"text = format_points(ps, padded={padded})\n"
+            "print(len(ps), len(text), status('VmHWM') - before)\n"
+        )
+        src = pathlib.Path(fractal.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        cells, text_bytes, rise = map(int, proc.stdout.split())
+        assert cells == 1000 * 1000
+        assert rise < text_bytes + 16 * cells, f"{rise / cells:.1f} B/cell for {text_bytes / cells:.1f} of text"
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)

@@ -1,0 +1,233 @@
+"""Trap regions of the scan kernel against scalar oracles and the full iteration.
+
+An orbit that enters its map's trap is marked as surviving and dropped
+from the active set.  These tests check the constants each trap's proof
+rests on in interval arithmetic, compare cells placed just inside and
+just outside each trap with the scalar oracles, compare whole grids with
+the kernel run with its traps turned off, and fail if the traps stop
+firing.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from mpmath import iv
+
+import oracles
+from trigiter import MANDELBROT, DOTTIE, EscapeParams, Quadratic, TrigKind, format_points, scan_raw
+from trigiter import _kernels, fractal
+
+COS = TrigKind.COSINE
+SIN = TrigKind.SINE
+
+
+def sinh(t):
+    return (iv.exp(t) - iv.exp(-t)) / 2
+
+
+def cosh(t):
+    return (iv.exp(t) + iv.exp(-t)) / 2
+
+
+class TestTrapConstants:
+    def test_cos_maps_the_dottie_disk_into_itself(self):
+        # |sin w|^2 = sin^2 x + sinh^2 y, bounded over the square around the disk
+        radius = iv.mpf("0.34")
+        x = iv.mpf(DOTTIE) + iv.mpf(["-0.34", "0.34"])
+        y = iv.mpf(["-0.34", "0.34"])
+        sup_sin = iv.sqrt(iv.sin(x) ** 2 + sinh(y) ** 2)
+        assert sup_sin.b < 0.9473
+        image_radius = sup_sin * radius
+        assert image_radius.b < 0.3221
+        assert (radius - image_radius).a > 0.0179
+        # the float test admits squared distances below 0.34 * 0.34 as rounded
+        assert iv.mpf(_kernels._DISK_RADIUS_SQ).b < (radius * (1 + iv.mpf("1e-15")) ** 2).a
+
+    def test_dottie_disk_lies_below_its_threshold(self):
+        reach = (iv.mpf(DOTTIE) + iv.mpf("0.34")) ** 2
+        assert reach.b < 1.1645 < _kernels.DOTTIE_DISK_THRESHOLD
+
+    def test_sine_petal_stays_in_the_right_half_strip(self):
+        # |y| <= |x|/2 <= pi/4 while |x| < pi/2, so |Re sin z| <= cosh(pi/4)
+        bound = cosh(iv.pi / 4)
+        assert bound.b < _kernels._PETAL_REACH < (iv.pi / 2).a
+        # slope creep: a relative 1e-15 per step over the most iterations
+        creep = iv.mpf(_kernels._PETAL_SLOPE) * (1 + iv.mpf("1e-15")) ** fractal.MAX_ITERATIONS
+        assert creep.b < 0.5
+
+    def test_sine_petal_lies_below_its_threshold(self):
+        reach = iv.mpf(_kernels._PETAL_REACH) ** 2 * (1 + iv.mpf(_kernels._PETAL_SLOPE) ** 2)
+        assert reach.b < _kernels.SINE_PETAL_THRESHOLD
+        # every later iterate: |Re| <= cosh(pi/4) at the same slope bound
+        later = cosh(iv.pi / 4) ** 2 * (1 + iv.mpf("0.5") ** 2)
+        assert later.b < _kernels.SINE_PETAL_THRESHOLD
+
+
+def kernel_cells(points, code, iterations, threshold, early_exit):
+    """Kernel outcome for each point: the diagonal of the grid of their parts."""
+    xs = np.array([z.real for z in points])
+    ys = np.array([z.imag for z in points])
+    grid = _kernels.survive(xs, ys, code, 0.0, 0.0, iterations, threshold, early_exit)
+    return np.diagonal(grid).tolist()
+
+
+def near(z, scale):
+    """z pushed a relative `scale` away from the origin and towards it."""
+    return [z * (1 + scale), z * (1 - scale)]
+
+
+# Points on the disk's rim at a spread of angles, just inside and outside.
+DISK_EDGE = [
+    p
+    for k in range(12)
+    for p in near(0.34 * cmath.exp(2j * math.pi * (k + 0.25) / 12), 1e-9)
+]
+DISK_CELLS = [DOTTIE + w for w in DISK_EDGE] + [complex(DOTTIE, 0.0), 0.5 + 0.1j]
+
+# Points on both petals' edges: the slope, the reach, and near the axis.
+PETAL_CELLS = [
+    s * p
+    for s in (1, -1)
+    for x in (1e-3, 0.3, 1.0, 1.5)
+    for t in (1, -1)
+    for p in ([complex(x, t * 0.49 * x * (1 + 1e-9)), complex(x, t * 0.49 * x * (1 - 1e-9))])
+] + [
+    complex(1.5 * (1 + 1e-9), 0.2),
+    complex(1.5 * (1 - 1e-9), 0.2),
+    complex(1.5 + 2**-52, 0.0),
+    5e-324 + 0j,
+    -5e-324 + 0j,
+    0j,
+    0.2j,
+]
+
+CASES = {
+    "cos": ("cos", _kernels.CODE_COS, DISK_CELLS, _kernels.DOTTIE_DISK_THRESHOLD),
+    "sin": ("sin", _kernels.CODE_SIN, PETAL_CELLS, _kernels.SINE_PETAL_THRESHOLD),
+}
+
+
+class TestTrapEdges:
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 10**4])
+    @pytest.mark.parametrize("offset", [-2**-40, 0.0, 2**-40, 7.2])
+    @pytest.mark.parametrize("case", CASES)
+    def test_cells_at_each_trap_edge_match_the_orbit_oracle(self, case, offset, iterations, early_exit):
+        name, code, cells, bound = CASES[case]
+        threshold = bound + offset
+        got = kernel_cells(cells, code, iterations, threshold, early_exit)
+        want = [oracles.orbit_survives(z, name, iterations, threshold, early_exit) for z in cells]
+        assert got == want
+
+    def test_edges_are_inside_and_outside_the_traps(self):
+        disk = _kernels._in_dottie_disk(np.real(DISK_EDGE) + DOTTIE, np.imag(DISK_EDGE))
+        assert disk.tolist() == [False, True] * 12  # outside, inside
+        petal = _kernels._in_sine_petal(np.real(PETAL_CELLS), np.imag(PETAL_CELLS))
+        assert petal.sum() == 16 + 1 + 2
+
+
+@pytest.fixture
+def no_traps(monkeypatch):
+    """Run the kernel as a full iteration: every trap turned off."""
+
+    def run(function, *args):
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_trap", lambda code, threshold: None)
+            m.setattr(_kernels, "MANDELBROT_INTERIOR_THRESHOLD", math.inf)
+            return function(*args)
+
+    return run
+
+
+class TestTrapsKeepTheFullIteration:
+    REGIONS = [(-2.5, -2.5, 2.5, 2.5, 61), (0.2, -0.6, 1.4, 0.6, 40), (-2.1, -1.3, 0.7, 1.3, 53)]
+    MAPS = {
+        "cos": (COS, (1.16, 1.1700000000000002, 10.0)),
+        "sin": (SIN, (2.79, 2.8000000000000003, 10.0)),
+        "mandelbrot": (MANDELBROT, (3.99, 4.000000000000001, 10.0)),
+        "quadratic": (Quadratic(-0.8 + 0.156j), (10.0,)),
+    }
+
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    @pytest.mark.parametrize("iterations", [1, 50, 300])
+    @pytest.mark.parametrize("name", MAPS)
+    def test_masks_and_bytes_equal_the_untrapped_kernel(self, no_traps, name, iterations, early_exit):
+        mapping, thresholds = self.MAPS[name]
+        for threshold in thresholds:
+            params = EscapeParams(iterations, threshold, early_exit)
+            for region in self.REGIONS:
+                fast = scan_raw(*region, mapping, params)
+                full = no_traps(scan_raw, *region, mapping, params)
+                assert np.array_equal(fast.mask, full.mask), (threshold, region)
+                for padded in (True, False):
+                    assert format_points(fast, padded) == format_points(full, padded)
+
+
+def interior_edge(multiplier_radius, component):
+    """Parameters whose cycle multiplier has the given modulus, around a component."""
+    points = []
+    for k in range(10):
+        lam = multiplier_radius * cmath.exp(2j * math.pi * (k + 0.5) / 10)
+        points.append(lam / 2 - lam * lam / 4 if component == "cardioid" else lam / 4 - 1)
+    return points
+
+
+class TestMandelbrotInterior:
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    @pytest.mark.parametrize("component", ["cardioid", "bulb"])
+    @pytest.mark.parametrize(
+        "radius, iterations",
+        [
+            (1 - 1e-12, 10**4),
+            (1 + 1e-12, 10**4),
+            (1 - 1e-6, 10**4),
+            (1 + 1e-6, 10**4),
+            (1 - 1e-3 - 1e-9, 3 * 10**4),
+            (1 - 1e-3 + 1e-9, 10**4),
+            (1 + 1e-3, 10**4),
+            (0.9, 10**4),
+        ],
+    )
+    def test_cells_near_both_boundaries_match_the_scalar_oracle(self, component, radius, iterations, early_exit):
+        cells = interior_edge(radius, component)
+        xs = np.array([c.real for c in cells])
+        ys = np.array([c.imag for c in cells])
+        grid = _kernels.survive(xs, ys, _kernels.CODE_MANDELBROT, 0.0, 0.0, iterations, 10.0, early_exit)
+        got = np.diagonal(grid).tolist()
+        want = [oracles.quadratic_survives(0j, c, iterations, 10.0, early_exit) for c in cells]
+        assert got == want
+
+    def test_margin_on_the_multiplier(self):
+        inside = interior_edge(1 - 1e-3 - 1e-9, "cardioid") + interior_edge(1 - 1e-3 - 1e-9, "bulb")
+        outside = interior_edge(1 - 1e-3 + 1e-9, "cardioid") + interior_edge(1 - 1e-3 + 1e-9, "bulb")
+        test = _kernels._in_mandelbrot_interior
+        assert test(np.real(inside), np.imag(inside)).all()
+        assert not test(np.real(outside), np.imag(outside)).any()
+        # the box that gates the test holds both components whole
+        ring = [cmath.exp(2j * math.pi * k / 4096) for k in range(4096)]
+        edge = [lam / 2 - lam * lam / 4 for lam in ring] + [lam / 4 - 1 for lam in ring]
+        for c in edge:
+            assert _kernels._meets_interior_box([c.real], [c.imag]), c
+        assert not _kernels._meets_interior_box([0.3751, -1.2501], [0.0])
+        assert not _kernels._meets_interior_box([0.0], [0.6501, -0.6501, math.nan])
+        corners = np.array([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not test(corners, corners[::-1]).any()
+
+
+class TestTrapsFire:
+    def test_cos_scan_evaluates_under_a_third_of_its_steps(self, monkeypatch):
+        # Without the traps about 72 % of cells x iterations reach np.cos.
+        counted = []
+        cos = np.cos
+
+        def counting(x, *args, **kwargs):
+            counted.append(np.size(x))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(_kernels.np, "cos", counting)
+        params = EscapeParams()
+        scan_raw(-2.5, -2.5, 2.5, 2.5, 64, COS, params, workers=1)
+        assert sum(counted) < 0.3 * 64 * 64 * params.iterations
