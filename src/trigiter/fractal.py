@@ -230,8 +230,8 @@ MAX_GRID = math.isqrt(_SCAN_BUDGET_BYTES // (52 + 1))
 # The budget, 10-40 s of one thread's kernel time, admits the legacy
 # scanner's 50 iterations at MAX_GRID; it is checked before allocation.
 # It stays the worst case: an orbit that enters a kernel trap stops
-# costing steps, but one that never enters a trap nor escapes, such as
-# a slowly escaping sin orbit on the imaginary axis, runs every step.
+# costing steps, but one that neither enters a trap nor escapes, such
+# as a slowly escaping sin orbit on the imaginary axis, runs every step.
 _SCAN_WORK_BUDGET = 1 << 30
 _STEP_OVERHEAD_CELLS = 1 << 10
 
