@@ -9,7 +9,7 @@ The grid is flattened and each step computes only the orbits that can
 still survive, carrying their cell indices along.  With early exit an
 orbit is dropped as soon as it reaches the threshold, which already
 fails it.  Without early exit an orbit is dropped once a component is
-non-finite: for all four maps a non-finite state maps to a non-finite
+non-finite: for all three maps a non-finite state maps to a non-finite
 state, and a non-finite final iterate fails the final test, so the
 dropped orbit could never have survived.  The orbits that are kept run
 the same ufuncs on the same values as on the full grid, so a cell's
@@ -57,8 +57,7 @@ from .iteration import DOTTIE
 
 CODE_COS = 0
 CODE_SIN = 1
-CODE_JULIA_QUADRATIC = 2
-CODE_MANDELBROT = 3
+CODE_MANDELBROT = 2
 
 # Least threshold above which each trap lies wholly below it.
 DOTTIE_DISK_THRESHOLD = 1.17
@@ -116,22 +115,18 @@ def _trap(code, threshold):
     return None
 
 
-def survive(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
+def survive(xs, ys, code, threshold, early_exit, iterations):
     """Boolean survival grid, shape (len(xs), len(ys)), [real, imag] indexed."""
-    # The astype and .copy() calls look redundant, but dropping them
-    # raised peak RSS on long runs of large scans (a different malloc
-    # heap layout), so they stay.
     a, b = np.meshgrid(xs, ys, indexing="ij")
     shape = a.shape
-    a = a.astype(np.float64).ravel()
-    b = b.astype(np.float64).ravel()
+    a, b = a.ravel(), b.ravel()
     alive = np.zeros(a.size, dtype=bool)
     cells = np.arange(a.size)
     mandelbrot = code == CODE_MANDELBROT
     trap = _trap(code, threshold)
     with np.errstate(over="ignore", invalid="ignore"):
         if mandelbrot:
-            cr, ci = a.copy(), b.copy()
+            cr, ci = a, b
             if threshold > MANDELBROT_INTERIOR_THRESHOLD and _meets_interior_box(xs, ys):
                 inside = _in_mandelbrot_interior(cr, ci)
                 alive[inside] = True
@@ -139,8 +134,6 @@ def survive(xs, ys, code, c_re, c_im, iterations, threshold, early_exit):
                 cr, ci, cells = cr[outside], ci[outside], cells[outside]
             a = np.zeros_like(cr)
             b = np.zeros_like(ci)
-        else:
-            cr, ci = c_re, c_im
         for _ in range(iterations):
             if early_exit:
                 keep = a * a + b * b < threshold

@@ -180,11 +180,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     kind = TrigKind.parse(args.f)
     if kind is TrigKind.COSINE:
-        if args.n == 1:
-            lower, upper = -1.0, 1.0
-        else:
-            bound = cos_range(args.n)
-            lower, upper = bound.lower, bound.upper
+        bound = cos_range(args.n)
+        lower, upper = bound.lower, bound.upper
     else:
         half = sin_envelope(args.n)
         lower, upper = -half, half

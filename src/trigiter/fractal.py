@@ -23,7 +23,6 @@ from . import _kernels
 from .iteration import TrigKind, _check_count
 
 __all__ = [
-    "Quadratic",
     "MANDELBROT",
     "EscapeParams",
     "ScanRegion",
@@ -35,13 +34,6 @@ __all__ = [
     "format_point",
     "format_points",
 ]
-
-
-@dataclass(frozen=True)
-class Quadratic:
-    """The map z -> z*z + c with a fixed parameter c."""
-
-    c: complex = 0j
 
 
 class _MandelbrotFamily:
@@ -174,20 +166,14 @@ class PointSet:
             yield PointSet(self.mask[lo:hi], self.xs[lo:hi], self.ys, first)
 
 
-def _map_code(mapping) -> tuple[int, float, float]:
+def _map_code(mapping) -> int:
     if mapping is TrigKind.COSINE:
-        return _kernels.CODE_COS, 0.0, 0.0
+        return _kernels.CODE_COS
     if mapping is TrigKind.SINE:
-        return _kernels.CODE_SIN, 0.0, 0.0
-    if isinstance(mapping, Quadratic):
-        c = complex(mapping.c)
-        return _kernels.CODE_JULIA_QUADRATIC, c.real, c.imag
+        return _kernels.CODE_SIN
     if isinstance(mapping, _MandelbrotFamily):
-        return _kernels.CODE_MANDELBROT, 0.0, 0.0
-    raise TypeError(
-        f"mapping must be TrigKind.COSINE, TrigKind.SINE, Quadratic(c) or MANDELBROT, "
-        f"got {mapping!r}"
-    )
+        return _kernels.CODE_MANDELBROT
+    raise TypeError(f"mapping must be TrigKind.COSINE, TrigKind.SINE or MANDELBROT, got {mapping!r}")
 
 
 def point_survives(
@@ -196,17 +182,14 @@ def point_survives(
     params: EscapeParams = EscapeParams(),
 ) -> bool:
     """Escape test for a single starting point (parameter point for MANDELBROT)."""
-    code, c_re, c_im = _map_code(mapping)
     z = complex(initial)
     grid = _kernels.survive(
         np.array([z.real]),
         np.array([z.imag]),
-        code,
-        c_re,
-        c_im,
-        params.iterations,
+        _map_code(mapping),
         params.threshold_sq,
         params.early_exit,
+        params.iterations,
     )
     return bool(grid[0, 0])
 
@@ -301,7 +284,7 @@ def scan_raw(
     """
     _check_count(grid, "grid", 2, MAX_GRID)
     _check_count(params.iterations, f"iterations at grid {grid}", 0, _max_iterations(grid))
-    code, c_re, c_im = _map_code(mapping)
+    code = _map_code(mapping)
     n = grid
     step_re = (float(x2) - float(x1)) / (n - 1)
     step_im = (float(y2) - float(y1)) / (n - 1)
@@ -324,11 +307,9 @@ def scan_raw(
             xs[lo:hi],
             ys,
             code,
-            c_re,
-            c_im,
-            params.iterations,
             params.threshold_sq,
             params.early_exit,
+            params.iterations,
         )
 
     tiles = range(0, n, rows)

@@ -18,7 +18,6 @@ __all__ = [
     "TrigKind",
     "SolverMethod",
     "ConvergenceError",
-    "IterationSpec",
     "FixedPointResult",
     "RangeBound",
     "iterate",
@@ -69,21 +68,6 @@ class SolverMethod(Enum):
 
 class ConvergenceError(RuntimeError):
     """A solver ran out of iterations before reaching its tolerance."""
-
-
-@dataclass(frozen=True)
-class IterationSpec:
-    """An n-fold application of cos or sin to a starting value."""
-
-    kind: TrigKind
-    order: int
-    initial: complex | float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_count(self.order, "order")
-
-    def evaluate(self) -> complex | float:
-        return iterate(self.kind, self.order, self.initial)
 
 
 @dataclass(frozen=True)
@@ -222,13 +206,15 @@ def dottie_digits(digits: int = MAX_DIGITS) -> str:
 
 
 def cos_range(order: int) -> RangeBound:
-    """Exact range of the order-n cosine iterate over the real line, n >= 2.
+    """Exact range of the order-n cosine iterate over the real line, n >= 1.
 
-    The endpoints are consecutive cosine iterates of 1; which pair
-    depends on the parity of n.  The first iterate spans [-1, 1] and is
-    left to the caller.
+    The first iterate spans [-1, 1].  From the second on, the endpoints
+    are consecutive cosine iterates of 1; which pair depends on the
+    parity of n.
     """
-    _check_count(order, "order", 2)
+    _check_count(order, "order", 1)
+    if order == 1:
+        return RangeBound(-1.0, 1.0, 1)
     parity = order % 2
     lower = _iterate_real(TrigKind.COSINE, order - 1 - parity, 1.0)
     upper = _iterate_real(TrigKind.COSINE, order - 2 + parity, 1.0)

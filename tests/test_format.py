@@ -23,7 +23,6 @@ from trigiter import (
     MANDELBROT,
     EscapeParams,
     PointSet,
-    Quadratic,
     TrigKind,
     format_point,
     format_points,
@@ -35,7 +34,6 @@ MAPS = {
     "cos": TrigKind.COSINE,
     "sin": TrigKind.SINE,
     "mandelbrot": MANDELBROT,
-    "quadratic": Quadratic(-0.8 + 0.156j),
 }
 TINY = 2.2250738585072014e-308  # smallest normal double
 HUGE = 1.7976931348623157e308  # largest finite double

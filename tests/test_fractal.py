@@ -10,7 +10,6 @@ from trigiter import (
     MANDELBROT,
     EscapeParams,
     PointSet,
-    Quadratic,
     ScanRegion,
     TrigKind,
     format_point,
@@ -50,25 +49,6 @@ class TestPointSurvives:
 
     def test_early_exit_rejects_transient_excursions(self):
         assert point_survives(3j, COS, EscapeParams(early_exit=True)) is False
-
-    def test_quadratic_julia(self):
-        cases = [
-            (0.0 + 0.0j, 0.0 + 0.0j),
-            (0.0 + 0.0j, 1.0 + 0.0j),
-            (0.0 + 0.0j, -1.0 + 0.0j),
-            (2.0 + 0.0j, 0.0 + 0.0j),
-            (0.3 + 0.4j, -0.8 + 0.156j),
-            (1.1 + 0.0j, -1.0 + 0.0j),
-        ]
-        for v, c in cases:
-            assert point_survives(v, Quadratic(c)) == oracles.quadratic_survives(
-                v, c
-            ), (v, c)
-
-    def test_quadratic_orbit_starts_at_point(self):
-        # c = 0: |v| > 1 diverges under squaring even though 0 is fixed.
-        assert point_survives(0.0j, Quadratic(0j)) is True
-        assert point_survives(2.0 + 0.0j, Quadratic(0j)) is False
 
     def test_mandelbrot_membership(self):
         assert point_survives(0.0j, MANDELBROT) is True
@@ -167,7 +147,6 @@ class TestActiveSetKernel:
         (0.6, 1.3, -2.1, -1.2, 19),  # reversed corners scan descending
         (-0.0, -0.0, 1.0, 1.0, 7),
     ]
-    QUADRATICS = [(MANDELBROT, None), (Quadratic(-0.8 + 0.156j), -0.8 + 0.156j)]
 
     # 5-row tiles over 23 rows leave a ragged 3-row tile; 1 cell forces one-row tiles
     @pytest.mark.parametrize("tile_cells", [1 << 15, 5 * 23, 1], ids=["one", "ragged", "rows"])
@@ -175,17 +154,14 @@ class TestActiveSetKernel:
     # below |z| = 1 many bounded orbits cross the threshold and come back,
     # so early exit changes the outcome of some cells
     @pytest.mark.parametrize("threshold", [10.0, 1.0])
-    @pytest.mark.parametrize("mapping,c", QUADRATICS, ids=["mandelbrot", "quadratic"])
-    def test_quadratic_scans_match_scalar_oracle(
-        self, monkeypatch, mapping, c, threshold, early_exit, tile_cells
-    ):
+    def test_mandelbrot_scans_match_scalar_oracle(self, monkeypatch, threshold, early_exit, tile_cells):
         params = EscapeParams(iterations=60, threshold_sq=threshold, early_exit=early_exit)
-        whole = {r: scan_raw(*r, mapping, params) for r in self.REGIONS}
+        whole = {r: scan_raw(*r, MANDELBROT, params) for r in self.REGIONS}
         monkeypatch.setattr(fractal, "_TILE_CELLS", tile_cells)
         rows = record_tiles(monkeypatch)
         for region in self.REGIONS:
-            ps = scan_raw(*region, mapping, params)
-            expected = oracles.quadratic_scan(*region, c, 60, threshold, early_exit)
+            ps = scan_raw(*region, MANDELBROT, params)
+            expected = oracles.quadratic_scan(*region, None, 60, threshold, early_exit)
             assert format_points(ps) == expected, region
             assert np.array_equal(ps.mask, whole[region].mask)
             assert format_points(ps, padded=False) == format_points(whole[region], padded=False)

@@ -8,7 +8,7 @@ import pytest
 from trigiter import (
     DOTTIE,
     ConvergenceError,
-    IterationSpec,
+    RangeBound,
     SolverMethod,
     TrigKind,
     cos_range,
@@ -87,14 +87,9 @@ class TestIterate:
         assert math.isnan(iterate(SIN, 1, math.nan))
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            iterate(COS, -1, 0.0)
-
-    def test_iteration_spec(self):
-        spec = IterationSpec(COS, 2, 0.0)
-        assert spec.evaluate() == math.cos(1.0)
-        with pytest.raises(ValueError):
-            IterationSpec(COS, -3, 0.0)
+        for order in (-1, -3):
+            with pytest.raises(ValueError, match="non-negative"):
+                iterate(COS, order, 0.0)
 
 
 class TestDottie:
@@ -190,6 +185,7 @@ class TestCosRange:
         c1 = math.cos(1.0)
         c2 = math.cos(c1)
         c3 = math.cos(c2)
+        assert cos_range(1) == RangeBound(-1.0, 1.0, 1)
         assert cos_range(2).lower == pytest.approx(c1, abs=1e-15)
         assert cos_range(2).upper == 1.0
         assert cos_range(3).lower == pytest.approx(c1, abs=1e-15)
@@ -199,7 +195,7 @@ class TestCosRange:
 
     def test_containment(self):
         rng = random.Random(23)
-        for order in range(2, 13):
+        for order in range(1, 13):
             bound = cos_range(order)
             assert bound.lower < bound.upper
             for _ in range(200):
@@ -215,9 +211,7 @@ class TestCosRange:
         assert deep.upper == pytest.approx(DOTTIE, abs=1e-9)
 
     def test_order_validation(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            cos_range(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=">= 1"):
             cos_range(0)
 
 

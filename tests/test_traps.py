@@ -16,7 +16,7 @@ import pytest
 from mpmath import iv
 
 import oracles
-from trigiter import MANDELBROT, DOTTIE, EscapeParams, Quadratic, TrigKind, format_points, scan_raw
+from trigiter import MANDELBROT, DOTTIE, EscapeParams, TrigKind, format_points, scan_raw
 from trigiter import _kernels, fractal
 
 COS = TrigKind.COSINE
@@ -69,7 +69,7 @@ def kernel_cells(points, code, iterations, threshold, early_exit):
     """Kernel outcome for each point: the diagonal of the grid of their parts."""
     xs = np.array([z.real for z in points])
     ys = np.array([z.imag for z in points])
-    grid = _kernels.survive(xs, ys, code, 0.0, 0.0, iterations, threshold, early_exit)
+    grid = _kernels.survive(xs, ys, code, threshold, early_exit, iterations)
     return np.diagonal(grid).tolist()
 
 
@@ -147,7 +147,6 @@ class TestTrapsKeepTheFullIteration:
         "cos": (COS, (1.16, 1.1700000000000002, 10.0)),
         "sin": (SIN, (2.79, 2.8000000000000003, 10.0)),
         "mandelbrot": (MANDELBROT, (3.99, 4.000000000000001, 10.0)),
-        "quadratic": (Quadratic(-0.8 + 0.156j), (10.0,)),
     }
 
     @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
@@ -194,7 +193,7 @@ class TestMandelbrotInterior:
         cells = interior_edge(radius, component)
         xs = np.array([c.real for c in cells])
         ys = np.array([c.imag for c in cells])
-        grid = _kernels.survive(xs, ys, _kernels.CODE_MANDELBROT, 0.0, 0.0, iterations, 10.0, early_exit)
+        grid = _kernels.survive(xs, ys, _kernels.CODE_MANDELBROT, 10.0, early_exit, iterations)
         got = np.diagonal(grid).tolist()
         want = [oracles.quadratic_survives(0j, c, iterations, 10.0, early_exit) for c in cells]
         assert got == want
