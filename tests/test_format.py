@@ -56,6 +56,9 @@ REGIONS = {
 PARAMS = {
     "default": EscapeParams(),
     "every-finite-cell": EscapeParams(iterations=0, threshold_sq=1e300),
+    # a unit bound with early exit leaves partial masks and empty rows
+    # on grids that the default params fill or empty whole
+    "early-exit": EscapeParams(iterations=20, threshold_sq=1.0, early_exit=True),
 }
 
 
