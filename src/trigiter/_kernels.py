@@ -16,6 +16,19 @@ the same ufuncs on the same values as on the full grid, so a cell's
 outcome does not depend on which other cells share its tile, and the
 output bytes do not depend on how rows are split into tiles.
 
+For cos and sin an orbit is also dropped as escaped, with early exit on
+or off, once |Im z| >= 711, before its cos and sin are evaluated.  cosh
+and sinh overflow past ln(2 DBL_MAX) ~ 710.476, and any product with an
+infinity is infinite or nan, so both components of the next iterate are
+non-finite whatever the real part is, and it fails every later test.
+This keeps libm off the huge real parts of escaping orbits, whose
+argument reduction costs about five times a small argument's.
+
+The first step of cos and sin is formed from the axes: cos and sin once
+per row, cosh and sinh once per column, and one product of those values
+per cell and component, the product the full grid computes.  The
+orbits dropped by the step-0 tests are removed after it.
+
 An orbit is also dropped, and marked as surviving, once it enters a
 trap: a region its map sends into itself, in which every point is below
 the threshold.  Every later iterate then stays in the trap and passes
@@ -25,10 +38,13 @@ kernel computes, with rounding inside their slack, so the outcome is the
 one the full iteration gives.  Each trap is used only when the threshold
 exceeds the squared magnitude of every point of it:
 
-- cos, the Dottie disk B(D, 0.34), for threshold > 1.17.  On the disk
-  |sin w| <= sqrt(sin^2(D + 0.34) + sinh^2 0.34) < 0.9473, so cos maps
-  it into B(D, 0.3221), leaving 0.0179 for rounding; every point of it
-  has |z|^2 <= (D + 0.34)^2 < 1.1645.
+- cos, the rectangle R = [-1.2, 1.2] x [-0.6, 0.6] around the Dottie
+  number, for threshold > 1.81.  On R, Re cos z = cos x cosh y lies in
+  [cos 1.2, cosh 0.6] within [0.3623, 1.1855], and |Im cos z| =
+  |sin x sinh y| <= sin 1.2 sinh 0.6 < 0.5934, so cos maps R into
+  itself with slacks 0.0145 and 0.0066 for rounding; every point of it
+  has |z|^2 <= 1.2^2 + 0.6^2 = 1.80.  The test is two abs and two
+  comparisons.  For 1.17 < threshold <= 1.81 cos runs without a trap.
 - sin, the real-axis petal 0 < |x| <= 1.5, |y| <= 0.49 |x|, for
   threshold > 2.8.  For 0 < |x| < pi/2 the real part of sin z,
   sin x cosh y, keeps the sign of x and, while |y| <= |x|/2 < pi/4,
@@ -51,30 +67,33 @@ to both boundaries.
 
 from __future__ import annotations
 
-import numpy as np
+from ._lazy import lazy_import
 
-from .iteration import DOTTIE
+np = lazy_import("numpy")
 
 CODE_COS = 0
 CODE_SIN = 1
 CODE_MANDELBROT = 2
 
 # Least threshold above which each trap lies wholly below it.
-DOTTIE_DISK_THRESHOLD = 1.17
+DOTTIE_RECTANGLE_THRESHOLD = 1.81
 SINE_PETAL_THRESHOLD = 2.8
 MANDELBROT_INTERIOR_THRESHOLD = 4.0
 
-_DISK_RADIUS_SQ = 0.34 * 0.34
+# |Im z| from which cosh and sinh overflow, so cos and sin step to a non-finite iterate.
+OVERFLOW_IM = 711.0
+
+_RECTANGLE_RE = 1.2
+_RECTANGLE_IM = 0.6
 _PETAL_REACH = 1.5
 _PETAL_SLOPE = 0.49
 _MULTIPLIER_BOUND = 1.0 - 1e-3
 
 
-def _in_dottie_disk(a, b):
-    d = a - DOTTIE
-    d *= d
-    d += b * b
-    return d < _DISK_RADIUS_SQ
+def _in_dottie_rectangle(a, b):
+    inside = np.abs(a) <= _RECTANGLE_RE
+    inside &= np.abs(b) <= _RECTANGLE_IM
+    return inside
 
 
 def _in_sine_petal(a, b):
@@ -108,11 +127,21 @@ def _meets_interior_box(xs, ys):
 
 
 def _trap(code, threshold):
-    if code == CODE_COS and threshold > DOTTIE_DISK_THRESHOLD:
-        return _in_dottie_disk
+    if code == CODE_COS and threshold > DOTTIE_RECTANGLE_THRESHOLD:
+        return _in_dottie_rectangle
     if code == CODE_SIN and threshold > SINE_PETAL_THRESHOLD:
         return _in_sine_petal
     return None
+
+
+def _first_step(code, xs, ys):
+    """z_1 of every cell of the (xs, ys) grid, flattened, from per-axis libm calls."""
+    cosh, sinh = np.cosh(ys), np.sinh(ys)
+    if code == CODE_COS:
+        re, im = np.cos(xs), -np.sin(xs)
+    else:
+        re, im = np.sin(xs), np.cos(xs)
+    return np.multiply.outer(re, cosh).ravel(), np.multiply.outer(im, sinh).ravel()
 
 
 def survive(xs, ys, code, threshold, early_exit, iterations):
@@ -134,23 +163,30 @@ def survive(xs, ys, code, threshold, early_exit, iterations):
                 cr, ci, cells = cr[outside], ci[outside], cells[outside]
             a = np.zeros_like(cr)
             b = np.zeros_like(ci)
-        for _ in range(iterations):
+        for step in range(iterations):
             if early_exit:
                 keep = a * a + b * b < threshold
             else:
                 keep = np.isfinite(a)
                 keep &= np.isfinite(b)
+            if not mandelbrot:
+                keep &= np.abs(b) < OVERFLOW_IM
             if trap is not None:
                 trapped = trap(a, b)
                 if trapped.any():
                     alive[cells[trapped]] = True
                     keep &= ~trapped
+            from_axes = step == 0 and not mandelbrot
+            if from_axes:
+                a, b = _first_step(code, xs, ys)  # compacted below like the step-0 state
             if not keep.all():
                 a, b, cells = a[keep], b[keep], cells[keep]
                 if mandelbrot:
                     cr, ci = cr[keep], ci[keep]
                 if not cells.size:
                     break
+            if from_axes:
+                continue
             if code == CODE_COS:
                 na = np.cos(a) * np.cosh(b)
                 nb = -np.sin(a) * np.sinh(b)

@@ -30,7 +30,7 @@ from .iteration import (
     iterate,
     sin_envelope,
 )
-from .series import MAX_TRUNCATION, iterated_series
+from .series import MAX_TRUNCATION, TailBoundError, iterated_series
 
 # Caps on the count flags, each checked where its flag is parsed.  A map
 # step takes 0.1-0.5 us, so MAX_STEPS steps take under a second; a series
@@ -172,7 +172,14 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    series = iterated_series(TrigKind.parse(args.f), args.order, args.terms)
+    try:
+        series = iterated_series(TrigKind.parse(args.f), args.order, args.terms)
+    except TailBoundError as exc:
+        # the error speaks of the working truncation, which no flag sets
+        raise ValueError(
+            f"argument --order: --f {args.f} --order {args.order} --terms {args.terms} has no"
+            " tail estimate: it diverges from this --order on, for any --terms; use a lower --order"
+        ) from exc
     print(" ".join(f"c{k}={_fmt(c)}" for k, c in enumerate(series.coefficients)))
     return 0
 

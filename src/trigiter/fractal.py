@@ -17,10 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from . import _kernels
+from ._lazy import lazy_import
 from .iteration import TrigKind, _check_count
+
+np = lazy_import("numpy")
 
 __all__ = [
     "MANDELBROT",
@@ -289,6 +290,8 @@ def scan_raw(
     step_re = (float(x2) - float(x1)) / (n - 1)
     step_im = (float(y2) - float(y1)) / (n - 1)
 
+    # The axes load numpy, on this thread: the lazy load must not race
+    # between pool threads (see _lazy.lazy_import).
     ys = _cumulative_axis(float(y1), step_im, n)
     # Adding +0.0 turns a -0.0 origin into +0.0 for every sample except
     # the very first, which keeps x1 as given.

@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .iteration import TrigKind, _check_count
+
+np = lazy_import("numpy")
 
 __all__ = [
     "PowerSeries",

@@ -90,7 +90,7 @@ def orbit_survives(z: complex, name: str, iterations=50, threshold=10.0, early_e
 
     f = cmath.cos if name == "cos" else cmath.sin
     for _ in range(iterations):
-        if early_exit and not abs(z.real) ** 2 + abs(z.imag) ** 2 < threshold:
+        if early_exit and not z.real * z.real + z.imag * z.imag < threshold:
             return False
         try:
             z = f(z)
@@ -98,7 +98,7 @@ def orbit_survives(z: complex, name: str, iterations=50, threshold=10.0, early_e
             return False
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             return False
-    return abs(z.real) ** 2 + abs(z.imag) ** 2 < threshold
+    return z.real * z.real + z.imag * z.imag < threshold  # x * x: abs(x) ** 2 raises past 1.3e154
 
 
 def quadratic_survives(v: complex, c: complex, iterations=50, threshold=10.0, early_exit=False) -> bool:

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import os
 import pathlib
 import re
@@ -9,7 +8,7 @@ import sys
 import pytest
 
 import trigiter
-from trigiter import MANDELBROT, MAX_GRID, EscapeParams, ScanRegion, dottie, dottie_digits, scan
+from trigiter import MANDELBROT, MAX_GRID, ScanRegion, dottie, dottie_digits, scan
 from trigiter.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_scan_5x5.txt"
@@ -428,24 +427,43 @@ class TestExitCodes:
 
 
 class TestEntryPoints:
-    def test_cli_import_leaves_mpmath_unloaded(self):
+    @staticmethod
+    def run_python(code, *args):
+        """Run `code` in a fresh interpreter with this tree's ``src`` first on the path."""
         src = pathlib.Path(trigiter.__file__).resolve().parents[1]
-        code = (
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", code, *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        proc = self.run_python(
             "import sys\n"
             "import trigiter.cli\n"
             "assert 'mpmath' not in sys.modules, 'importing trigiter.cli imported mpmath'\n"
             "trigiter.cli.main(['dottie', '--digits', '20'])\n"
             "assert 'mpmath' in sys.modules\n"
         )
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0.73908513321516064166\n"
+
+    def test_numpy_loads_on_the_first_scan(self):
+        proc = self.run_python(
+            "import contextlib, hashlib, io, sys\n"
+            "import trigiter.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    trigiter.cli.main(['iterate', '--f', 'cos', '--n', '10', '--v', '1'])\n"
+            "assert out.getvalue(), 'iterate printed nothing'\n"
+            "assert 'numpy._core' not in sys.modules, 'iterate loaded numpy'\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    trigiter.cli.main(['legacy', '-2.5', '-2.5', '2.5', '2.5', '1000', 'cos'])\n"
+            "print(hashlib.sha256(out.getvalue().encode('ascii')).hexdigest())\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == HEADLINE_SHA256["cos"] + "\n"
 
     def test_module_invocation_matches_golden(self):
         proc = subprocess.run(
@@ -475,13 +493,7 @@ class TestEntryPoints:
             "sys.argv[0] = 'trigiter'\n"
             "sys.exit(func())\n"
         )
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-c", launcher, *args],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        return TestEntryPoints.run_python(launcher, *args)
 
     def test_console_script_exists_and_runs(self):
         proc = self.run_console_script(["legacy"])

@@ -10,6 +10,7 @@ firing.
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,22 +33,33 @@ def cosh(t):
 
 
 class TestTrapConstants:
-    def test_cos_maps_the_dottie_disk_into_itself(self):
-        # |sin w|^2 = sin^2 x + sinh^2 y, bounded over the square around the disk
-        radius = iv.mpf("0.34")
-        x = iv.mpf(DOTTIE) + iv.mpf(["-0.34", "0.34"])
-        y = iv.mpf(["-0.34", "0.34"])
-        sup_sin = iv.sqrt(iv.sin(x) ** 2 + sinh(y) ** 2)
-        assert sup_sin.b < 0.9473
-        image_radius = sup_sin * radius
-        assert image_radius.b < 0.3221
-        assert (radius - image_radius).a > 0.0179
-        # the float test admits squared distances below 0.34 * 0.34 as rounded
-        assert iv.mpf(_kernels._DISK_RADIUS_SQ).b < (radius * (1 + iv.mpf("1e-15")) ** 2).a
+    def test_cos_maps_the_dottie_rectangle_into_itself(self):
+        # On R, cos x is in [cos X, 1] and |sin x| <= sin X for |x| <= X;
+        # cosh y is in [1, cosh Y] and |sinh y| <= sinh Y for |y| <= Y.
+        x = iv.mpf(_kernels._RECTANGLE_RE)  # the doubles the float test compares with
+        y = iv.mpf(_kernels._RECTANGLE_IM)
+        low = iv.cos(x)
+        high = cosh(y)
+        sup_im = iv.sin(x) * sinh(y)
+        assert low.a > 0.3623 and high.b < 1.1855 and sup_im.b < 0.5934
+        assert (x - high).a > 0.0145
+        assert (y - sup_im).a > 0.0066
+        # one float step over a lattice on R, its sides included, stays inside with room to spare
+        side_re, side_im = _kernels._RECTANGLE_RE, _kernels._RECTANGLE_IM
+        a, b = np.meshgrid(np.linspace(-side_re, side_re, 241), np.linspace(-side_im, side_im, 121), indexing="ij")
+        re, im = np.cos(a) * np.cosh(b), -np.sin(a) * np.sinh(b)
+        assert re.min() > 0.3623 and re.max() < side_re - 0.0145
+        assert np.abs(im).max() < side_im - 0.0066
 
-    def test_dottie_disk_lies_below_its_threshold(self):
-        reach = (iv.mpf(DOTTIE) + iv.mpf("0.34")) ** 2
-        assert reach.b < 1.1645 < _kernels.DOTTIE_DISK_THRESHOLD
+    def test_dottie_rectangle_lies_below_its_threshold(self):
+        x = iv.mpf(_kernels._RECTANGLE_RE)
+        y = iv.mpf(_kernels._RECTANGLE_IM)
+        reach = x**2 + y**2
+        assert reach.b <= 1.8
+        # the float |z|^2 rounds three times: a relative 1e-15 at most
+        assert (reach * (1 + iv.mpf("1e-15"))).b < _kernels.DOTTIE_RECTANGLE_THRESHOLD
+        # the rectangle holds the disk B(D, 0.34) that it replaced
+        assert DOTTIE + 0.34 < _kernels._RECTANGLE_RE and 0.34 < _kernels._RECTANGLE_IM
 
     def test_sine_petal_stays_in_the_right_half_strip(self):
         # |y| <= |x|/2 <= pi/4 while |x| < pi/2, so |Re sin z| <= cosh(pi/4)
@@ -78,13 +90,25 @@ def near(z, scale):
     return [z * (1 + scale), z * (1 - scale)]
 
 
-# Points on the disk's rim at a spread of angles, just inside and outside.
-DISK_EDGE = [
-    p
-    for k in range(12)
-    for p in near(0.34 * cmath.exp(2j * math.pi * (k + 0.25) / 12), 1e-9)
+def across_side(x, y, scale):
+    """(x, y) on a side of the Dottie rectangle, pushed a relative `scale` out and in."""
+
+    def push(t, edge, by):
+        return t * (1 + by) if abs(t) == edge else t
+
+    re, im = _kernels._RECTANGLE_RE, _kernels._RECTANGLE_IM
+    return [complex(push(x, re, s), push(y, im, s)) for s in (scale, -scale)]
+
+
+# Points on the rectangle's four sides and corners, just outside and inside.
+SIDES = [(s * 1.2, y) for s in (1, -1) for y in (-0.6, -0.3, 0.0, 0.45, 0.6)] + [
+    (x, s * 0.6) for s in (1, -1) for x in (-0.7, 0.0, 0.2, 1.1)
 ]
-DISK_CELLS = [DOTTIE + w for w in DISK_EDGE] + [complex(DOTTIE, 0.0), 0.5 + 0.1j]
+RECT_EDGE = [p for x, y in SIDES for p in across_side(x, y, 1e-9)]
+# Doubles exactly on the sides are inside; the next double out is not.
+RECT_EXACT = [complex(1.2, 0.6), complex(-1.2, -0.6), complex(math.nextafter(1.2, 2), 0.0),
+              complex(0.0, math.nextafter(-0.6, -1))]
+RECT_CELLS = RECT_EDGE + RECT_EXACT + [complex(DOTTIE, 0.0), 0.5 + 0.1j]
 
 # Points on both petals' edges: the slope, the reach, and near the axis.
 PETAL_CELLS = [
@@ -104,7 +128,7 @@ PETAL_CELLS = [
 ]
 
 CASES = {
-    "cos": ("cos", _kernels.CODE_COS, DISK_CELLS, _kernels.DOTTIE_DISK_THRESHOLD),
+    "cos": ("cos", _kernels.CODE_COS, RECT_CELLS, _kernels.DOTTIE_RECTANGLE_THRESHOLD),
     "sin": ("sin", _kernels.CODE_SIN, PETAL_CELLS, _kernels.SINE_PETAL_THRESHOLD),
 }
 
@@ -122,19 +146,25 @@ class TestTrapEdges:
         assert got == want
 
     def test_edges_are_inside_and_outside_the_traps(self):
-        disk = _kernels._in_dottie_disk(np.real(DISK_EDGE) + DOTTIE, np.imag(DISK_EDGE))
-        assert disk.tolist() == [False, True] * 12  # outside, inside
+        rectangle = _kernels._in_dottie_rectangle(np.real(RECT_EDGE), np.imag(RECT_EDGE))
+        assert rectangle.tolist() == [False, True] * len(SIDES)  # outside, inside
+        exact = _kernels._in_dottie_rectangle(np.real(RECT_EXACT), np.imag(RECT_EXACT))
+        assert exact.tolist() == [True, True, False, False]
+        nonfinite = np.array([math.nan, math.inf, -math.inf])
+        assert not _kernels._in_dottie_rectangle(nonfinite, np.zeros(3)).any()
+        assert not _kernels._in_dottie_rectangle(np.zeros(3), nonfinite).any()
         petal = _kernels._in_sine_petal(np.real(PETAL_CELLS), np.imag(PETAL_CELLS))
         assert petal.sum() == 16 + 1 + 2
 
 
 @pytest.fixture
 def no_traps(monkeypatch):
-    """Run the kernel as a full iteration: every trap turned off."""
+    """Run the kernel as a full iteration: every trap and the overflow drop turned off."""
 
     def run(function, *args):
         with monkeypatch.context() as m:
             m.setattr(_kernels, "_trap", lambda code, threshold: None)
+            m.setattr(_kernels, "OVERFLOW_IM", math.inf)
             m.setattr(_kernels, "MANDELBROT_INTERIOR_THRESHOLD", math.inf)
             return function(*args)
 
@@ -144,7 +174,7 @@ def no_traps(monkeypatch):
 class TestTrapsKeepTheFullIteration:
     REGIONS = [(-2.5, -2.5, 2.5, 2.5, 61), (0.2, -0.6, 1.4, 0.6, 40), (-2.1, -1.3, 0.7, 1.3, 53)]
     MAPS = {
-        "cos": (COS, (1.16, 1.1700000000000002, 10.0)),
+        "cos": (COS, (1.8, 1.8100000000000003, 10.0)),
         "sin": (SIN, (2.79, 2.8000000000000003, 10.0)),
         "mandelbrot": (MANDELBROT, (3.99, 4.000000000000001, 10.0)),
     }
@@ -216,17 +246,58 @@ class TestMandelbrotInterior:
             assert not test(corners, corners[::-1]).any()
 
 
+# Imaginary parts at the overflow drop, one double either side, and
+# where cosh is still finite; real parts where sin is 0, small and large.
+OVERFLOW_CELLS = [
+    complex(x, s * y)
+    for y in (_kernels.OVERFLOW_IM, math.nextafter(711.0, 0), math.nextafter(711.0, 800), 710.4)
+    for s in (1, -1)
+    for x in (0.0, 1e-3, 0.5, -2.0, 3.0)
+]
+
+
+class TestOverflowDrop:
+    def test_drop_lies_past_the_overflow_of_cosh_and_sinh(self):
+        # cosh and sinh overflow once |y| > ln(2 DBL_MAX)
+        assert (iv.log(2 * iv.mpf(sys.float_info.max))).b < _kernels.OVERFLOW_IM
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.cosh(_kernels.OVERFLOW_IM)) and np.isinf(np.sinh(-_kernels.OVERFLOW_IM))
+            assert np.isfinite(np.cosh(710.4))
+
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    @pytest.mark.parametrize("threshold", [10.0, 1e300])
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 3, 50])
+    @pytest.mark.parametrize("name", ["cos", "sin"])
+    def test_cells_at_the_drop_match_the_orbit_oracle(self, name, iterations, threshold, early_exit):
+        code = {"cos": _kernels.CODE_COS, "sin": _kernels.CODE_SIN}[name]
+        got = kernel_cells(OVERFLOW_CELLS, code, iterations, threshold, early_exit)
+        want = [oracles.orbit_survives(z, name, iterations, threshold, early_exit) for z in OVERFLOW_CELLS]
+        assert got == want
+
+    def test_an_orbit_below_the_drop_can_still_survive(self):
+        # cos(710.4i) = cosh 710.4 is finite and real, and its orbit
+        # stays on the real axis; one step further out it overflows
+        got = kernel_cells([710.4j, 711j], _kernels.CODE_COS, 50, 10.0, False)
+        assert got == [True, False]
+
+
 class TestTrapsFire:
-    def test_cos_scan_evaluates_under_a_third_of_its_steps(self, monkeypatch):
+    @pytest.mark.parametrize("name, per_cell", [("cos", 4.5), ("sin", 6.5)])
+    def test_scan_makes_few_libm_calls_on_small_arguments(self, monkeypatch, name, per_cell):
         # Without the traps about 72 % of cells x iterations reach np.cos.
-        counted = []
-        cos = np.cos
+        # Without the first step from the axes and the overflow drop, a
+        # cos scan made 8.5 cos+sin calls per cell, some on real parts
+        # near 1e300 where argument reduction is slow.
+        calls, large = [], []
+        for function in ("cos", "sin"):
 
-        def counting(x, *args, **kwargs):
-            counted.append(np.size(x))
-            return cos(x, *args, **kwargs)
+            def counting(x, *args, _libm=getattr(np, function), **kwargs):
+                calls.append(np.size(x))
+                large.append(np.count_nonzero(np.abs(x) > 1e10))
+                return _libm(x, *args, **kwargs)
 
-        monkeypatch.setattr(_kernels.np, "cos", counting)
-        params = EscapeParams()
-        scan_raw(-2.5, -2.5, 2.5, 2.5, 64, COS, params, workers=1)
-        assert sum(counted) < 0.3 * 64 * 64 * params.iterations
+            monkeypatch.setattr(_kernels.np, function, counting)
+        mapping = {"cos": COS, "sin": SIN}[name]
+        scan_raw(-2.5, -2.5, 2.5, 2.5, 64, mapping, EscapeParams(), workers=1)
+        assert sum(calls) <= per_cell * 64 * 64
+        assert sum(large) == 0

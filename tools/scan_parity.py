@@ -26,7 +26,7 @@ import subprocess
 import sys
 
 MAPS = ("cos", "sin", "mandelbrot")
-TRAP_BOUNDS = {"cos": 1.17, "sin": 2.8, "mandelbrot": 4.0}
+TRAP_BOUNDS = {"cos": 1.81, "sin": 2.8, "mandelbrot": 4.0}
 CORNERS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
            math.inf, -math.inf, math.nan)
 
