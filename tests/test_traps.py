@@ -85,11 +85,6 @@ def kernel_cells(points, code, iterations, threshold, early_exit):
     return np.diagonal(grid).tolist()
 
 
-def near(z, scale):
-    """z pushed a relative `scale` away from the origin and towards it."""
-    return [z * (1 + scale), z * (1 - scale)]
-
-
 def across_side(x, y, scale):
     """(x, y) on a side of the Dottie rectangle, pushed a relative `scale` out and in."""
 
