@@ -26,8 +26,8 @@ argument reduction costs about five times a small argument's.
 
 The first step of cos and sin is formed from the axes: cos and sin once
 per row, cosh and sinh once per column, and one product of those values
-per cell and component, the product the full grid computes.  The
-orbits dropped by the step-0 tests are removed after it.
+per cell and component, the product the full grid computes, taken at
+the cells that pass the step-0 tests.
 
 An orbit is also dropped, and marked as surviving, once it enters a
 trap: a region its map sends into itself, in which every point is below
@@ -44,7 +44,12 @@ exceeds the squared magnitude of every point of it:
   |sin x sinh y| <= sin 1.2 sinh 0.6 < 0.5934, so cos maps R into
   itself with slacks 0.0145 and 0.0066 for rounding; every point of it
   has |z|^2 <= 1.2^2 + 0.6^2 = 1.80.  The test is two abs and two
-  comparisons.  For 1.17 < threshold <= 1.81 cos runs without a trap.
+  comparisons.
+- cos, the Dottie disk B(D, 0.34), which R holds, for
+  1.17 < threshold <= 1.81.  On the disk |sin w| <=
+  sqrt(sin^2(D + 0.34) + sinh^2 0.34) < 0.9473, so cos maps it into
+  B(D, 0.3221), leaving 0.0179 for rounding; every point of it has
+  |z|^2 <= (D + 0.34)^2 < 1.1645.
 - sin, the real-axis petal 0 < |x| <= 1.5, |y| <= 0.49 |x|, for
   threshold > 2.8.  For 0 < |x| < pi/2 the real part of sin z,
   sin x cosh y, keeps the sign of x and, while |y| <= |x|/2 < pi/4,
@@ -67,9 +72,9 @@ to both boundaries.
 
 from __future__ import annotations
 
-from ._lazy import lazy_import
+import numpy as np
 
-np = lazy_import("numpy")
+from .iteration import DOTTIE
 
 CODE_COS = 0
 CODE_SIN = 1
@@ -77,6 +82,7 @@ CODE_MANDELBROT = 2
 
 # Least threshold above which each trap lies wholly below it.
 DOTTIE_RECTANGLE_THRESHOLD = 1.81
+DOTTIE_DISK_THRESHOLD = 1.17
 SINE_PETAL_THRESHOLD = 2.8
 MANDELBROT_INTERIOR_THRESHOLD = 4.0
 
@@ -85,6 +91,7 @@ OVERFLOW_IM = 711.0
 
 _RECTANGLE_RE = 1.2
 _RECTANGLE_IM = 0.6
+_DISK_RADIUS_SQ = 0.34 * 0.34
 _PETAL_REACH = 1.5
 _PETAL_SLOPE = 0.49
 _MULTIPLIER_BOUND = 1.0 - 1e-3
@@ -94,6 +101,13 @@ def _in_dottie_rectangle(a, b):
     inside = np.abs(a) <= _RECTANGLE_RE
     inside &= np.abs(b) <= _RECTANGLE_IM
     return inside
+
+
+def _in_dottie_disk(a, b):
+    d = a - DOTTIE
+    d *= d
+    d += b * b
+    return d < _DISK_RADIUS_SQ
 
 
 def _in_sine_petal(a, b):
@@ -129,6 +143,8 @@ def _meets_interior_box(xs, ys):
 def _trap(code, threshold):
     if code == CODE_COS and threshold > DOTTIE_RECTANGLE_THRESHOLD:
         return _in_dottie_rectangle
+    if code == CODE_COS and threshold > DOTTIE_DISK_THRESHOLD:
+        return _in_dottie_disk
     if code == CODE_SIN and threshold > SINE_PETAL_THRESHOLD:
         return _in_sine_petal
     return None
@@ -176,18 +192,16 @@ def survive(xs, ys, code, threshold, early_exit, iterations):
                 if trapped.any():
                     alive[cells[trapped]] = True
                     keep &= ~trapped
-            from_axes = step == 0 and not mandelbrot
-            if from_axes:
-                a, b = _first_step(code, xs, ys)  # compacted below like the step-0 state
             if not keep.all():
                 a, b, cells = a[keep], b[keep], cells[keep]
                 if mandelbrot:
                     cr, ci = cr[keep], ci[keep]
                 if not cells.size:
                     break
-            if from_axes:
-                continue
-            if code == CODE_COS:
+            if step == 0 and not mandelbrot:
+                # cells still index the flattened grid, the order _first_step ravels
+                na, nb = (t[cells] for t in _first_step(code, xs, ys))
+            elif code == CODE_COS:
                 na = np.cos(a) * np.cosh(b)
                 nb = -np.sin(a) * np.sinh(b)
             elif code == CODE_SIN:

@@ -17,11 +17,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from . import _kernels
-from ._lazy import lazy_import
-from .iteration import TrigKind, _check_count
+import numpy as np
 
-np = lazy_import("numpy")
+from . import _kernels
+from .iteration import TrigKind, _check_count
 
 __all__ = [
     "MANDELBROT",
@@ -290,8 +289,6 @@ def scan_raw(
     step_re = (float(x2) - float(x1)) / (n - 1)
     step_im = (float(y2) - float(y1)) / (n - 1)
 
-    # The axes load numpy, on this thread: the lazy load must not race
-    # between pool threads (see _lazy.lazy_import).
     ys = _cumulative_axis(float(y1), step_im, n)
     # Adding +0.0 turns a -0.0 origin into +0.0 for every sample except
     # the very first, which keeps x1 as given.

@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._lazy import lazy_import
-from .iteration import TrigKind, _check_count
+import numpy as np
 
-np = lazy_import("numpy")
+from .iteration import TrigKind, _check_count
 
 __all__ = [
     "PowerSeries",

@@ -450,21 +450,6 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0.73908513321516064166\n"
 
-    def test_numpy_loads_on_the_first_scan(self):
-        proc = self.run_python(
-            "import contextlib, hashlib, io, sys\n"
-            "import trigiter.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "    trigiter.cli.main(['iterate', '--f', 'cos', '--n', '10', '--v', '1'])\n"
-            "assert out.getvalue(), 'iterate printed nothing'\n"
-            "assert 'numpy._core' not in sys.modules, 'iterate loaded numpy'\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "    trigiter.cli.main(['legacy', '-2.5', '-2.5', '2.5', '2.5', '1000', 'cos'])\n"
-            "print(hashlib.sha256(out.getvalue().encode('ascii')).hexdigest())\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == HEADLINE_SHA256["cos"] + "\n"
-
     def test_module_invocation_matches_golden(self):
         proc = subprocess.run(
             [sys.executable, "-m", "trigiter", "legacy", "-2.5", "-2.5", "2.5", "2.5", "5", "cos"],

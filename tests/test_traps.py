@@ -58,8 +58,34 @@ class TestTrapConstants:
         assert reach.b <= 1.8
         # the float |z|^2 rounds three times: a relative 1e-15 at most
         assert (reach * (1 + iv.mpf("1e-15"))).b < _kernels.DOTTIE_RECTANGLE_THRESHOLD
-        # the rectangle holds the disk B(D, 0.34) that it replaced
+        # the rectangle holds the disk B(D, 0.34), the trap below its threshold
         assert DOTTIE + 0.34 < _kernels._RECTANGLE_RE and 0.34 < _kernels._RECTANGLE_IM
+
+    def test_cos_maps_the_dottie_disk_into_itself(self):
+        # |sin w|^2 = sin^2 x + sinh^2 y, bounded over the square around the disk
+        radius = iv.mpf("0.34")
+        x = iv.mpf(DOTTIE) + iv.mpf(["-0.34", "0.34"])
+        y = iv.mpf(["-0.34", "0.34"])
+        sup_sin = iv.sqrt(iv.sin(x) ** 2 + sinh(y) ** 2)
+        assert sup_sin.b < 0.9473
+        image_radius = sup_sin * radius
+        assert image_radius.b < 0.3221
+        assert (radius - image_radius).a > 0.0179
+        # the float test admits squared distances below 0.34 * 0.34 as rounded
+        assert iv.mpf(_kernels._DISK_RADIUS_SQ).b < (radius * (1 + iv.mpf("1e-15")) ** 2).a
+
+    def test_dottie_disk_lies_below_its_threshold(self):
+        reach = (iv.mpf(DOTTIE) + iv.mpf("0.34")) ** 2
+        assert reach.b < 1.1645 < _kernels.DOTTIE_DISK_THRESHOLD
+
+    @pytest.mark.parametrize(
+        "threshold, trap",
+        [(1.17, None), (1.1700000000000002, "_in_dottie_disk"), (1.81, "_in_dottie_disk"),
+         (1.8100000000000003, "_in_dottie_rectangle"), (10.0, "_in_dottie_rectangle")],
+    )
+    def test_cos_takes_the_largest_trap_below_the_threshold(self, threshold, trap):
+        got = _kernels._trap(_kernels.CODE_COS, threshold)
+        assert got is (trap and getattr(_kernels, trap))
 
     def test_sine_petal_stays_in_the_right_half_strip(self):
         # |y| <= |x|/2 <= pi/4 while |x| < pi/2, so |Re sin z| <= cosh(pi/4)
@@ -83,6 +109,20 @@ def kernel_cells(points, code, iterations, threshold, early_exit):
     ys = np.array([z.imag for z in points])
     grid = _kernels.survive(xs, ys, code, threshold, early_exit, iterations)
     return np.diagonal(grid).tolist()
+
+
+def near(z, scale):
+    """z pushed a relative `scale` away from the origin and towards it."""
+    return [z * (1 + scale), z * (1 - scale)]
+
+
+# Points on the disk's rim at a spread of angles, just inside and outside.
+DISK_EDGE = [
+    p
+    for k in range(12)
+    for p in near(0.34 * cmath.exp(2j * math.pi * (k + 0.25) / 12), 1e-9)
+]
+DISK_CELLS = [DOTTIE + w for w in DISK_EDGE] + [complex(DOTTIE, 0.0), 0.5 + 0.1j]
 
 
 def across_side(x, y, scale):
@@ -123,7 +163,8 @@ PETAL_CELLS = [
 ]
 
 CASES = {
-    "cos": ("cos", _kernels.CODE_COS, RECT_CELLS, _kernels.DOTTIE_RECTANGLE_THRESHOLD),
+    "cos-rectangle": ("cos", _kernels.CODE_COS, RECT_CELLS, _kernels.DOTTIE_RECTANGLE_THRESHOLD),
+    "cos-disk": ("cos", _kernels.CODE_COS, DISK_CELLS, _kernels.DOTTIE_DISK_THRESHOLD),
     "sin": ("sin", _kernels.CODE_SIN, PETAL_CELLS, _kernels.SINE_PETAL_THRESHOLD),
 }
 
@@ -141,6 +182,8 @@ class TestTrapEdges:
         assert got == want
 
     def test_edges_are_inside_and_outside_the_traps(self):
+        disk = _kernels._in_dottie_disk(np.real(DISK_EDGE) + DOTTIE, np.imag(DISK_EDGE))
+        assert disk.tolist() == [False, True] * 12  # outside, inside
         rectangle = _kernels._in_dottie_rectangle(np.real(RECT_EDGE), np.imag(RECT_EDGE))
         assert rectangle.tolist() == [False, True] * len(SIDES)  # outside, inside
         exact = _kernels._in_dottie_rectangle(np.real(RECT_EXACT), np.imag(RECT_EXACT))
@@ -169,7 +212,7 @@ def no_traps(monkeypatch):
 class TestTrapsKeepTheFullIteration:
     REGIONS = [(-2.5, -2.5, 2.5, 2.5, 61), (0.2, -0.6, 1.4, 0.6, 40), (-2.1, -1.3, 0.7, 1.3, 53)]
     MAPS = {
-        "cos": (COS, (1.8, 1.8100000000000003, 10.0)),
+        "cos": (COS, (1.16, 1.1700000000000002, 1.8, 1.8100000000000003, 10.0)),
         "sin": (SIN, (2.79, 2.8000000000000003, 10.0)),
         "mandelbrot": (MANDELBROT, (3.99, 4.000000000000001, 10.0)),
     }
@@ -277,12 +320,13 @@ class TestOverflowDrop:
 
 
 class TestTrapsFire:
-    @pytest.mark.parametrize("name, per_cell", [("cos", 4.5), ("sin", 6.5)])
-    def test_scan_makes_few_libm_calls_on_small_arguments(self, monkeypatch, name, per_cell):
+    @pytest.mark.parametrize("name, threshold, per_cell", [("cos", 10.0, 4.5), ("sin", 10.0, 6.5), ("cos", 1.5, 6.5)])
+    def test_scan_makes_few_libm_calls_on_small_arguments(self, monkeypatch, name, threshold, per_cell):
         # Without the traps about 72 % of cells x iterations reach np.cos.
         # Without the first step from the axes and the overflow drop, a
         # cos scan made 8.5 cos+sin calls per cell, some on real parts
-        # near 1e300 where argument reduction is slow.
+        # near 1e300 where argument reduction is slow.  At threshold 1.5
+        # the disk is the cos trap; with no trap there it made 70.
         calls, large = [], []
         for function in ("cos", "sin"):
 
@@ -293,6 +337,6 @@ class TestTrapsFire:
 
             monkeypatch.setattr(_kernels.np, function, counting)
         mapping = {"cos": COS, "sin": SIN}[name]
-        scan_raw(-2.5, -2.5, 2.5, 2.5, 64, mapping, EscapeParams(), workers=1)
+        scan_raw(-2.5, -2.5, 2.5, 2.5, 64, mapping, EscapeParams(threshold_sq=threshold), workers=1)
         assert sum(calls) <= per_cell * 64 * 64
         assert sum(large) == 0

@@ -3,12 +3,14 @@
     python3 tools/bench_scan.py --baseline REV [--repeats 5] > BENCH_scan.json
 
 REV is extracted with `git archive` into a temporary directory.  Each
-tree runs in its own process and times `scan_raw` for cos and sin over
-[-2.5, 2.5]^2 (50 iterations) and the Mandelbrot family over
-[-2, 1] x [-1.5, 1.5] (200 iterations), threshold 10, at grids 250, 500
-and 1000, early exit off and on, 1 and 2 workers.  After one warm-up
-call each configuration is timed `--repeats` times and the median and
-the quartiles are recorded, with the host and both commits.
+tree runs in its own long-lived process, and the two are timed in turn
+on `scan_raw` for cos and sin over [-2.5, 2.5]^2 (50 iterations) and the
+Mandelbrot family over [-2, 1] x [-1.5, 1.5] (200 iterations), threshold
+10, at grids 250, 500 and 1000, early exit off and on, 1 and 2 workers.
+Each configuration gets one warm-up call per tree, then `--repeats`
+timed calls per tree, alternating which tree goes first, so host drift
+falls on both trees alike.  The median and the quartiles are recorded,
+with the host and both commits.
 """
 
 from __future__ import annotations
@@ -34,32 +36,75 @@ SCANS = {
 GRIDS = (250, 500, 1000)
 
 
-def time_scans(repeats: int) -> list[dict]:
-    """Rows of timings for every configuration, in this process."""
+def configurations() -> list[dict]:
+    return [
+        {"map": name, "grid": grid, "iterations": iterations, "early_exit": early_exit, "workers": workers}
+        for name, (_, iterations) in SCANS.items()
+        for grid in GRIDS
+        for early_exit in (False, True)
+        for workers in (1, 2)
+    ]
+
+
+def serve() -> None:
+    """Answer each configuration read from stdin with the seconds of one scan_raw call."""
     import time
 
     from trigiter import MANDELBROT, EscapeParams, TrigKind, scan_raw
 
     maps = {"cos": TrigKind.COSINE, "sin": TrigKind.SINE, "mandelbrot": MANDELBROT}
-    rows = []
-    for name, (region, iterations) in SCANS.items():
-        for grid in GRIDS:
-            for early_exit in (False, True):
-                for workers in (1, 2):
-                    params = EscapeParams(iterations, 10.0, early_exit)
-                    scan_raw(*region, grid, maps[name], params, workers=workers)
-                    times = []
-                    for _ in range(repeats):
-                        start = time.perf_counter()
-                        scan_raw(*region, grid, maps[name], params, workers=workers)
-                        times.append(time.perf_counter() - start)
-                    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-                    rows.append({
-                        "map": name, "grid": grid, "iterations": iterations, "early_exit": early_exit,
-                        "workers": workers, "median_s": round(median, 4), "q1_s": round(q1, 4),
-                        "q3_s": round(q3, 4), "repeats": repeats,
-                    })
-    return rows
+    for line in sys.stdin:
+        config = json.loads(line)
+        region, iterations = SCANS[config["map"]]
+        params = EscapeParams(iterations, 10.0, config["early_exit"])
+        start = time.perf_counter()
+        scan_raw(*region, config["grid"], maps[config["map"]], params, workers=config["workers"])
+        print(time.perf_counter() - start, flush=True)
+
+
+class Tree:
+    """A process serving timings for one checkout's ``src``."""
+
+    def __init__(self, src: pathlib.Path):
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--worker"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
+    def time(self, config: dict) -> float:
+        self.proc.stdin.write(json.dumps(config) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"timing process exited with {self.proc.wait()}")
+        return float(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def time_trees(trees: dict[str, Tree], repeats: int) -> list[dict]:
+    """Rows of timings for every configuration and tree, the trees alternating."""
+    rows = {name: [] for name in trees}
+    for config in configurations():
+        times = {name: [] for name in trees}
+        for tree in trees.values():
+            tree.time(config)
+        for repeat in range(repeats):
+            order = list(trees) if repeat % 2 == 0 else list(trees)[::-1]
+            for name in order:
+                times[name].append(trees[name].time(config))
+        for name in trees:
+            q1, median, q3 = statistics.quantiles(times[name], n=4, method="inclusive")
+            rows[name].append({
+                "tree": name, **config, "median_s": round(median, 4), "q1_s": round(q1, 4),
+                "q3_s": round(q3, 4), "repeats": repeats,
+            })
+    return [row for name in trees for row in rows[name]]
 
 
 def git(*args: str) -> str:
@@ -85,17 +130,6 @@ def host() -> dict:
     }
 
 
-def run_tree(src: pathlib.Path, repeats: int) -> list[dict]:
-    proc = subprocess.run(
-        [sys.executable, __file__, "--worker", "--repeats", str(repeats)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        check=True,
-    )
-    return json.loads(proc.stdout)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", help="git revision to compare against")
@@ -103,7 +137,7 @@ def main() -> int:
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        json.dump(time_scans(args.repeats), sys.stdout)
+        serve()
         return 0
     if args.baseline is None:
         parser.error("--baseline is required")
@@ -115,8 +149,12 @@ def main() -> int:
         archive = subprocess.run(["git", "archive", baseline, "src"], cwd=ROOT, capture_output=True, check=True)
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
-        rows = [dict(tree="parent", **row) for row in run_tree(pathlib.Path(tmp) / "src", args.repeats)]
-    rows += [dict(tree="change", **row) for row in run_tree(ROOT / "src", args.repeats)]
+        trees = {"parent": Tree(pathlib.Path(tmp) / "src"), "change": Tree(ROOT / "src")}
+        try:
+            rows = time_trees(trees, args.repeats)
+        finally:
+            for tree in trees.values():
+                tree.close()
     report = {
         "benchmark": "scan_raw wall time per call, seconds",
         "host": host(),

@@ -26,7 +26,7 @@ import subprocess
 import sys
 
 MAPS = ("cos", "sin", "mandelbrot")
-TRAP_BOUNDS = {"cos": 1.81, "sin": 2.8, "mandelbrot": 4.0}
+TRAP_BOUNDS = {"cos": (1.17, 1.81), "sin": (2.8,), "mandelbrot": (4.0,)}
 CORNERS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
            math.inf, -math.inf, math.nan)
 
@@ -36,7 +36,7 @@ def draw_cases(count: int, seed: int) -> list[dict]:
     cases = []
     for k in range(count):
         name = MAPS[k % len(MAPS)]
-        bound = TRAP_BOUNDS[name]
+        bound = rng.choice(TRAP_BOUNDS[name])
         threshold = rng.choice(
             [bound - 1e-2, bound - 2**-40, bound, bound + 2**-40, bound + 1e-2]
             + [10 ** rng.uniform(-2.0, 0.5), rng.uniform(0.5, 100.0)]
