@@ -22,7 +22,9 @@ and sinh overflow past ln(2 DBL_MAX) ~ 710.476, and any product with an
 infinity is infinite or nan, so both components of the next iterate are
 non-finite whatever the real part is, and it fails every later test.
 This keeps libm off the huge real parts of escaping orbits, whose
-argument reduction costs about five times a small argument's.
+argument reduction costs about five times a small argument's.  With
+early exit and a threshold up to 711^2 the threshold test already drops
+these orbits, so the extra test is skipped.
 
 The first step of cos and sin is formed from the axes: cos and sin once
 per row, cosh and sinh once per column, and one product of those values
@@ -169,6 +171,7 @@ def survive(xs, ys, code, threshold, early_exit, iterations):
     cells = np.arange(a.size)
     mandelbrot = code == CODE_MANDELBROT
     trap = _trap(code, threshold)
+    overflow_drop = not mandelbrot and not (early_exit and threshold <= OVERFLOW_IM**2)
     with np.errstate(over="ignore", invalid="ignore"):
         if mandelbrot:
             cr, ci = a, b
@@ -185,7 +188,7 @@ def survive(xs, ys, code, threshold, early_exit, iterations):
             else:
                 keep = np.isfinite(a)
                 keep &= np.isfinite(b)
-            if not mandelbrot:
+            if overflow_drop:
                 keep &= np.abs(b) < OVERFLOW_IM
             if trap is not None:
                 trapped = trap(a, b)

@@ -163,8 +163,8 @@ PETAL_CELLS = [
 ]
 
 CASES = {
+    "cos": ("cos", _kernels.CODE_COS, DISK_CELLS, _kernels.DOTTIE_DISK_THRESHOLD),
     "cos-rectangle": ("cos", _kernels.CODE_COS, RECT_CELLS, _kernels.DOTTIE_RECTANGLE_THRESHOLD),
-    "cos-disk": ("cos", _kernels.CODE_COS, DISK_CELLS, _kernels.DOTTIE_DISK_THRESHOLD),
     "sin": ("sin", _kernels.CODE_SIN, PETAL_CELLS, _kernels.SINE_PETAL_THRESHOLD),
 }
 
