@@ -28,8 +28,9 @@ these orbits, so the extra test is skipped.
 
 The first step of cos and sin is formed from the axes: cos and sin once
 per row, cosh and sinh once per column, and one product of those values
-per cell and component, the product the full grid computes, taken at
-the cells that pass the step-0 tests.
+per cell and component, the product the full grid computes.  It
+replaces the grid values before the step-0 compaction, so that one
+gather compacts z_1 and the grid values are never compacted.
 
 An orbit is also dropped, and marked as surviving, once it enters a
 trap: a region its map sends into itself, in which every point is below
@@ -195,16 +196,19 @@ def survive(xs, ys, code, threshold, early_exit, iterations):
                 if trapped.any():
                     alive[cells[trapped]] = True
                     keep &= ~trapped
+            first = step == 0 and not mandelbrot
+            if first:
+                # z_1 of every cell, ravelled like z_0, so the step-0 compaction applies to it
+                a, b = _first_step(code, xs, ys)
             if not keep.all():
                 a, b, cells = a[keep], b[keep], cells[keep]
                 if mandelbrot:
                     cr, ci = cr[keep], ci[keep]
                 if not cells.size:
                     break
-            if step == 0 and not mandelbrot:
-                # cells still index the flattened grid, the order _first_step ravels
-                na, nb = (t[cells] for t in _first_step(code, xs, ys))
-            elif code == CODE_COS:
+            if first:
+                continue
+            if code == CODE_COS:
                 na = np.cos(a) * np.cosh(b)
                 nb = -np.sin(a) * np.sinh(b)
             elif code == CODE_SIN:
