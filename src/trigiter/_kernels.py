@@ -26,11 +26,15 @@ argument reduction costs about five times a small argument's.  With
 early exit and a threshold up to 711^2 the threshold test already drops
 these orbits, so the extra test is skipped.
 
-The first step of cos and sin is formed from the axes: cos and sin once
-per row, cosh and sinh once per column, and one product of those values
-per cell and component, the product the full grid computes.  It
-replaces the grid values before the step-0 compaction, so that one
-gather compacts z_1 and the grid values are never compacted.
+The kernel takes the map objects themselves: TrigKind.COSINE,
+TrigKind.SINE or MANDELBROT.  cos z and sin z, z = x + iy, are
+p(x) cosh y + i q(x) sinh y, with (p, q) = (cos x, -sin x) for cos and
+(sin x, cos x) for sin, and one helper gives (p, q) for every step.
+The first step is formed from the axes: p and q once per row, cosh and
+sinh once per column, and one product of those values per cell and
+component, the product the full grid computes.  It replaces the grid
+values before the step-0 compaction, so that one gather compacts z_1
+and the grid values are never compacted.
 
 An orbit is also dropped, and marked as surviving, once it enters a
 trap: a region its map sends into itself, in which every point is below
@@ -77,11 +81,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .iteration import DOTTIE
+from .iteration import DOTTIE, TrigKind
 
-CODE_COS = 0
-CODE_SIN = 1
-CODE_MANDELBROT = 2
+
+class _MandelbrotFamily:
+    """Marker: iterate z -> z*z + c with c set to each point scanned, from z=0."""
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return "MANDELBROT"
+
+
+MANDELBROT = _MandelbrotFamily()
+MAPS = (TrigKind.COSINE, TrigKind.SINE, MANDELBROT)
 
 # Least threshold above which each trap lies wholly below it.
 DOTTIE_RECTANGLE_THRESHOLD = 1.81
@@ -143,35 +154,32 @@ def _meets_interior_box(xs, ys):
     return bool(((xs >= -1.25) & (xs <= 0.375)).any() and (np.abs(ys) <= 0.65).any())
 
 
-def _trap(code, threshold):
-    if code == CODE_COS and threshold > DOTTIE_RECTANGLE_THRESHOLD:
+def _trap(mapping, threshold):
+    if mapping is TrigKind.COSINE and threshold > DOTTIE_RECTANGLE_THRESHOLD:
         return _in_dottie_rectangle
-    if code == CODE_COS and threshold > DOTTIE_DISK_THRESHOLD:
+    if mapping is TrigKind.COSINE and threshold > DOTTIE_DISK_THRESHOLD:
         return _in_dottie_disk
-    if code == CODE_SIN and threshold > SINE_PETAL_THRESHOLD:
+    if mapping is TrigKind.SINE and threshold > SINE_PETAL_THRESHOLD:
         return _in_sine_petal
     return None
 
 
-def _first_step(code, xs, ys):
-    """z_1 of every cell of the (xs, ys) grid, flattened, from per-axis libm calls."""
-    cosh, sinh = np.cosh(ys), np.sinh(ys)
-    if code == CODE_COS:
-        re, im = np.cos(xs), -np.sin(xs)
-    else:
-        re, im = np.sin(xs), np.cos(xs)
-    return np.multiply.outer(re, cosh).ravel(), np.multiply.outer(im, sinh).ravel()
+def _factors(mapping, x):
+    """(p, q) with cos z or sin z = p cosh y + i q sinh y at z = x + iy."""
+    if mapping is TrigKind.COSINE:
+        return np.cos(x), -np.sin(x)
+    return np.sin(x), np.cos(x)
 
 
-def survive(xs, ys, code, threshold, early_exit, iterations):
+def survive(xs, ys, mapping, threshold, early_exit, iterations):
     """Boolean survival grid, shape (len(xs), len(ys)), [real, imag] indexed."""
     a, b = np.meshgrid(xs, ys, indexing="ij")
     shape = a.shape
     a, b = a.ravel(), b.ravel()
     alive = np.zeros(a.size, dtype=bool)
     cells = np.arange(a.size)
-    mandelbrot = code == CODE_MANDELBROT
-    trap = _trap(code, threshold)
+    mandelbrot = mapping is MANDELBROT
+    trap = _trap(mapping, threshold)
     overflow_drop = not mandelbrot and not (early_exit and threshold <= OVERFLOW_IM**2)
     with np.errstate(over="ignore", invalid="ignore"):
         if mandelbrot:
@@ -199,7 +207,9 @@ def survive(xs, ys, code, threshold, early_exit, iterations):
             first = step == 0 and not mandelbrot
             if first:
                 # z_1 of every cell, ravelled like z_0, so the step-0 compaction applies to it
-                a, b = _first_step(code, xs, ys)
+                p, q = _factors(mapping, xs)
+                a = np.multiply.outer(p, np.cosh(ys)).ravel()
+                b = np.multiply.outer(q, np.sinh(ys)).ravel()
             if not keep.all():
                 a, b, cells = a[keep], b[keep], cells[keep]
                 if mandelbrot:
@@ -208,15 +218,10 @@ def survive(xs, ys, code, threshold, early_exit, iterations):
                     break
             if first:
                 continue
-            if code == CODE_COS:
-                na = np.cos(a) * np.cosh(b)
-                nb = -np.sin(a) * np.sinh(b)
-            elif code == CODE_SIN:
-                na = np.sin(a) * np.cosh(b)
-                nb = np.cos(a) * np.sinh(b)
+            if mandelbrot:
+                a, b = a * a - b * b + cr, 2.0 * a * b + ci
             else:
-                na = a * a - b * b + cr
-                nb = 2.0 * a * b + ci
-            a, b = na, nb
+                p, q = _factors(mapping, a)
+                a, b = p * np.cosh(b), q * np.sinh(b)
         alive[cells] = a * a + b * b < threshold
     return alive.reshape(shape)

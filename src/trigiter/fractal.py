@@ -20,7 +20,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .iteration import TrigKind, _check_count
+from ._kernels import MANDELBROT
+from .iteration import _check_count
 
 __all__ = [
     "MANDELBROT",
@@ -34,16 +35,6 @@ __all__ = [
     "format_point",
     "format_points",
 ]
-
-
-class _MandelbrotFamily:
-    """Marker: iterate z -> z*z + c with c set to each point scanned, from z=0."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "MANDELBROT"
-
-
-MANDELBROT = _MandelbrotFamily()
 
 
 @dataclass(frozen=True)
@@ -166,14 +157,9 @@ class PointSet:
             yield PointSet(self.mask[lo:hi], self.xs[lo:hi], self.ys, first)
 
 
-def _map_code(mapping) -> int:
-    if mapping is TrigKind.COSINE:
-        return _kernels.CODE_COS
-    if mapping is TrigKind.SINE:
-        return _kernels.CODE_SIN
-    if isinstance(mapping, _MandelbrotFamily):
-        return _kernels.CODE_MANDELBROT
-    raise TypeError(f"mapping must be TrigKind.COSINE, TrigKind.SINE or MANDELBROT, got {mapping!r}")
+def _check_map(mapping) -> None:
+    if not any(mapping is m for m in _kernels.MAPS):
+        raise TypeError(f"mapping must be TrigKind.COSINE, TrigKind.SINE or MANDELBROT, got {mapping!r}")
 
 
 def point_survives(
@@ -182,11 +168,12 @@ def point_survives(
     params: EscapeParams = EscapeParams(),
 ) -> bool:
     """Escape test for a single starting point (parameter point for MANDELBROT)."""
+    _check_map(mapping)
     z = complex(initial)
     grid = _kernels.survive(
         np.array([z.real]),
         np.array([z.imag]),
-        _map_code(mapping),
+        mapping,
         params.threshold_sq,
         params.early_exit,
         params.iterations,
@@ -284,7 +271,7 @@ def scan_raw(
     """
     _check_count(grid, "grid", 2, MAX_GRID)
     _check_count(params.iterations, f"iterations at grid {grid}", 0, _max_iterations(grid))
-    code = _map_code(mapping)
+    _check_map(mapping)
     n = grid
     step_re = (float(x2) - float(x1)) / (n - 1)
     step_im = (float(y2) - float(y1)) / (n - 1)
@@ -306,7 +293,7 @@ def scan_raw(
         mask[lo:hi] = _kernels.survive(
             xs[lo:hi],
             ys,
-            code,
+            mapping,
             params.threshold_sq,
             params.early_exit,
             params.iterations,
@@ -351,13 +338,16 @@ def format_point(z: complex, padded: bool = True) -> str:
 def format_points(points, padded: bool = True) -> str:
     """Newline-terminated lines for each point; empty input gives an empty string.
 
-    A PointSet is formatted from two string tables, one entry per grid
-    row and per column, so each coordinate is formatted once per axis
-    index instead of once per survivor.  The column table is cached on
-    the column coordinates, so the row blocks of one scan build it once.
-    The lines are the ones format_point gives for the PointSet's points.
-    The text is built one row block at a time, so besides the returned
-    string only one block's lines are alive.
+    A PointSet is formatted from two tables, one line start per grid
+    row and one line end per column, so each coordinate is formatted
+    once per axis index instead of once per survivor.  Each block's
+    lines are gathered from those tables into one (survivors, 2) array:
+    fixed-width byte records in the gnuplot layout, Python strings in
+    the plain one.  The column table is cached on the column
+    coordinates, so the row blocks of one scan build it once.  The lines
+    are the ones format_point gives for the PointSet's points.  The text
+    is built one row block at a time, so besides the returned string
+    only one block's lines are alive.
     """
     if not isinstance(points, PointSet):
         return "".join(format_point(z, padded) + "\n" for z in points)
@@ -373,46 +363,34 @@ def _format_block(points: PointSet, padded: bool) -> str:
     mask = points.mask
     if not mask.any():
         return ""
-    re_strs = ["%.16g" % x for x in points.xs.tolist()]
-    im_lines = _column_line_ends(points.ys.tobytes(), padded)
-    first = "%.16g" % points.first
-    if padded:
-        return _gnuplot_lines(mask, re_strs, im_lines, first)
-    return _plain_lines(mask, re_strs, im_lines, first)
-
-
-@lru_cache(maxsize=2)
-def _column_line_ends(ys: bytes, padded: bool):
-    # The end of each column's lines, keyed on the float64 bytes of the
-    # column coordinates: a read-only S26 array padded, a tuple plain.
-    im_strs = ["%.16g" % y for y in np.frombuffer(ys).tolist()]
-    if not padded:
-        return tuple(s + "\n" for s in im_strs)
-    im_tab = np.array(["%25s\n" % s for s in im_strs], dtype="S")
-    im_tab.setflags(write=False)
-    return im_tab
-
-
-def _gnuplot_lines(mask, re_strs, im_tab, first) -> str:
-    # %.16g of a double is at most 23 characters, so every padded cell
-    # is 26 bytes and every line 52; the lines are fixed-width records.
-    re_tab = np.array(["%25s " % s for s in re_strs], dtype="S")
-    assert re_tab.itemsize == im_tab.itemsize == 26, "a coordinate wider than 25 columns"
+    re_tab = _coordinate_table(points.xs.tolist(), " ", padded)
+    im_tab = _column_line_ends(points.ys.tobytes(), padded)
     rows, cols = np.nonzero(mask)
-    lines = np.empty((rows.size, 2), dtype="S26")
+    lines = np.empty((rows.size, 2), dtype=im_tab.dtype)
     lines[:, 0] = re_tab[rows]
     lines[:, 1] = im_tab[cols]
     if mask[0, 0]:
-        lines[0, 0] = "%25s " % first
-    return str(lines.data, "ascii")
+        lines[0, 0] = _coordinate_table([points.first], " ", padded)[0]
+    if padded:
+        return str(lines.data, "ascii")
+    return "".join(lines.ravel().tolist())
 
 
-def _plain_lines(mask, re_strs, im_lines, first) -> str:
-    rows = []
-    for r in np.flatnonzero(mask.any(axis=1)).tolist():
-        prefix = re_strs[r] + " "
-        cols = np.flatnonzero(mask[r]).tolist()
-        rows.append(prefix + prefix.join(map(im_lines.__getitem__, cols)))
-    if mask[0, 0]:
-        rows[0] = first + rows[0][len(re_strs[0]):]
-    return "".join(rows)
+def _coordinate_table(values, end: str, padded: bool) -> np.ndarray:
+    # %.16g of a double is at most 23 characters, so every padded cell
+    # is 26 bytes and every gnuplot line 52: fixed-width S26 records.
+    # Plain cells vary in width and stay Python strings.
+    if not padded:
+        return np.array(["%.16g" % v + end for v in values], dtype=object)
+    table = np.array(["%25.16g" % v + end for v in values], dtype="S")
+    assert table.itemsize == 26, "a coordinate wider than 25 columns"
+    return table
+
+
+@lru_cache(maxsize=2)
+def _column_line_ends(ys: bytes, padded: bool) -> np.ndarray:
+    # The end of each column's lines, keyed on the float64 bytes of the
+    # column coordinates; read-only, as the cache shares it.
+    table = _coordinate_table(np.frombuffer(ys).tolist(), "\n", padded)
+    table.setflags(write=False)
+    return table

@@ -11,7 +11,7 @@ does not count the rounding of the coefficients: against mpmath at 40
 digits, iterated_series(COSINE, 1, 20) has a tail bound of 8.9e-22 and
 an observed error of 2.4e-18.  Its monomial magnitudes also grow fast
 under sine composition, so iterated_series(SINE, n, 8) raises
-TailBoundError from n = 7.  Item 3 of ROADMAP.md plans certified bounds.
+TailBoundError from n = 7.  Item 1 of ROADMAP.md plans certified bounds.
 """
 
 from __future__ import annotations
@@ -176,10 +176,10 @@ def cauchy_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 def compose(
     outer: PowerSeries,
     inner: PowerSeries,
-    order: int | None = None,
+    *,
     lipschitz: float | None = None,
 ) -> PowerSeries:
-    """Substitute `inner` into `outer`, truncating the result at `order`.
+    """Substitute `inner` into `outer`, truncated at the lower of their orders.
 
     Powers of `inner` are accumulated at full polynomial degree and only
     cropped at the end.  The tail bound assumes the outer function's
@@ -194,10 +194,7 @@ def compose(
     it, the conservative envelope estimate C * e^M is used, which
     compounds quickly in repeated composition; cos and sin admit 1.
     """
-    result_order = min(outer.order, inner.order) if order is None else order
-    if result_order < 0:
-        raise ValueError(f"order must be >= 0, got {order!r}")
-
+    result_order = min(outer.order, inner.order)
     magnitude = inner.l1_norm() + inner.tail_bound
     if outer.order + 1 <= magnitude:
         raise TailBoundError(
@@ -240,29 +237,25 @@ def compose(
     return PowerSeries(kept, tail)
 
 
-def iterated_series(
-    kind: TrigKind, order: int, truncation: int, working_order: int | None = None
-) -> PowerSeries:
+def iterated_series(kind: TrigKind, order: int, truncation: int) -> PowerSeries:
     """Maclaurin series of the order-n cos or sin iterate.
 
     Composition is carried out at a working truncation of at least 30
     terms so low-order coefficients converge to full double precision,
     then cropped to `truncation`.  Cosine iterates keep only even
-    powers; sine iterates only odd ones.  `truncation` and the working
-    order are at most MAX_TRUNCATION.
+    powers; sine iterates only odd ones.  `truncation` is at most
+    MAX_TRUNCATION.
     """
     _check_count(order, "order")
     _check_count(truncation, "truncation", 0, MAX_TRUNCATION)
     if order == 0:
         # cropped to the constant 0, the identity keeps |x| <= 1 as its tail
         return PowerSeries.identity(max(truncation, 1)).truncate(truncation)
-    working = max(truncation, 30) if working_order is None else working_order
-    if working < truncation:
-        raise ValueError("working_order must be >= truncation")
+    working = max(truncation, 30)
     base = cos_series(working) if kind is TrigKind.COSINE else sin_series(working)
     series = base
     for _ in range(order - 1):
         # cos and sin are 1-Lipschitz on the reals, so inner error does
         # not amplify from one composition to the next
-        series = compose(base, series, order=working, lipschitz=1.0)
+        series = compose(base, series, lipschitz=1.0)
     return series.truncate(truncation)

@@ -248,3 +248,32 @@ def test_random_row_blocks_match_straightline_oracle(x1, y1, x2, y2, grid, name,
         ps = scan_raw(x1, y1, x2, y2, grid, MAPS[name])
         assert joined_blocks(ps) == oracles.straightline_scan(x1, y1, x2, y2, grid, name)
         assert joined_blocks(ps, padded=False) == format_points(ps.points, padded=False)
+
+
+# Coordinates of every width %.16g gives, from "0" to 23 characters.
+WIDTHS = [0.0, -0.0, 5e-324, -5e-324, TINY, -TINY, 1e308, -1e308, HUGE, math.inf, -math.inf, math.nan, 0.1, -2.5]
+mixed_coordinate = st.one_of(st.sampled_from(WIDTHS), st.floats())
+
+
+@st.composite
+def point_sets(draw):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    cells = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    mask = np.array(cells, dtype=bool).reshape(rows, cols)
+    # empty rows and columns, which the drawn cells alone seldom give
+    mask[draw(st.lists(st.integers(0, rows - 1), max_size=rows)), :] = False
+    mask[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = False
+    xs = draw(st.lists(mixed_coordinate, min_size=rows, max_size=rows))
+    ys = draw(st.lists(mixed_coordinate, min_size=cols, max_size=cols))
+    return PointSet(mask, xs, ys, draw(mixed_coordinate))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ps=point_sets(), tile=st.integers(min_value=1, max_value=12))
+def test_any_point_set_formats_like_format_point(ps, tile):
+    # Grid scans never mix such widths in one block; the tables must not care.
+    with mock.patch.object(fractal, "_TILE_CELLS", tile):
+        for padded in (True, False):
+            assert_formats_like_reference(ps, padded)
+            assert joined_blocks(ps, padded) == format_points(ps, padded)

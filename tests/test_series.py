@@ -234,10 +234,6 @@ class TestIteratedSeries:
                 second_derivative_at_zero(order), rel=1e-10
             )
 
-    def test_working_order_validation(self):
-        with pytest.raises(ValueError, match="working_order"):
-            iterated_series(COS, 2, 10, working_order=5)
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             iterated_series(COS, -1, 4)
@@ -249,7 +245,6 @@ class TestIteratedSeries:
         assert iterated_series(COS, 1, MAX_TRUNCATION).order == MAX_TRUNCATION
         for call in (
             lambda: iterated_series(COS, 3, MAX_TRUNCATION + 1),
-            lambda: iterated_series(COS, 3, 2, working_order=MAX_TRUNCATION + 1),
             lambda: cos_series(MAX_TRUNCATION + 1),
             lambda: sin_series(MAX_TRUNCATION + 1),
         ):

@@ -84,7 +84,7 @@ class TestTrapConstants:
          (1.8100000000000003, "_in_dottie_rectangle"), (10.0, "_in_dottie_rectangle")],
     )
     def test_cos_takes_the_largest_trap_below_the_threshold(self, threshold, trap):
-        got = _kernels._trap(_kernels.CODE_COS, threshold)
+        got = _kernels._trap(COS, threshold)
         assert got is (trap and getattr(_kernels, trap))
 
     def test_sine_petal_stays_in_the_right_half_strip(self):
@@ -103,11 +103,11 @@ class TestTrapConstants:
         assert later.b < _kernels.SINE_PETAL_THRESHOLD
 
 
-def kernel_cells(points, code, iterations, threshold, early_exit):
+def kernel_cells(points, mapping, iterations, threshold, early_exit):
     """Kernel outcome for each point: the diagonal of the grid of their parts."""
     xs = np.array([z.real for z in points])
     ys = np.array([z.imag for z in points])
-    grid = _kernels.survive(xs, ys, code, threshold, early_exit, iterations)
+    grid = _kernels.survive(xs, ys, mapping, threshold, early_exit, iterations)
     return np.diagonal(grid).tolist()
 
 
@@ -163,9 +163,9 @@ PETAL_CELLS = [
 ]
 
 CASES = {
-    "cos": ("cos", _kernels.CODE_COS, DISK_CELLS, _kernels.DOTTIE_DISK_THRESHOLD),
-    "cos-rectangle": ("cos", _kernels.CODE_COS, RECT_CELLS, _kernels.DOTTIE_RECTANGLE_THRESHOLD),
-    "sin": ("sin", _kernels.CODE_SIN, PETAL_CELLS, _kernels.SINE_PETAL_THRESHOLD),
+    "cos": ("cos", COS, DISK_CELLS, _kernels.DOTTIE_DISK_THRESHOLD),
+    "cos-rectangle": ("cos", COS, RECT_CELLS, _kernels.DOTTIE_RECTANGLE_THRESHOLD),
+    "sin": ("sin", SIN, PETAL_CELLS, _kernels.SINE_PETAL_THRESHOLD),
 }
 
 
@@ -175,9 +175,9 @@ class TestTrapEdges:
     @pytest.mark.parametrize("offset", [-2**-40, 0.0, 2**-40, 7.2])
     @pytest.mark.parametrize("case", CASES)
     def test_cells_at_each_trap_edge_match_the_orbit_oracle(self, case, offset, iterations, early_exit):
-        name, code, cells, bound = CASES[case]
+        name, mapping, cells, bound = CASES[case]
         threshold = bound + offset
-        got = kernel_cells(cells, code, iterations, threshold, early_exit)
+        got = kernel_cells(cells, mapping, iterations, threshold, early_exit)
         want = [oracles.orbit_survives(z, name, iterations, threshold, early_exit) for z in cells]
         assert got == want
 
@@ -201,7 +201,7 @@ def no_traps(monkeypatch):
 
     def run(function, *args):
         with monkeypatch.context() as m:
-            m.setattr(_kernels, "_trap", lambda code, threshold: None)
+            m.setattr(_kernels, "_trap", lambda mapping, threshold: None)
             m.setattr(_kernels, "OVERFLOW_IM", math.inf)
             m.setattr(_kernels, "MANDELBROT_INTERIOR_THRESHOLD", math.inf)
             return function(*args)
@@ -230,6 +230,18 @@ class TestTrapsKeepTheFullIteration:
                 assert np.array_equal(fast.mask, full.mask), (threshold, region)
                 for padded in (True, False):
                     assert format_points(fast, padded) == format_points(full, padded)
+
+
+class TestStepFactors:
+    @pytest.mark.parametrize("mapping, exact", [(COS, np.cos), (SIN, np.sin)], ids=["cos", "sin"])
+    def test_factors_give_the_map_of_a_complex_argument(self, mapping, exact):
+        # A sign flip of either factor gives a map with the same |z_n| on
+        # every orbit, -conj(cos z) say, which no mask or output byte shows.
+        x, y = np.meshgrid(np.linspace(-3.0, 3.0, 25), np.linspace(-2.0, 2.0, 17))
+        p, q = _kernels._factors(mapping, x)
+        z = exact(x + 1j * y)
+        np.testing.assert_allclose(p * np.cosh(y), z.real, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(q * np.sinh(y), z.imag, rtol=1e-13, atol=1e-15)
 
 
 def interior_edge(multiplier_radius, component):
@@ -261,7 +273,7 @@ class TestMandelbrotInterior:
         cells = interior_edge(radius, component)
         xs = np.array([c.real for c in cells])
         ys = np.array([c.imag for c in cells])
-        grid = _kernels.survive(xs, ys, _kernels.CODE_MANDELBROT, 10.0, early_exit, iterations)
+        grid = _kernels.survive(xs, ys, MANDELBROT, 10.0, early_exit, iterations)
         got = np.diagonal(grid).tolist()
         want = [oracles.quadratic_survives(0j, c, iterations, 10.0, early_exit) for c in cells]
         assert got == want
@@ -307,15 +319,15 @@ class TestOverflowDrop:
     @pytest.mark.parametrize("iterations", [0, 1, 2, 3, 50])
     @pytest.mark.parametrize("name", ["cos", "sin"])
     def test_cells_at_the_drop_match_the_orbit_oracle(self, name, iterations, threshold, early_exit):
-        code = {"cos": _kernels.CODE_COS, "sin": _kernels.CODE_SIN}[name]
-        got = kernel_cells(OVERFLOW_CELLS, code, iterations, threshold, early_exit)
+        mapping = {"cos": COS, "sin": SIN}[name]
+        got = kernel_cells(OVERFLOW_CELLS, mapping, iterations, threshold, early_exit)
         want = [oracles.orbit_survives(z, name, iterations, threshold, early_exit) for z in OVERFLOW_CELLS]
         assert got == want
 
     def test_an_orbit_below_the_drop_can_still_survive(self):
         # cos(710.4i) = cosh 710.4 is finite and real, and its orbit
         # stays on the real axis; one step further out it overflows
-        got = kernel_cells([710.4j, 711j], _kernels.CODE_COS, 50, 10.0, False)
+        got = kernel_cells([710.4j, 711j], COS, 50, 10.0, False)
         assert got == [True, False]
 
 
