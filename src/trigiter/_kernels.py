@@ -8,23 +8,28 @@ early exit every iterate z_0..z_N must stay below the threshold.
 The grid is flattened and each step computes only the orbits that can
 still survive, carrying their cell indices along.  With early exit an
 orbit is dropped as soon as it reaches the threshold, which already
-fails it.  Without early exit an orbit is dropped once a component is
-non-finite: for all three maps a non-finite state maps to a non-finite
-state, and a non-finite final iterate fails the final test, so the
-dropped orbit could never have survived.  The orbits that are kept run
-the same ufuncs on the same values as on the full grid, so a cell's
-outcome does not depend on which other cells share its tile, and the
-output bytes do not depend on how rows are split into tiles.
+fails it.  Without early exit a Mandelbrot orbit is dropped once a
+component is non-finite: a non-finite state maps to a non-finite state,
+and a non-finite final iterate fails the final test, so the dropped
+orbit could never have survived.  The orbits that are kept run the same
+ufuncs on the same values as on the full grid, so a cell's outcome does
+not depend on which other cells share its tile, and the output bytes do
+not depend on how rows are split into tiles.
 
-For cos and sin an orbit is also dropped as escaped, with early exit on
-or off, once |Im z| >= 711, before its cos and sin are evaluated.  cosh
-and sinh overflow past ln(2 DBL_MAX) ~ 710.476, and any product with an
-infinity is infinite or nan, so both components of the next iterate are
-non-finite whatever the real part is, and it fails every later test.
-This keeps libm off the huge real parts of escaping orbits, whose
-argument reduction costs about five times a small argument's.  With
-early exit and a threshold up to 711^2 the threshold test already drops
-these orbits, so the extra test is skipped.
+For cos and sin an orbit is dropped as escaped once |Im z| >= 711,
+before its cos and sin are evaluated.  cosh and sinh overflow past
+ln(2 DBL_MAX) ~ 710.476, and any product with an infinity is infinite or
+nan, so both components of the next iterate are non-finite whatever the
+real part is, and it fails every later test.  This keeps libm off the
+huge real parts of escaping orbits, whose argument reduction costs about
+five times a small argument's.  Without early exit this is the only drop
+test for cos and sin: a nan or infinite imaginary part fails it too, and
+the one other non-finite state it keeps, a non-finite real part with
+|Im z| < 711, steps to a nan imaginary part (cos and sin of it are nan)
+and is dropped one step later; the traps and the final test are false
+on non-finite values, so it cannot be counted as surviving in between.
+With early exit and a threshold up to 711^2 the threshold test already
+drops these orbits, so the extra test is skipped.
 
 The kernel takes the map objects themselves: TrigKind.COSINE,
 TrigKind.SINE or MANDELBROT.  cos z and sin z, z = x + iy, are
@@ -180,7 +185,8 @@ def survive(xs, ys, mapping, threshold, early_exit, iterations):
     cells = np.arange(a.size)
     mandelbrot = mapping is MANDELBROT
     trap = _trap(mapping, threshold)
-    overflow_drop = not mandelbrot and not (early_exit and threshold <= OVERFLOW_IM**2)
+    # without early exit the cos/sin drop test is the overflow test itself
+    overflow_drop = early_exit and not mandelbrot and threshold > OVERFLOW_IM**2
     with np.errstate(over="ignore", invalid="ignore"):
         if mandelbrot:
             cr, ci = a, b
@@ -194,9 +200,11 @@ def survive(xs, ys, mapping, threshold, early_exit, iterations):
         for step in range(iterations):
             if early_exit:
                 keep = a * a + b * b < threshold
-            else:
+            elif mandelbrot:
                 keep = np.isfinite(a)
                 keep &= np.isfinite(b)
+            else:
+                keep = np.abs(b) < OVERFLOW_IM
             if overflow_drop:
                 keep &= np.abs(b) < OVERFLOW_IM
             if trap is not None:

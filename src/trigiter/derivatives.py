@@ -3,8 +3,8 @@
 The chain rule collapses the first derivative of an n-fold cos or sin
 iterate into a product over the forward orbit.  Higher derivatives of an
 m-factor product follow from the Leibniz rule, applied one factor at a
-time.  The second derivative at 0 of a cosine iterate also has a closed
-product form.
+time.  The second derivative at 0 of a cosine iterate is, by the chain
+rule, minus the first derivative at 1 of the next lower iterate.
 """
 
 from __future__ import annotations
@@ -74,17 +74,14 @@ def product_nth_derivative(factors: Sequence[Sequence[Any]], order: int) -> Any:
 def second_derivative_at_zero(order: int) -> float:
     """Second derivative at 0 of the order-m cosine iterate.
 
-    Equals (-1)^m times the product of sin over the first m-1 cosine
-    iterates of 1; the magnitude decays geometrically in m.  Order 1
-    gives plain cos'' at 0, which is -1.
+    By the chain rule, (cos^m)''(0) = -(cos^(m-1))'(1), since the first
+    step sends 0 to 1 with slope 0 and curvature -1: (-1)^m times the
+    product of sin over the first m-1 cosine iterates of 1.  The
+    magnitude decays geometrically in m.  Order 1 gives plain cos'' at
+    0, which is -1.
     """
     _check_count(order, "order", 1)
-    p = 1.0
-    x = 1.0
-    for _ in range(order - 1):
-        p *= math.sin(x)
-        x = math.cos(x)
-    return p if order % 2 == 0 else -p
+    return -iterated_derivative(TrigKind.COSINE, order - 1, 1.0)
 
 
 def extrema_locations(kind: TrigKind, order: int, periods: int = 1) -> list[float]:

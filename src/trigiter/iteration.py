@@ -2,7 +2,8 @@
 
 The cosine map has a single real fixed point (the Dottie number), which
 attracts every real orbit.  This module provides the iteration engine,
-two fixed-point solvers, an extended-precision solver, and closed forms
+a double-precision fixed-point solver with a plain cosine step or a
+Newton step, an extended-precision solver, and closed forms
 for the range of high-order cosine iterates, the sine iterate envelope,
 and the spacing of fixed-point-level crossings.
 """
@@ -160,29 +161,24 @@ def dottie(
         )
     _check_count(max_iterations, "max_iterations", 1)
 
-    best = math.inf
     if method is SolverMethod.FIXED_POINT:
         x = 0.0
-        fx = math.cos(x)
-        for k in range(1, max_iterations + 1):
-            nxt = fx
-            fnxt = math.cos(nxt)
-            residual = abs(fnxt - nxt)
-            best = min(best, residual)
-            if abs(nxt - x) <= tol and residual <= tol:
-                return FixedPointResult(nxt, k, residual, method)
-            x, fx = nxt, fnxt
+        step = lambda x, fx: fx
     elif method is SolverMethod.NEWTON:
         x = 0.75
-        for k in range(1, max_iterations + 1):
-            nxt = x + (math.cos(x) - x) / (1.0 + math.sin(x))
-            residual = abs(math.cos(nxt) - nxt)
-            best = min(best, residual)
-            if abs(nxt - x) <= tol and residual <= tol:
-                return FixedPointResult(nxt, k, residual, method)
-            x = nxt
+        step = lambda x, fx: x + (fx - x) / (1.0 + math.sin(x))
     else:
         raise ValueError(f"unknown method {method!r}")
+    best = math.inf
+    fx = math.cos(x)
+    for k in range(1, max_iterations + 1):
+        nxt = step(x, fx)
+        fnxt = math.cos(nxt)
+        residual = abs(fnxt - nxt)
+        best = min(best, residual)
+        if abs(nxt - x) <= tol and residual <= tol:
+            return FixedPointResult(nxt, k, residual, method)
+        x, fx = nxt, fnxt
     raise ConvergenceError(
         f"no fixed point to tolerance {tol:g} within {max_iterations} iterations; "
         f"best residual {best:g}"

@@ -4,7 +4,9 @@ A series is a finite coefficient tuple plus a tail bound: an estimate of
 the sup-norm, on |x| <= 1, of everything the truncation discards.
 Products convolve coefficients, composition substitutes one series into
 another at full degree before cropping, and both propagate tail bounds
-so Horner evaluation comes with an error estimate.
+so Horner evaluation comes with an error estimate.  Composition carries
+the inner tail bound through with constant 1: the outer series is cos
+or sin, which are 1-Lipschitz on the reals.
 
 The estimate is not a proof.  It is computed in plain floats, and it
 does not count the rounding of the coefficients: against mpmath at 40
@@ -44,14 +46,12 @@ class TailBoundError(ValueError):
 
 def _exp_tail(magnitude: float, order: int) -> float:
     # sum_{k > order} magnitude^k / k!, bounded by the geometric tail
-    # head / (1 - magnitude / (order + 2)); requires magnitude < order + 2.
+    # head / (1 - magnitude / (order + 2)); requires magnitude < order + 2,
+    # which compose's TailBoundError check and the base series (magnitude 1) keep.
     head = 1.0
     for k in range(1, order + 2):
         head *= magnitude / k
-    ratio = magnitude / (order + 2)
-    if ratio >= 1.0:
-        return math.inf
-    return head / (1.0 - ratio)
+    return head / (1.0 - magnitude / (order + 2))
 
 
 @dataclass(frozen=True)
@@ -136,22 +136,23 @@ class PowerSeries:
         return PowerSeries(coeffs, a.tail_bound + b.tail_bound)
 
 
-def cos_series(order: int = 16) -> PowerSeries:
-    """Maclaurin series of cos truncated at the given order."""
+def _trig_series(kind: TrigKind, order: int) -> PowerSeries:
+    # cos keeps the even powers (from k = 0), sin the odd ones (from k = 1)
     _check_count(order, "order", 0, MAX_TRUNCATION)
     coeffs = [0.0] * (order + 1)
-    for k in range(0, order + 1, 2):
+    for k in range(0 if kind is TrigKind.COSINE else 1, order + 1, 2):
         coeffs[k] = (-1.0) ** (k // 2) / math.factorial(k)
     return PowerSeries(tuple(coeffs), _exp_tail(1.0, order))
+
+
+def cos_series(order: int = 16) -> PowerSeries:
+    """Maclaurin series of cos truncated at the given order."""
+    return _trig_series(TrigKind.COSINE, order)
 
 
 def sin_series(order: int = 17) -> PowerSeries:
     """Maclaurin series of sin truncated at the given order."""
-    _check_count(order, "order", 0, MAX_TRUNCATION)
-    coeffs = [0.0] * (order + 1)
-    for k in range(1, order + 1, 2):
-        coeffs[k] = (-1.0) ** (k // 2) / math.factorial(k)
-    return PowerSeries(tuple(coeffs), _exp_tail(1.0, order))
+    return _trig_series(TrigKind.SINE, order)
 
 
 def cauchy_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -173,12 +174,7 @@ def cauchy_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return PowerSeries(kept, tail)
 
 
-def compose(
-    outer: PowerSeries,
-    inner: PowerSeries,
-    *,
-    lipschitz: float | None = None,
-) -> PowerSeries:
+def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """Substitute `inner` into `outer`, truncated at the lower of their orders.
 
     Powers of `inner` are accumulated at full polynomial degree and only
@@ -188,11 +184,10 @@ def compose(
     C = 1.  Requires outer.order + 1 > the inner magnitude bound, else
     the error estimate diverges and TailBoundError is raised.
 
-    `lipschitz` optionally supplies a known derivative bound for the
-    outer function on the real values `inner` can reach; it controls how
-    the inner tail bound transports through the composition.  Without
-    it, the conservative envelope estimate C * e^M is used, which
-    compounds quickly in repeated composition; cos and sin admit 1.
+    The inner tail bound is carried into the result with constant 1, so
+    `outer` must stand for a 1-Lipschitz function on the real values
+    `inner` can reach.  cos and sin, the only outer series this package
+    builds, are 1-Lipschitz on the reals.
     """
     result_order = min(outer.order, inner.order)
     magnitude = inner.l1_norm() + inner.tail_bound
@@ -228,12 +223,7 @@ def compose(
     kept = tuple(float(c) for c in acc[: result_order + 1])
     dropped = float(np.abs(acc[result_order + 1 :]).sum())
 
-    transport = envelope * math.exp(magnitude) if lipschitz is None else float(lipschitz)
-    tail = (
-        envelope * _exp_tail(magnitude, outer.order)
-        + transport * inner.tail_bound
-        + dropped
-    )
+    tail = envelope * _exp_tail(magnitude, outer.order) + inner.tail_bound + dropped
     return PowerSeries(kept, tail)
 
 
@@ -252,10 +242,8 @@ def iterated_series(kind: TrigKind, order: int, truncation: int) -> PowerSeries:
         # cropped to the constant 0, the identity keeps |x| <= 1 as its tail
         return PowerSeries.identity(max(truncation, 1)).truncate(truncation)
     working = max(truncation, 30)
-    base = cos_series(working) if kind is TrigKind.COSINE else sin_series(working)
+    base = _trig_series(kind, working)
     series = base
     for _ in range(order - 1):
-        # cos and sin are 1-Lipschitz on the reals, so inner error does
-        # not amplify from one composition to the next
-        series = compose(base, series, lipschitz=1.0)
+        series = compose(base, series)
     return series.truncate(truncation)

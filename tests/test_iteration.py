@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from decimal import Decimal
@@ -67,18 +68,20 @@ class TestIterate:
                 iterate(SIN, 4, x), abs=1e-12
             )
 
-    def test_complex_matches_cmath(self):
-        import cmath
-
+    @pytest.mark.parametrize(
+        "kind, f", [(COS, cmath.cos), (SIN, cmath.sin)], ids=["cos", "sin"]
+    )
+    def test_complex_matches_cmath(self, kind, f):
         rng = random.Random(17)
         for _ in range(30):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            got = iterate(COS, 3, z)
-            want = cmath.cos(cmath.cos(cmath.cos(z)))
-            assert got == pytest.approx(want, rel=1e-12)
+            assert iterate(kind, 3, z) == pytest.approx(f(f(f(z))), rel=1e-12)
 
-    def test_complex_overflow_returns_nonfinite(self):
-        value = iterate(COS, 2, complex(0.0, 800.0))
+    @pytest.mark.parametrize(
+        "kind, start", [(COS, 800j), (SIN, 3 + 800j)], ids=["cos", "sin"]
+    )
+    def test_complex_overflow_returns_nonfinite(self, kind, start):
+        value = iterate(kind, 2, start)
         assert isinstance(value, complex)
         assert not (math.isfinite(value.real) and math.isfinite(value.imag))
 
@@ -142,6 +145,11 @@ class TestDottie:
             dottie(float("1e-400"))  # underflows to zero
         with pytest.raises(ValueError):
             dottie(math.nan)
+
+    @pytest.mark.parametrize("exponent", range(1, 16))
+    def test_fixed_point_value_is_the_cosine_orbit_of_zero(self, exponent):
+        result = dottie(10.0**-exponent)
+        assert result.value == iterate(COS, result.iterations, 0.0)
 
     def test_iteration_cap_names_best_residual(self):
         with pytest.raises(ConvergenceError, match="best residual"):
