@@ -5,16 +5,37 @@ membership rule: the squared magnitude of the final iterate must be
 below the threshold, and a non-finite iterate counts as escaped.  With
 early exit every iterate z_0..z_N must stay below the threshold.
 
-The grid is flattened and each step computes only the orbits that can
+The grid is flattened and the kernel computes only the orbits that can
 still survive, carrying their cell indices along.  With early exit an
-orbit is dropped as soon as it reaches the threshold, which already
-fails it.  Without early exit a Mandelbrot orbit is dropped once a
-component is non-finite: a non-finite state maps to a non-finite state,
-and a non-finite final iterate fails the final test, so the dropped
-orbit could never have survived.  The orbits that are kept run the same
-ufuncs on the same values as on the full grid, so a cell's outcome does
-not depend on which other cells share its tile, and the output bytes do
-not depend on how rows are split into tiles.
+orbit is dropped once it reaches the threshold, which already fails it.
+The orbits that are kept run the same ufuncs on the same values as on
+the full grid, so a cell's outcome does not depend on which other cells
+share its tile, and the output bytes do not depend on how rows are
+split into tiles.
+
+A cos or sin step costs libm calls, so those orbits are compacted on
+every step.  A Mandelbrot step is a few multiplications and additions,
+so there the fixed cost of the array calls dominates, and the live
+orbits are compacted only every COMPACTION_STRIDE = 8 steps; in between
+the dropped orbits are still computed and their results ignored.  With
+early exit a boolean mask carries the test between compactions, and it
+is sticky, `live &= |z|^2 < threshold`: below threshold 4 an orbit can
+come back under the threshold after it has failed, and a nan fails `<`.
+Without early exit an orbit is dropped, at a compaction, once a
+component is non-finite: a non-finite state steps to a non-finite state
+and fails the final test, so it could never survive.  The final test is
+`live & (|z_N|^2 < threshold)`.  Each cell's iterates are the ones the
+full grid computes, up to the sign of a zero component (see below), and
+every test sees the same magnitudes as when each step compacted, so no
+outcome can change.  The step reuses a*a and b*b, as (a*a - b*b) + cr,
+and keeps the imaginary part as (2.0 * a) * b + ci: a*b + a*b differs
+from that in the last bit when the product is subnormal.
+
+A Mandelbrot orbit starts at z_1 = c, not at z_0 = 0, and runs N - 1
+steps.  z_0 = 0 passes every test, as the threshold is positive, so only
+z_1..z_N are tested, and with N = 0 every cell survives.  The first step
+from 0 could only differ from c in the sign of a zero component, which no
+magnitude test sees.
 
 For cos and sin an orbit is dropped as escaped once |Im z| >= 711,
 before its cos and sin are evaluated.  cosh and sinh overflow past
@@ -115,6 +136,9 @@ _PETAL_REACH = 1.5
 _PETAL_SLOPE = 0.49
 _MULTIPLIER_BOUND = 1.0 - 1e-3
 
+# Mandelbrot steps between two compactions of the live orbits.
+COMPACTION_STRIDE = 8
+
 
 def _in_dottie_rectangle(a, b):
     inside = np.abs(a) <= _RECTANGLE_RE
@@ -183,26 +207,16 @@ def survive(xs, ys, mapping, threshold, early_exit, iterations):
     a, b = a.ravel(), b.ravel()
     alive = np.zeros(a.size, dtype=bool)
     cells = np.arange(a.size)
-    mandelbrot = mapping is MANDELBROT
-    trap = _trap(mapping, threshold)
-    # without early exit the cos/sin drop test is the overflow test itself
-    overflow_drop = early_exit and not mandelbrot and threshold > OVERFLOW_IM**2
     with np.errstate(over="ignore", invalid="ignore"):
-        if mandelbrot:
-            cr, ci = a, b
-            if threshold > MANDELBROT_INTERIOR_THRESHOLD and _meets_interior_box(xs, ys):
-                inside = _in_mandelbrot_interior(cr, ci)
-                alive[inside] = True
-                outside = ~inside
-                cr, ci, cells = cr[outside], ci[outside], cells[outside]
-            a = np.zeros_like(cr)
-            b = np.zeros_like(ci)
+        if mapping is MANDELBROT:
+            _survive_mandelbrot(xs, ys, a, b, alive, cells, threshold, early_exit, iterations)
+            return alive.reshape(shape)
+        trap = _trap(mapping, threshold)
+        # without early exit the drop test is the overflow test itself
+        overflow_drop = early_exit and threshold > OVERFLOW_IM**2
         for step in range(iterations):
             if early_exit:
                 keep = a * a + b * b < threshold
-            elif mandelbrot:
-                keep = np.isfinite(a)
-                keep &= np.isfinite(b)
             else:
                 keep = np.abs(b) < OVERFLOW_IM
             if overflow_drop:
@@ -212,24 +226,53 @@ def survive(xs, ys, mapping, threshold, early_exit, iterations):
                 if trapped.any():
                     alive[cells[trapped]] = True
                     keep &= ~trapped
-            first = step == 0 and not mandelbrot
-            if first:
+            if step == 0:
                 # z_1 of every cell, ravelled like z_0, so the step-0 compaction applies to it
                 p, q = _factors(mapping, xs)
                 a = np.multiply.outer(p, np.cosh(ys)).ravel()
                 b = np.multiply.outer(q, np.sinh(ys)).ravel()
             if not keep.all():
                 a, b, cells = a[keep], b[keep], cells[keep]
-                if mandelbrot:
-                    cr, ci = cr[keep], ci[keep]
                 if not cells.size:
                     break
-            if first:
+            if step == 0:
                 continue
-            if mandelbrot:
-                a, b = a * a - b * b + cr, 2.0 * a * b + ci
-            else:
-                p, q = _factors(mapping, a)
-                a, b = p * np.cosh(b), q * np.sinh(b)
+            p, q = _factors(mapping, a)
+            a, b = p * np.cosh(b), q * np.sinh(b)
         alive[cells] = a * a + b * b < threshold
     return alive.reshape(shape)
+
+
+def _survive_mandelbrot(xs, ys, cr, ci, alive, cells, threshold, early_exit, iterations):
+    """Set `alive` for the parameters cr + i ci of the tile with axes xs, ys."""
+    if iterations == 0:
+        alive[:] = True
+        return
+    if threshold > MANDELBROT_INTERIOR_THRESHOLD and _meets_interior_box(xs, ys):
+        inside = _in_mandelbrot_interior(cr, ci)
+        alive[inside] = True
+        outside = ~inside
+        cr, ci, cells = cr[outside], ci[outside], cells[outside]
+    a, b = cr, ci  # z_1; the steps below never write into cr and ci
+    live = np.ones(cells.size, dtype=bool)
+    for step in range(1, iterations):
+        if step % COMPACTION_STRIDE == 0:
+            if not early_exit:
+                live = np.isfinite(a)
+                live &= np.isfinite(b)
+            if not live.all():
+                a, b, cr, ci, cells = a[live], b[live], cr[live], ci[live], cells[live]
+                if not cells.size:
+                    return
+                live = np.ones(cells.size, dtype=bool)
+        aa, bb = a * a, b * b
+        if early_exit:
+            live &= aa + bb < threshold
+        # (aa - bb) + cr and 2.0 * a * b + ci, the same roundings with fewer temporaries
+        b2 = 2.0 * a
+        b2 *= b
+        b2 += ci
+        aa -= bb
+        aa += cr
+        a, b = aa, b2
+    alive[cells] = live & (a * a + b * b < threshold)

@@ -196,7 +196,9 @@ MAX_GRID = math.isqrt(_SCAN_BUDGET_BYTES // (52 + 1))
 
 # A scan's work in cell-steps: grid * grid cells per iteration plus the
 # fixed cost of the kernel's array calls in each step, counted as 1024
-# cells (a dense cell-step takes about 35 ns, the fixed cost 9-50 us).
+# cells.  On orbits that run every step, a cell-step takes 15-30 ns for
+# cos and sin and 4-6 ns for Mandelbrot (8-13 ns when it compacted on
+# every step), the fixed cost 4-12 us per step (2-vCPU Xeon, numpy 2.4).
 # The budget, 10-40 s of one thread's kernel time, admits the legacy
 # scanner's 50 iterations at MAX_GRID; it is checked before allocation.
 # It stays the worst case: an orbit that enters a kernel trap stops

@@ -270,6 +270,30 @@ class TestScanCommands:
         expected = scan(ScanRegion(complex(-2, -1.5), complex(1, 1.5), 7), MANDELBROT)
         assert out == format_points(expected.points, padded=False)
 
+    def test_one_parser_serves_successive_commands(self, capsys):
+        import trigiter.cli as cli
+        from trigiter import EscapeParams, format_points
+
+        base = ["mandelbrot", "--region", "-2,-1.5,1,1.5", "--grid", "9", "--threshold", "2", "--iterations", "9"]
+        outputs = [run_cli(capsys, [*base, "--early-exit"]), run_cli(capsys, base)]
+        region = ScanRegion(complex(-2, -1.5), complex(1, 1.5), 9)
+        for early_exit, (code, out, err) in zip((True, False), outputs):
+            expected = scan(region, MANDELBROT, EscapeParams(9, 2.0, early_exit))
+            assert (code, out, err) == (0, format_points(expected), "")
+        assert outputs[0][1] != outputs[1][1]
+        code, out, err = run_cli(capsys, [*base, "--grid", "1"])
+        assert code == 1 and out == ""
+        assert "--grid" in err
+        assert cli._build_parser.cache_info().currsize == 1
+
+    def test_legacy_builds_no_parser(self, capsys, monkeypatch):
+        import trigiter.cli as cli
+
+        monkeypatch.setattr(cli, "_build_parser", None)  # building it would raise TypeError
+        code, out, _ = run_cli(capsys, ["legacy", "-2.5", "-2.5", "2.5", "2.5", "5", "cos"])
+        assert code == 0
+        assert out == GOLDEN.read_text()
+
     def test_early_exit_flag_drops_transients(self, capsys):
         base = ["julia", "--f", "cos", "--region", "0,2.9,0,3.1", "--grid", "3"]
         _, normal, _ = run_cli(capsys, base)

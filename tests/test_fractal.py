@@ -154,14 +154,17 @@ class TestActiveSetKernel:
     # below |z| = 1 many bounded orbits cross the threshold and come back,
     # so early exit changes the outcome of some cells
     @pytest.mark.parametrize("threshold", [10.0, 1.0])
-    def test_mandelbrot_scans_match_scalar_oracle(self, monkeypatch, threshold, early_exit, tile_cells):
-        params = EscapeParams(iterations=60, threshold_sq=threshold, early_exit=early_exit)
+    # orbits are compacted every COMPACTION_STRIDE = 8 steps: counts on
+    # both sides of the first two compactions, and none at all
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 7, 8, 9, 15, 16, 17, 60], ids=lambda n: f"n{n}")
+    def test_mandelbrot_scans_match_scalar_oracle(self, monkeypatch, iterations, threshold, early_exit, tile_cells):
+        params = EscapeParams(iterations=iterations, threshold_sq=threshold, early_exit=early_exit)
         whole = {r: scan_raw(*r, MANDELBROT, params) for r in self.REGIONS}
         monkeypatch.setattr(fractal, "_TILE_CELLS", tile_cells)
         rows = record_tiles(monkeypatch)
         for region in self.REGIONS:
             ps = scan_raw(*region, MANDELBROT, params)
-            expected = oracles.quadratic_scan(*region, None, 60, threshold, early_exit)
+            expected = oracles.quadratic_scan(*region, None, iterations, threshold, early_exit)
             assert format_points(ps) == expected, region
             assert np.array_equal(ps.mask, whole[region].mask)
             assert format_points(ps, padded=False) == format_points(whole[region], padded=False)
@@ -169,6 +172,13 @@ class TestActiveSetKernel:
             assert rows[:5] == [5, 5, 5, 5, 3]
         if tile_cells == 1:
             assert rows == [1] * sum(r[-1] for r in self.REGIONS)
+
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    def test_an_escaped_orbit_that_returns_stays_escaped(self, early_exit):
+        # from c = -1.5, z_1 = -1.5 is past threshold 1 and z_2 = 0.75 is back below it
+        params = EscapeParams(iterations=2, threshold_sq=1.0, early_exit=early_exit)
+        assert oracles.quadratic_survives(0j, -1.5, 2, 1.0, early_exit) is not early_exit
+        assert point_survives(-1.5 + 0j, MANDELBROT, params) is not early_exit
 
 
 class TestDeterminism:

@@ -3,14 +3,21 @@
     python3 tools/bench_scan.py --baseline REV [--repeats 5] > BENCH_scan.json
 
 REV is extracted with `git archive` into a temporary directory.  Each
-tree runs in its own long-lived process, and the two are timed in turn
+tree runs in its own long-lived process, and this checkout runs in a
+second one as well, for an A/A comparison.  The three are timed in turn
 on `scan_raw` for cos and sin over [-2.5, 2.5]^2 (50 iterations) and the
 Mandelbrot family over [-2, 1] x [-1.5, 1.5] (200 iterations), threshold
-10, at grids 250, 500 and 1000, early exit off and on, 1 and 2 workers.
-Each configuration gets one warm-up call per tree, then `--repeats`
-timed calls per tree, alternating which tree goes first, so host drift
-falls on both trees alike.  The median and the quartiles are recorded,
-with the host and both commits.
+10, at grids 250, 500 and 1000, early exit off and on, 1 and 2 workers;
+and on the Mandelbrot boundary window of centre -0.1 + 1.0i and
+half-width 0.3 (300 iterations, early exit, grid 250), where most orbits
+neither escape early nor enter a trap.  Each configuration gets one
+warm-up call per process, then `--repeats` timed calls per process,
+rotating which goes first, so host drift falls on all of them alike.
+The median and the quartiles are recorded per process, and per
+configuration the ratio of the change's median to the parent's beside
+the ratio of the two processes of this checkout: a change ratio is
+resolved only where it lies further from 1 than that A/A ratio.  The
+host and both commits are recorded too.
 """
 
 from __future__ import annotations
@@ -32,18 +39,25 @@ SCANS = {
     "cos": ((-2.5, -2.5, 2.5, 2.5), 50),
     "sin": ((-2.5, -2.5, 2.5, 2.5), 50),
     "mandelbrot": ((-2.0, -1.5, 1.0, 1.5), 200),
+    "mandelbrot-boundary": ((-0.4, 0.7, 0.2, 1.3), 300),
 }
 GRIDS = (250, 500, 1000)
 
 
 def configurations() -> list[dict]:
-    return [
-        {"map": name, "grid": grid, "iterations": iterations, "early_exit": early_exit, "workers": workers}
-        for name, (_, iterations) in SCANS.items()
+    full = [
+        {"map": name, "grid": grid, "iterations": SCANS[name][1], "early_exit": early_exit, "workers": workers}
+        for name in ("cos", "sin", "mandelbrot")
         for grid in GRIDS
         for early_exit in (False, True)
         for workers in (1, 2)
     ]
+    boundary = [
+        {"map": "mandelbrot-boundary", "grid": 250, "iterations": SCANS["mandelbrot-boundary"][1],
+         "early_exit": True, "workers": workers}
+        for workers in (1, 2)
+    ]
+    return full + boundary
 
 
 def serve() -> None:
@@ -52,7 +66,7 @@ def serve() -> None:
 
     from trigiter import MANDELBROT, EscapeParams, TrigKind, scan_raw
 
-    maps = {"cos": TrigKind.COSINE, "sin": TrigKind.SINE, "mandelbrot": MANDELBROT}
+    maps = {"cos": TrigKind.COSINE, "sin": TrigKind.SINE, "mandelbrot": MANDELBROT, "mandelbrot-boundary": MANDELBROT}
     for line in sys.stdin:
         config = json.loads(line)
         region, iterations = SCANS[config["map"]]
@@ -87,24 +101,35 @@ class Tree:
         self.proc.wait()
 
 
-def time_trees(trees: dict[str, Tree], repeats: int) -> list[dict]:
-    """Rows of timings for every configuration and tree, the trees alternating."""
+def time_trees(trees: dict[str, Tree], repeats: int) -> tuple[list[dict], list[dict]]:
+    """Rows of timings for every configuration and process, and the ratios of their medians.
+
+    The processes take turns, and which one goes first rotates with the repeat.
+    """
     rows = {name: [] for name in trees}
+    ratios = []
+    names = list(trees)
     for config in configurations():
         times = {name: [] for name in trees}
         for tree in trees.values():
             tree.time(config)
         for repeat in range(repeats):
-            order = list(trees) if repeat % 2 == 0 else list(trees)[::-1]
-            for name in order:
+            first = repeat % len(names)
+            for name in names[first:] + names[:first]:
                 times[name].append(trees[name].time(config))
+        medians = {}
         for name in trees:
-            q1, median, q3 = statistics.quantiles(times[name], n=4, method="inclusive")
+            q1, medians[name], q3 = statistics.quantiles(times[name], n=4, method="inclusive")
             rows[name].append({
-                "tree": name, **config, "median_s": round(median, 4), "q1_s": round(q1, 4),
+                "tree": name, **config, "median_s": round(medians[name], 4), "q1_s": round(q1, 4),
                 "q3_s": round(q3, 4), "repeats": repeats,
             })
-    return [row for name in trees for row in rows[name]]
+        ratios.append({
+            **config,
+            "change_over_parent": round(medians["change"] / medians["parent"], 3),
+            "aa_change_over_change": round(medians["change-aa"] / medians["change"], 3),
+        })
+    return [row for name in trees for row in rows[name]], ratios
 
 
 def git(*args: str) -> str:
@@ -149,9 +174,13 @@ def main() -> int:
         archive = subprocess.run(["git", "archive", baseline, "src"], cwd=ROOT, capture_output=True, check=True)
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
-        trees = {"parent": Tree(pathlib.Path(tmp) / "src"), "change": Tree(ROOT / "src")}
+        trees = {
+            "parent": Tree(pathlib.Path(tmp) / "src"),
+            "change": Tree(ROOT / "src"),
+            "change-aa": Tree(ROOT / "src"),
+        }
         try:
-            rows = time_trees(trees, args.repeats)
+            rows, ratios = time_trees(trees, args.repeats)
         finally:
             for tree in trees.values():
                 tree.close()
@@ -159,6 +188,7 @@ def main() -> int:
         "benchmark": "scan_raw wall time per call, seconds",
         "host": host(),
         "commits": {"parent": baseline, "change": change},
+        "ratios": ratios,
         "rows": rows,
     }
     json.dump(report, sys.stdout, indent=1)

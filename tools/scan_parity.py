@@ -5,6 +5,7 @@
 BASELINE_SRC is the `src` directory of the checkout to compare against,
 for example a `git archive` of the parent commit.  The script draws
 seeded random scans: cos, sin and Mandelbrot, early exit on and off,
+iteration counts on both sides of the Mandelbrot compaction points,
 thresholds on both sides of each kernel trap's enable bound, 1-4
 workers, default, ragged and one-row tiles, and corners that are signed
 zeros, subnormal, near the double range, infinite or nan.  Each checkout runs every scan
@@ -50,7 +51,8 @@ def draw_cases(count: int, seed: int) -> list[dict]:
         if rng.random() < 0.5:
             corners = [corners[2], corners[3], corners[0], corners[1]]  # descending
         tile = rng.choice(["default", "rows", "ragged"])
-        iterations = rng.choice([0, 1, 2, 3, 7, 50, 100, 300] + ([] if tile == "rows" else [1000]))
+        # 7-9, 16, 17 and 65 straddle the Mandelbrot kernel's compaction points, every 8 steps
+        iterations = rng.choice([0, 1, 2, 3, 7, 8, 9, 16, 17, 50, 65, 100, 300] + ([] if tile == "rows" else [1000]))
         cases.append({
             "name": name,
             "corners": corners,
