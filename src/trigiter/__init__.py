@@ -1,82 +1,12 @@
 """Iterated cosine and sine maps: fixed points, calculus, and escape-time scans."""
 
-from .derivatives import (
-    extrema_locations,
-    iterated_derivative,
-    product_nth_derivative,
-    second_derivative_at_zero,
-)
-from .fractal import (
-    MANDELBROT,
-    MAX_GRID,
-    EscapeParams,
-    PointSet,
-    ScanRegion,
-    format_point,
-    format_points,
-    point_survives,
-    scan,
-    scan_raw,
-)
-from .iteration import (
-    DOTTIE,
-    ConvergenceError,
-    FixedPointResult,
-    RangeBound,
-    SolverMethod,
-    TrigKind,
-    cos_range,
-    dottie,
-    dottie_digits,
-    intersection_distances,
-    iterate,
-    sin_envelope,
-)
-from .series import (
-    PowerSeries,
-    TailBoundError,
-    cauchy_product,
-    compose,
-    cos_series,
-    iterated_series,
-    sin_series,
-)
+from . import derivatives, fractal, iteration, series
+from .derivatives import *  # noqa: F403
+from .fractal import *  # noqa: F403
+from .iteration import *  # noqa: F403
+from .series import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DOTTIE",
-    "MANDELBROT",
-    "MAX_GRID",
-    "ConvergenceError",
-    "EscapeParams",
-    "FixedPointResult",
-    "PointSet",
-    "PowerSeries",
-    "RangeBound",
-    "ScanRegion",
-    "SolverMethod",
-    "TailBoundError",
-    "TrigKind",
-    "cauchy_product",
-    "compose",
-    "cos_range",
-    "cos_series",
-    "dottie",
-    "dottie_digits",
-    "extrema_locations",
-    "format_point",
-    "format_points",
-    "intersection_distances",
-    "iterate",
-    "iterated_derivative",
-    "iterated_series",
-    "point_survives",
-    "product_nth_derivative",
-    "scan",
-    "scan_raw",
-    "second_derivative_at_zero",
-    "sin_envelope",
-    "sin_series",
-    "__version__",
-]
+# Each public name is declared once, in its module's __all__.
+__all__ = derivatives.__all__ + fractal.__all__ + iteration.__all__ + series.__all__ + ["__version__"]

@@ -56,11 +56,20 @@ The kernel takes the map objects themselves: TrigKind.COSINE,
 TrigKind.SINE or MANDELBROT.  cos z and sin z, z = x + iy, are
 p(x) cosh y + i q(x) sinh y, with (p, q) = (cos x, -sin x) for cos and
 (sin x, cos x) for sin, and one helper gives (p, q) for every step.
-The first step is formed from the axes: p and q once per row, cosh and
-sinh once per column, and one product of those values per cell and
-component, the product the full grid computes.  It replaces the grid
-values before the step-0 compaction, so that one gather compacts z_1
-and the grid values are never compacted.
+
+Every orbit starts at z_1, formed from the axes, and runs N - 1 steps.
+For cos and sin z_1 takes p and q once per row, cosh and sinh once per
+column, and one product of those values per cell and component, the
+product the full grid computes.  z_0 is tested only by early exit, and
+by the final test when N = 0; its |z_0|^2 is the outer sum of the
+squared axes, which rounds twice, as a*a + b*b on the grid does.  z_0
+needs no trap test and no overflow test.  Every trap is sent into
+itself, so a trapped z_0 has a trapped z_1, which the first test in the
+loop catches before z_2 is computed (with N = 1 it passes the final
+test).  |Im z_0| >= 711 makes z_1 non-finite, at x = 0 through
+0 * inf = nan, and the drop test at z_1 or the final test rejects it.
+Only the Mandelbrot helper builds the grid of cells, as only it needs
+c for each of them.
 
 An orbit is also dropped, and marked as surviving, once it enters a
 trap: a region its map sends into itself, in which every point is below
@@ -202,19 +211,29 @@ def _factors(mapping, x):
 
 def survive(xs, ys, mapping, threshold, early_exit, iterations):
     """Boolean survival grid, shape (len(xs), len(ys)), [real, imag] indexed."""
-    a, b = np.meshgrid(xs, ys, indexing="ij")
-    shape = a.shape
-    a, b = a.ravel(), b.ravel()
-    alive = np.zeros(a.size, dtype=bool)
-    cells = np.arange(a.size)
+    shape = (len(xs), len(ys))
+    alive = np.zeros(shape[0] * shape[1], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         if mapping is MANDELBROT:
-            _survive_mandelbrot(xs, ys, a, b, alive, cells, threshold, early_exit, iterations)
+            _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations)
             return alive.reshape(shape)
+        if early_exit or not iterations:
+            # |z_0|^2 with the two roundings of a*a + b*b on the grid
+            keep = np.add.outer(xs * xs, ys * ys).ravel() < threshold
+            if not iterations:
+                return keep.reshape(shape)
+        p, q = _factors(mapping, xs)
+        a = np.multiply.outer(p, np.cosh(ys)).ravel()  # z_1
+        b = np.multiply.outer(q, np.sinh(ys)).ravel()
+        cells = np.arange(a.size)
+        if early_exit and not keep.all():
+            a, b, cells = a[keep], b[keep], cells[keep]
         trap = _trap(mapping, threshold)
         # without early exit the drop test is the overflow test itself
         overflow_drop = early_exit and threshold > OVERFLOW_IM**2
-        for step in range(iterations):
+        for _ in range(1, iterations):
+            if not cells.size:
+                break
             if early_exit:
                 keep = a * a + b * b < threshold
             else:
@@ -226,28 +245,21 @@ def survive(xs, ys, mapping, threshold, early_exit, iterations):
                 if trapped.any():
                     alive[cells[trapped]] = True
                     keep &= ~trapped
-            if step == 0:
-                # z_1 of every cell, ravelled like z_0, so the step-0 compaction applies to it
-                p, q = _factors(mapping, xs)
-                a = np.multiply.outer(p, np.cosh(ys)).ravel()
-                b = np.multiply.outer(q, np.sinh(ys)).ravel()
             if not keep.all():
                 a, b, cells = a[keep], b[keep], cells[keep]
-                if not cells.size:
-                    break
-            if step == 0:
-                continue
             p, q = _factors(mapping, a)
             a, b = p * np.cosh(b), q * np.sinh(b)
         alive[cells] = a * a + b * b < threshold
     return alive.reshape(shape)
 
 
-def _survive_mandelbrot(xs, ys, cr, ci, alive, cells, threshold, early_exit, iterations):
-    """Set `alive` for the parameters cr + i ci of the tile with axes xs, ys."""
+def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
+    """Set `alive` for the parameters of the tile with axes xs, ys."""
     if iterations == 0:
         alive[:] = True
         return
+    cr, ci = (c.ravel() for c in np.meshgrid(xs, ys, indexing="ij"))
+    cells = np.arange(cr.size)
     if threshold > MANDELBROT_INTERIOR_THRESHOLD and _meets_interior_box(xs, ys):
         inside = _in_mandelbrot_interior(cr, ci)
         alive[inside] = True

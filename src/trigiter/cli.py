@@ -401,19 +401,16 @@ def _merge_dashed_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "legacy":
-        try:
-            return _run_legacy(argv[1:])
-        except Exception as exc:  # mirror the classic catch-all
-            print(f"internal error: {exc}", file=sys.stderr)
-            return 2
-    parser = _build_parser()
-    args = parser.parse_args(_merge_dashed_values(argv))
+        command, args = _run_legacy, argv[1:]
+    else:
+        args = _build_parser().parse_args(_merge_dashed_values(argv))
+        command = args.func
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, ConvergenceError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except Exception as exc:
+    except Exception as exc:  # mirror the classic catch-all
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,15 +32,11 @@ def iterated_derivative(kind: TrigKind, order: int, at: float) -> float:
     """
     _check_count(order, "order")
     x = float(at)
+    step, slope = (math.cos, lambda t: -math.sin(t)) if kind is TrigKind.COSINE else (math.sin, math.cos)
     p = 1.0
-    if kind is TrigKind.COSINE:
-        for _ in range(order):
-            p *= -math.sin(x)
-            x = math.cos(x)
-    else:
-        for _ in range(order):
-            p *= math.cos(x)
-            x = math.sin(x)
+    for _ in range(order):
+        p *= slope(x)
+        x = step(x)
     return p
 
 

@@ -331,6 +331,26 @@ class TestEscapeParams:
         assert point_survives(4.0 + 0.0j, COS, params) is False
 
 
+class TestStartPoint:
+    # |3|^2 = 9 reaches threshold 5, and every later cos iterate lies in
+    # [-1, 1]: only the test of z_0 itself can reject the orbit.
+    @pytest.mark.parametrize("tile_cells", [1, None], ids=["one-row", "default"])
+    @pytest.mark.parametrize("iterations", [1, 2, 50])
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    def test_early_exit_tests_the_start_point(self, monkeypatch, early_exit, iterations, tile_cells):
+        if tile_cells is not None:
+            monkeypatch.setattr(fractal, "_TILE_CELLS", tile_cells)
+        params = EscapeParams(iterations, 5.0, early_exit)
+        want = not early_exit
+        assert oracles.orbit_survives(3.0 + 0j, "cos", iterations, 5.0, early_exit) is want
+        assert point_survives(3.0 + 0j, COS, params) is want
+        # rows 0, 1, 2, 3: only row 3 starts past the threshold
+        ps = scan_raw(0.0, 0.0, 3.0, 1.0, 4, COS, params)
+        assert ps.xs[3] == 3.0 and ps.ys[0] == 0.0
+        assert ps.mask[3, 0] == want
+        assert ps.mask[:3, 0].all()
+
+
 class TestRealAxisCoverage:
     @pytest.mark.parametrize("kind", [COS, SIN])
     def test_odd_grid_hits_exact_real_axis(self, kind):

@@ -296,11 +296,13 @@ class TestMandelbrotInterior:
             assert not test(corners, corners[::-1]).any()
 
 
-# Imaginary parts at the overflow drop, one double either side, and
-# where cosh is still finite; real parts where sin is 0, small and large.
+# Imaginary parts at the overflow drop, one double either side, where
+# cosh is still finite, and past its overflow; real parts where sin is 0,
+# small and large.  A start past the overflow meets no overflow test: its
+# first step from the axes is non-finite, at x = 0 through 0 * inf = nan.
 OVERFLOW_CELLS = [
     complex(x, s * y)
-    for y in (_kernels.OVERFLOW_IM, math.nextafter(711.0, 0), math.nextafter(711.0, 800), 710.4)
+    for y in (_kernels.OVERFLOW_IM, math.nextafter(711.0, 0), math.nextafter(711.0, 800), 710.4, 710.5, 800.0)
     for s in (1, -1)
     for x in (0.0, 1e-3, 0.5, -2.0, 3.0)
 ]

@@ -8,7 +8,8 @@ seeded random scans: cos, sin and Mandelbrot, early exit on and off,
 iteration counts on both sides of the Mandelbrot compaction points,
 thresholds on both sides of each kernel trap's enable bound, 1-4
 workers, default, ragged and one-row tiles, and corners that are signed
-zeros, subnormal, near the double range, infinite or nan.  Each checkout runs every scan
+zeros, subnormal, near the double range, near the overflow of cosh and
+sinh, infinite or nan.  Each checkout runs every scan
 in its own process and reports the SHA-256 of the mask and of both
 output layouts; the script prints the scans whose digests differ and
 exits 1 if there are any.
@@ -29,7 +30,9 @@ import sys
 MAPS = ("cos", "sin", "mandelbrot")
 TRAP_BOUNDS = {"cos": (1.17, 1.81), "sin": (2.8,), "mandelbrot": (4.0,)}
 CORNERS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
-           math.inf, -math.inf, math.nan)
+           math.inf, -math.inf, math.nan,
+           # an imaginary part past about 710.476 overflows cosh and sinh
+           710.5, -710.5, 711.0, -711.0, 712.0, -712.0)
 
 
 def draw_cases(count: int, seed: int) -> list[dict]:
