@@ -35,7 +35,7 @@ from .series import MAX_TRUNCATION, TailBoundError, iterated_series
 
 # Caps on the count flags, each checked where its flag is parsed.  A map
 # step takes 0.1-0.5 us, so MAX_STEPS steps take under a second; a series
-# composition 1.5 ms at working order 30 and 0.15 s at MAX_TRUNCATION;
+# composition 0.5 ms at working order 30 and 0.06 s at MAX_TRUNCATION;
 # an extremum line 18 us to print, up to four per period.
 MAX_STEPS = 10**6
 MAX_SERIES_ORDER = 100
@@ -294,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--digits",
         type=_count("digits", 1, MAX_DIGITS),
         default=None,
-        help="print this many digits via extended precision instead (max 64)",
+        help="print this many proven digits instead (max 64)",
     )
     p.set_defaults(func=_cmd_dottie)
 

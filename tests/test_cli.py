@@ -468,6 +468,7 @@ class TestEntryPoints:
             "import sys\n"
             "import trigiter.cli\n"
             "assert 'mpmath' not in sys.modules, 'importing trigiter.cli imported mpmath'\n"
+            "assert 'decimal' not in sys.modules, 'importing trigiter.cli imported decimal'\n"
             "trigiter.cli.main(['dottie', '--digits', '20'])\n"
             "assert 'mpmath' in sys.modules\n"
         )

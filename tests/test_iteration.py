@@ -1,7 +1,9 @@
 import cmath
 import math
 import random
-from decimal import Decimal
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from decimal import ROUND_HALF_EVEN, Decimal
 
 import mpmath
 import pytest
@@ -19,6 +21,7 @@ from trigiter import (
     iterate,
     sin_envelope,
 )
+from trigiter import iteration
 from oracles import decimal_dottie
 
 COS = TrigKind.COSINE
@@ -178,6 +181,50 @@ class TestDottieDigits:
             dottie_digits(65)
         with pytest.raises(ValueError):
             dottie_digits(0)
+
+    @pytest.mark.parametrize("digits", range(1, iteration.MAX_DIGITS + 1))
+    def test_every_digit_count_is_the_correctly_rounded_oracle(self, digits):
+        oracle = decimal_dottie(90)
+        expected = oracle.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN)
+        assert dottie_digits(digits) == str(expected)
+
+    def test_enclosure_holds_the_oracle_and_is_narrow(self):
+        # the 90-digit oracle is off by about 1e-90, wider than the enclosure, so take 120 digits
+        oracle = decimal_dottie(120)
+        lower, upper = iteration._dottie_enclosure()
+        assert lower <= oracle <= upper
+        assert upper - lower < Decimal(10) ** -(iteration.MAX_DIGITS + 10)
+
+    def test_newton_enclosure_of_a_box_around_the_root(self):
+        oracle = decimal_dottie(120)
+        lower, upper = iteration._newton_enclosure(str(oracle), "1e-80")
+        assert lower <= oracle <= upper
+        assert upper - lower < Decimal(10) ** -90
+
+    @pytest.mark.parametrize(
+        "offset, radius",
+        [("1e-50", "1e-70"), ("-1e-50", "1e-70"), ("0", "inf")],
+        ids=["above", "below", "unbounded"],
+    )
+    def test_newton_enclosure_refuses_a_box_it_cannot_prove(self, offset, radius):
+        mid = str(decimal_dottie(120) + Decimal(offset))
+        with pytest.raises(ConvergenceError, match="proves no root"):
+            iteration._newton_enclosure(mid, radius)
+
+    def test_concurrent_first_calls_agree_and_leave_mpmath_precision(self):
+        before = mpmath.mp.prec, mpmath.iv.prec
+        iteration._dottie_enclosure.cache_clear()
+        start = threading.Barrier(4)
+
+        def first_call(_):
+            start.wait()
+            return dottie_digits(64)
+
+        with ThreadPoolExecutor(4) as pool:
+            texts = list(pool.map(first_call, range(4)))
+        assert len(set(texts)) == 1
+        assert texts[0] == str(decimal_dottie(90).quantize(Decimal(1).scaleb(-64), rounding=ROUND_HALF_EVEN))
+        assert (mpmath.mp.prec, mpmath.iv.prec) == before
 
 
 class TestUniversalAttraction:

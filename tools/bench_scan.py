@@ -1,23 +1,33 @@
-"""Time scan_raw on a baseline commit and on this checkout; write BENCH_scan.json.
+"""Time scans or calculus calls on a baseline commit and on this checkout.
 
     python3 tools/bench_scan.py --baseline REV [--repeats 5] > BENCH_scan.json
+    python3 tools/bench_scan.py --baseline REV --section calculus > BENCH_calculus.json
 
 REV is extracted with `git archive` into a temporary directory.  Each
 tree runs in its own long-lived process, and this checkout runs in a
-second one as well, for an A/A comparison.  The three are timed in turn
-on `scan_raw` for cos and sin over [-2.5, 2.5]^2 (50 iterations) and the
-Mandelbrot family over [-2, 1] x [-1.5, 1.5] (200 iterations), threshold
-10, at grids 250, 500 and 1000, early exit off and on, 1 and 2 workers;
-and on the Mandelbrot boundary window of centre -0.1 + 1.0i and
-half-width 0.3 (300 iterations, early exit, grid 250), where most orbits
-neither escape early nor enter a trap.  Each configuration gets one
-warm-up call per process, then `--repeats` timed calls per process,
-rotating which goes first, so host drift falls on all of them alike.
-The median and the quartiles are recorded per process, and per
-configuration the ratio of the change's median to the parent's beside
-the ratio of the two processes of this checkout: a change ratio is
-resolved only where it lies further from 1 than that A/A ratio.  The
-host and both commits are recorded too.
+second one as well, for an A/A comparison.  The three are timed in turn.
+
+The scan section times `scan_raw` for cos and sin over [-2.5, 2.5]^2
+(50 iterations) and the Mandelbrot family over [-2, 1] x [-1.5, 1.5]
+(200 iterations), threshold 10, at grids 250, 500 and 1000, early exit
+off and on, 1 and 2 workers; and the Mandelbrot boundary window of
+centre -0.1 + 1.0i and half-width 0.3 (300 iterations, early exit, grid
+250), where most orbits neither escape early nor enter a trap.
+
+The calculus section times `dottie_digits` at 5 and 64 digits, once as
+the first call of a fresh process (its lazy imports and any one-time
+set-up included) and once as the mean of 100 later calls;
+`iterated_series` for cos at orders 2 and 12 and sin at order 6; and
+`product_nth_derivative` of 4, 8 and 10 seeded integer tables.
+
+Each configuration gets one warm-up call per process (none for a first
+call, which starts a fresh process for every timing), then `--repeats`
+timed calls per process, rotating which goes first, so host drift falls
+on all of them alike.  The median and the quartiles are recorded per
+process, and per configuration the ratio of the change's median to the
+parent's beside the ratio of the two processes of this checkout: a
+change ratio is resolved only where it lies further from 1 than that
+A/A ratio.  The host and both commits are recorded too.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import json
 import os
 import pathlib
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -44,7 +55,7 @@ SCANS = {
 GRIDS = (250, 500, 1000)
 
 
-def configurations() -> list[dict]:
+def scan_configurations() -> list[dict]:
     full = [
         {"map": name, "grid": grid, "iterations": SCANS[name][1], "early_exit": early_exit, "workers": workers}
         for name in ("cos", "sin", "mandelbrot")
@@ -60,26 +71,63 @@ def configurations() -> list[dict]:
     return full + boundary
 
 
+def calculus_configurations() -> list[dict]:
+    return (
+        [{"call": "dottie_digits", "digits": digits, "first_call": True} for digits in (5, 64)]
+        + [{"call": "dottie_digits", "digits": digits, "calls": 100} for digits in (5, 64)]
+        + [{"call": "iterated_series", "map": name, "order": order, "truncation": 30}
+           for name, order in (("cos", 2), ("cos", 12), ("sin", 6))]
+        + [{"call": "product_nth_derivative", "factors": factors, "order": order}
+           for factors, order in ((4, 12), (8, 12), (10, 6))]
+    )
+
+
+SECTIONS = {
+    "scan": ("scan_raw wall time per call, seconds", scan_configurations),
+    "calculus": ("library call wall time, seconds per call (first_call: the first call of a fresh process)",
+                 calculus_configurations),
+}
+
+
+def bind(trigiter, config: dict):
+    """The call without arguments that a configuration times."""
+    call = config.get("call", "scan_raw")
+    if call == "scan_raw":
+        region, iterations = SCANS[config["map"]]
+        mapping = trigiter.MANDELBROT if config["map"].startswith("mandelbrot") else trigiter.TrigKind.parse(config["map"])
+        params = trigiter.EscapeParams(iterations, 10.0, config["early_exit"])
+        return lambda: trigiter.scan_raw(*region, config["grid"], mapping, params, workers=config["workers"])
+    if call == "dottie_digits":
+        return lambda: trigiter.dottie_digits(config["digits"])
+    if call == "iterated_series":
+        kind = trigiter.TrigKind.parse(config["map"])
+        return lambda: trigiter.iterated_series(kind, config["order"], config["truncation"])
+    rng = random.Random(config["factors"] * 1000 + config["order"])
+    tables = [[rng.randint(-9, 9) for _ in range(config["order"] + 1)] for _ in range(config["factors"])]
+    return lambda: trigiter.product_nth_derivative(tables, config["order"])
+
+
 def serve() -> None:
-    """Answer each configuration read from stdin with the seconds of one scan_raw call."""
+    """Answer each configuration read from stdin with the seconds per call it takes."""
     import time
 
-    from trigiter import MANDELBROT, EscapeParams, TrigKind, scan_raw
+    import trigiter
 
-    maps = {"cos": TrigKind.COSINE, "sin": TrigKind.SINE, "mandelbrot": MANDELBROT, "mandelbrot-boundary": MANDELBROT}
     for line in sys.stdin:
         config = json.loads(line)
-        region, iterations = SCANS[config["map"]]
-        params = EscapeParams(iterations, 10.0, config["early_exit"])
+        work = bind(trigiter, config)
+        calls = config.get("calls", 1)
         start = time.perf_counter()
-        scan_raw(*region, config["grid"], maps[config["map"]], params, workers=config["workers"])
-        print(time.perf_counter() - start, flush=True)
+        for _ in range(calls):
+            work()
+        print((time.perf_counter() - start) / calls, flush=True)
 
 
 class Tree:
     """A process serving timings for one checkout's ``src``."""
 
     def __init__(self, src: pathlib.Path):
+        self.src = src
         self.proc = subprocess.Popen(
             [sys.executable, __file__, "--worker"],
             stdin=subprocess.PIPE,
@@ -89,6 +137,12 @@ class Tree:
         )
 
     def time(self, config: dict) -> float:
+        if config.get("first_call"):
+            fresh = Tree(self.src)
+            try:
+                return fresh.time({key: value for key, value in config.items() if key != "first_call"})
+            finally:
+                fresh.close()
         self.proc.stdin.write(json.dumps(config) + "\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
@@ -101,7 +155,11 @@ class Tree:
         self.proc.wait()
 
 
-def time_trees(trees: dict[str, Tree], repeats: int) -> tuple[list[dict], list[dict]]:
+def significant(seconds: float) -> float:
+    return float(f"{seconds:.4g}")
+
+
+def time_trees(trees: dict[str, Tree], configs: list[dict], repeats: int) -> tuple[list[dict], list[dict]]:
     """Rows of timings for every configuration and process, and the ratios of their medians.
 
     The processes take turns, and which one goes first rotates with the repeat.
@@ -109,10 +167,11 @@ def time_trees(trees: dict[str, Tree], repeats: int) -> tuple[list[dict], list[d
     rows = {name: [] for name in trees}
     ratios = []
     names = list(trees)
-    for config in configurations():
+    for config in configs:
         times = {name: [] for name in trees}
-        for tree in trees.values():
-            tree.time(config)
+        if not config.get("first_call"):
+            for tree in trees.values():
+                tree.time(config)
         for repeat in range(repeats):
             first = repeat % len(names)
             for name in names[first:] + names[:first]:
@@ -121,8 +180,8 @@ def time_trees(trees: dict[str, Tree], repeats: int) -> tuple[list[dict], list[d
         for name in trees:
             q1, medians[name], q3 = statistics.quantiles(times[name], n=4, method="inclusive")
             rows[name].append({
-                "tree": name, **config, "median_s": round(medians[name], 4), "q1_s": round(q1, 4),
-                "q3_s": round(q3, 4), "repeats": repeats,
+                "tree": name, **config, "median_s": significant(medians[name]), "q1_s": significant(q1),
+                "q3_s": significant(q3), "repeats": repeats,
             })
         ratios.append({
             **config,
@@ -158,6 +217,7 @@ def host() -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", help="git revision to compare against")
+    parser.add_argument("--section", choices=SECTIONS, default="scan", help="what to time (default: scan)")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -168,6 +228,7 @@ def main() -> int:
         parser.error("--baseline is required")
     if args.repeats < 2:
         parser.error("--repeats must be at least 2, for the quartiles")
+    benchmark, configurations = SECTIONS[args.section]
     baseline = git("rev-parse", args.baseline)
     change = git("rev-parse", "HEAD") + ("+uncommitted" if git("status", "--porcelain", "--", "src") else "")
     with tempfile.TemporaryDirectory() as tmp:
@@ -180,12 +241,12 @@ def main() -> int:
             "change-aa": Tree(ROOT / "src"),
         }
         try:
-            rows, ratios = time_trees(trees, args.repeats)
+            rows, ratios = time_trees(trees, configurations(), args.repeats)
         finally:
             for tree in trees.values():
                 tree.close()
     report = {
-        "benchmark": "scan_raw wall time per call, seconds",
+        "benchmark": benchmark,
         "host": host(),
         "commits": {"parent": baseline, "change": change},
         "ratios": ratios,
