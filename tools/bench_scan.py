@@ -72,6 +72,7 @@ def scan_configurations() -> list[dict]:
 
 
 def calculus_configurations() -> list[dict]:
+    # the calculus workload's sizes: its top series orders at its largest truncation, and its (8, 12) tail products
     return (
         [{"call": "dottie_digits", "digits": digits, "first_call": True} for digits in (5, 64)]
         + [{"call": "dottie_digits", "digits": digits, "calls": 100} for digits in (5, 64)]
