@@ -37,20 +37,19 @@ z_1..z_N are tested, and with N = 0 every cell survives.  The first step
 from 0 could only differ from c in the sign of a zero component, which no
 magnitude test sees.
 
-For cos and sin an orbit is dropped as escaped once |Im z| >= 711,
-before its cos and sin are evaluated.  cosh and sinh overflow past
-ln(2 DBL_MAX) ~ 710.476, and any product with an infinity is infinite or
-nan, so both components of the next iterate are non-finite whatever the
-real part is, and it fails every later test.  This keeps libm off the
-huge real parts of escaping orbits, whose argument reduction costs about
-five times a small argument's.  Without early exit this is the only drop
-test for cos and sin: a nan or infinite imaginary part fails it too, and
-the one other non-finite state it keeps, a non-finite real part with
-|Im z| < 711, steps to a nan imaginary part (cos and sin of it are nan)
-and is dropped one step later; the traps and the final test are false
-on non-finite values, so it cannot be counted as surviving in between.
-With early exit and a threshold up to 711^2 the threshold test already
-drops these orbits, so the extra test is skipped.
+Without early exit a cos or sin orbit is dropped as escaped once
+|Im z| >= 711, before its cos and sin are evaluated.  cosh and sinh
+overflow past ln(2 DBL_MAX) ~ 710.476, and any product with an infinity
+is infinite or nan, so both components of the next iterate are
+non-finite whatever the real part is, and it fails every later test.
+This keeps libm off the huge real parts of escaping orbits, whose
+argument reduction costs about five times a small argument's.  A nan or
+infinite imaginary part fails the test too; a non-finite real part with
+|Im z| < 711 steps to a nan imaginary part and is dropped one step
+later, and the traps and the final test are false on non-finite values.
+With early exit the threshold test is the only drop test: an orbit it
+keeps at |Im z| >= 711 steps to a non-finite iterate, which it or the
+final test rejects.
 
 The kernel takes the map objects themselves: TrigKind.COSINE,
 TrigKind.SINE or MANDELBROT.  cos z and sin z, z = x + iy, are
@@ -229,8 +228,6 @@ def survive(xs, ys, mapping, threshold, early_exit, iterations):
         if early_exit and not keep.all():
             a, b, cells = a[keep], b[keep], cells[keep]
         trap = _trap(mapping, threshold)
-        # without early exit the drop test is the overflow test itself
-        overflow_drop = early_exit and threshold > OVERFLOW_IM**2
         for _ in range(1, iterations):
             if not cells.size:
                 break
@@ -238,8 +235,6 @@ def survive(xs, ys, mapping, threshold, early_exit, iterations):
                 keep = a * a + b * b < threshold
             else:
                 keep = np.abs(b) < OVERFLOW_IM
-            if overflow_drop:
-                keep &= np.abs(b) < OVERFLOW_IM
             if trap is not None:
                 trapped = trap(a, b)
                 if trapped.any():

@@ -191,7 +191,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         bound = cos_range(args.n)
         lower, upper = bound.lower, bound.upper
     else:
-        half = sin_envelope(args.n)
+        # sin maps the reals onto [-1, 1], which sin^(n-1) maps onto [-s_(n-1), s_(n-1)]
+        half = 1.0 if args.n == 1 else sin_envelope(args.n - 1)
         lower, upper = -half, half
     print(f"lower={_fmt(lower)} upper={_fmt(upper)}")
     return 0
@@ -373,10 +374,10 @@ def _run_legacy(args: list[str]) -> int:
     return 0
 
 
-# Flags whose values may begin with a dash yet are not plain negative
-# numbers (comma-joined regions, complex literals).  argparse would read
-# such values as option strings, so they are merged into --flag=value form.
-_DASHED_VALUE_FLAGS = ("--region", "--v")
+# argparse reads a value that begins with a dash as an option string
+# unless it is a plain negative number such as -1 or -.5; exponents,
+# comma-joined regions and complex literals are not.  A dashed value after
+# any --flag is therefore merged into --flag=value form.
 _DASHED_VALUE = re.compile(r"-[\d.]")
 
 
@@ -386,7 +387,9 @@ def _merge_dashed_values(argv: list[str]) -> list[str]:
     while i < len(argv):
         token = argv[i]
         if (
-            token in _DASHED_VALUE_FLAGS
+            token.startswith("--")
+            and token != "--"
+            and "=" not in token
             and i + 1 < len(argv)
             and _DASHED_VALUE.match(argv[i + 1])
         ):

@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from typing import Any
 
-from .iteration import TrigKind, _check_count
+from .iteration import TrigKind, _check_count, _map_and_slope
 
 __all__ = [
     "iterated_derivative",
@@ -32,7 +32,7 @@ def iterated_derivative(kind: TrigKind, order: int, at: float) -> float:
     """
     _check_count(order, "order")
     x = float(at)
-    step, slope = (math.cos, lambda t: -math.sin(t)) if kind is TrigKind.COSINE else (math.sin, math.cos)
+    step, slope = _map_and_slope(kind)
     p = 1.0
     for _ in range(order):
         p *= slope(x)

@@ -109,6 +109,15 @@ def _sinh_inf(x: float) -> float:
         return math.copysign(math.inf, x)
 
 
+def _minus_sin(x: float) -> float:
+    return -math.sin(x)
+
+
+def _map_and_slope(kind: TrigKind):
+    """(f, f') for the map: (cos, -sin) or (sin, cos)."""
+    return (math.cos, _minus_sin) if kind is TrigKind.COSINE else (math.sin, math.cos)
+
+
 def _iterate_real(kind: TrigKind, order: int, x: float) -> float:
     f = math.cos if kind is TrigKind.COSINE else math.sin
     for _ in range(order):
@@ -119,18 +128,15 @@ def _iterate_real(kind: TrigKind, order: int, x: float) -> float:
 
 
 def _iterate_complex(kind: TrigKind, order: int, z: complex) -> complex:
-    # Componentwise form of complex cos/sin; overflow saturates to inf
-    # instead of raising, so an escaping orbit yields a non-finite value.
+    # cos z and sin z are f(x) cosh y + i f'(x) sinh y at z = x + iy;
+    # overflow saturates to inf instead of raising, so an escaping orbit
+    # yields a non-finite value.
+    f, slope = _map_and_slope(kind)
     a, b = z.real, z.imag
-    cosine = kind is TrigKind.COSINE
     for _ in range(order):
         if not (math.isfinite(a) and math.isfinite(b)):
             break
-        ch, sh = _cosh_inf(b), _sinh_inf(b)
-        if cosine:
-            a, b = math.cos(a) * ch, -math.sin(a) * sh
-        else:
-            a, b = math.sin(a) * ch, math.cos(a) * sh
+        a, b = f(a) * _cosh_inf(b), slope(a) * _sinh_inf(b)
     return complex(a, b)
 
 

@@ -84,11 +84,6 @@ class PowerSeries:
         return len(self.coefficients) - 1
 
     @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        """The constant 1 padded to the given truncation order."""
-        return cls((1.0,) + (0.0,) * order)
-
-    @classmethod
     def identity(cls, order: int) -> "PowerSeries":
         """The series of x itself padded to the given truncation order."""
         _check_count(order, "order", 1)
@@ -120,11 +115,6 @@ class PowerSeries:
             )
         dropped = sum(abs(c) for c in self.coefficients[order + 1 :])
         return PowerSeries(self.coefficients[: order + 1], self.tail_bound + dropped)
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return cauchy_product(self, other)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
@@ -177,17 +167,16 @@ def cauchy_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """Substitute `inner` into `outer`, truncated at the lower of their orders.
 
-    Powers of `inner` are accumulated at full polynomial degree and only
-    cropped at the end.  The tail bound assumes the outer function's
-    dropped coefficients keep decaying factorially, |c_k| <= C / k! with
-    C read off the stored coefficients; cos and sin satisfy this with
-    C = 1.  Requires outer.order + 1 > the inner magnitude bound, else
-    the error estimate diverges and TailBoundError is raised.
+    `outer` must be a cos or sin series, as cos_series and sin_series
+    build.  The tail estimate relies on two properties of cos and sin:
+    their Maclaurin coefficients obey |c_k| <= C / k! with C = 1, and
+    they are 1-Lipschitz on the reals, so the inner tail bound is
+    carried into the result with constant 1.  For any other outer series
+    the estimate does not hold.
 
-    The inner tail bound is carried into the result with constant 1, so
-    `outer` must stand for a 1-Lipschitz function on the real values
-    `inner` can reach.  cos and sin, the only outer series this package
-    builds, are 1-Lipschitz on the reals.
+    Powers of `inner` are accumulated at full polynomial degree and only
+    cropped at the end.  Requires outer.order + 1 > the inner magnitude
+    bound, else the error estimate diverges and TailBoundError is raised.
     """
     result_order = min(outer.order, inner.order)
     magnitude = inner.l1_norm() + inner.tail_bound
@@ -196,9 +185,6 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
             f"outer truncation order {outer.order} too small for inner magnitude "
             f"{magnitude:.6g}: the tail estimate needs order + 1 > magnitude"
         )
-    envelope = max(
-        [1.0] + [abs(c) * math.factorial(k) for k, c in enumerate(outer.coefficients)]
-    )
 
     inner_coeffs = np.asarray(inner.coefficients)
     acc = np.zeros(1)
@@ -223,7 +209,7 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     kept = tuple(float(c) for c in acc[: result_order + 1])
     dropped = float(np.abs(acc[result_order + 1 :]).sum())
 
-    tail = envelope * _exp_tail(magnitude, outer.order) + inner.tail_bound + dropped
+    tail = _exp_tail(magnitude, outer.order) + inner.tail_bound + dropped
     return PowerSeries(kept, tail)
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import sys
 import pytest
 
 import trigiter
-from trigiter import MANDELBROT, MAX_GRID, ScanRegion, dottie, dottie_digits, scan
+from trigiter import MANDELBROT, MAX_GRID, ScanRegion, TrigKind, dottie, dottie_digits, iterate, scan
 from trigiter.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_scan_5x5.txt"
@@ -176,6 +178,13 @@ class TestComputeCommands:
         assert code == 0
         assert out == "-0\n"
 
+    @pytest.mark.parametrize("check", [[], ["--check"]], ids=["plain", "check"])
+    def test_derivative_at_a_negative_exponent_value(self, capsys, check):
+        base = ["derivative", "--f", "cos", "--n", "2", "--x"]
+        got = run_cli(capsys, [*base, "-1e-3", *check])
+        assert got == run_cli(capsys, [*base, "-0.001", *check])
+        assert got[0] == 0 and got[1].startswith("-0.000841470574411")
+
     def test_derivative_check_lines(self, capsys):
         code, out, _ = run_cli(
             capsys, ["derivative", "--f", "cos", "--n", "3", "--x", "0.5", "--check"]
@@ -207,8 +216,21 @@ class TestComputeCommands:
             "lower=-1 upper=1\n"
         )
         assert run_cli(capsys, ["bounds", "--f", "sin", "--n", "2"])[1] == (
-            "lower=-0.7456241416655579 upper=0.7456241416655579\n"
+            "lower=-0.8414709848078965 upper=0.8414709848078965\n"
         )
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_sin_bounds_are_the_range_over_the_reals(self, capsys, n):
+        # sin^n attains its range at pi/2 and keeps every real start inside it
+        _, out, _ = run_cli(capsys, ["bounds", "--f", "sin", "--n", str(n)])
+        lower, upper = (part.split("=")[1] for part in out.split())
+        assert lower == "-" + upper
+        # both commands print at most 16 significant digits
+        peak = run_cli(capsys, ["iterate", "--f", "sin", "--n", str(n), "--v", repr(math.pi / 2)])[1]
+        assert peak == upper + "\n"
+        rng = random.Random(n)
+        for _ in range(200):
+            assert abs(iterate(TrigKind.SINE, n, rng.uniform(-10.0, 10.0))) <= float(upper) + 1e-16
 
     def test_extrema_lines(self, capsys):
         _, out, _ = run_cli(capsys, ["extrema", "--f", "sin", "--n", "2"])
@@ -426,6 +448,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["dottie", "--tol", "0"])
         assert code == 1
         assert "tolerance" in err
+
+    def test_negative_tolerance_in_exponent_form(self, capsys):
+        code, out, err = run_cli(capsys, ["dottie", "--tol", "-1e-3"])
+        assert code == 1
+        assert out == ""
+        assert "argument --tol" in err and "must be positive" in err
 
     def test_internal_error_in_subcommand(self, capsys, monkeypatch):
         import trigiter.cli as cli

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import oracles
@@ -176,6 +177,21 @@ class TestSecondDerivativeAtZero:
         for m in range(1, 10):
             value = second_derivative_at_zero(m)
             assert (value > 0) == (m % 2 == 0)
+
+    def test_ratio_converges_at_the_rate_of_the_orbit(self):
+        # r_m = -sin(cos^m(0)) and sin is 1-Lipschitz, so r_m is within
+        # |cos^m(0) - D| of -sin D: the paper's rate, read off the
+        # derivatives.  The slack, about 1 - cos D = 0.26 of that distance,
+        # covers r_m's float rounding (up to about m ulp) only to m ~ 75;
+        # the first observed failure is at m = 89.
+        with mpmath.workdps(60):
+            d = mpmath.findroot(lambda t: mpmath.cos(t) - t, mpmath.mpf("0.739"))
+            x = mpmath.mpf(0)
+            for m in range(1, 61):
+                x = mpmath.cos(x)
+                ratio = second_derivative_at_zero(m + 1) / second_derivative_at_zero(m)
+                assert ratio < 0.0
+                assert abs(ratio + mpmath.sin(d)) <= abs(x - d), m
 
     def test_validation(self):
         with pytest.raises(ValueError):

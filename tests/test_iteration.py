@@ -3,7 +3,7 @@ import math
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 import mpmath
 import pytest
@@ -26,6 +26,9 @@ from oracles import decimal_dottie
 
 COS = TrigKind.COSINE
 SIN = TrigKind.SINE
+# Arithmetic on the oracle's digits runs in this context, not in whatever
+# precision the calling thread's decimal context holds.
+WIDE = Context(prec=120)
 
 
 class TestIterate:
@@ -185,7 +188,7 @@ class TestDottieDigits:
     @pytest.mark.parametrize("digits", range(1, iteration.MAX_DIGITS + 1))
     def test_every_digit_count_is_the_correctly_rounded_oracle(self, digits):
         oracle = decimal_dottie(90)
-        expected = oracle.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN)
+        expected = oracle.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN, context=WIDE)
         assert dottie_digits(digits) == str(expected)
 
     def test_enclosure_holds_the_oracle_and_is_narrow(self):
@@ -207,7 +210,7 @@ class TestDottieDigits:
         ids=["above", "below", "unbounded"],
     )
     def test_newton_enclosure_refuses_a_box_it_cannot_prove(self, offset, radius):
-        mid = str(decimal_dottie(120) + Decimal(offset))
+        mid = str(WIDE.add(decimal_dottie(120), Decimal(offset)))
         with pytest.raises(ConvergenceError, match="proves no root"):
             iteration._newton_enclosure(mid, radius)
 
@@ -223,7 +226,8 @@ class TestDottieDigits:
         with ThreadPoolExecutor(4) as pool:
             texts = list(pool.map(first_call, range(4)))
         assert len(set(texts)) == 1
-        assert texts[0] == str(decimal_dottie(90).quantize(Decimal(1).scaleb(-64), rounding=ROUND_HALF_EVEN))
+        expected = decimal_dottie(90).quantize(Decimal(1).scaleb(-64), rounding=ROUND_HALF_EVEN, context=WIDE)
+        assert texts[0] == str(expected)
         assert (mpmath.mp.prec, mpmath.iv.prec) == before
 
 

@@ -7,10 +7,10 @@ for example a `git archive` of the parent commit.  The script draws
 seeded random scans: cos, sin and Mandelbrot, early exit on and off,
 iteration counts on both sides of the Mandelbrot compaction points,
 thresholds on both sides of each kernel trap's enable bound and above
-711^2 (where early exit adds the kernel's |Im z| >= 711 drop), 1-4
-workers, default, ragged and one-row tiles, and corners that are signed
-zeros, subnormal, near the double range, near the overflow of cosh and
-sinh, infinite or nan.  Each checkout runs every scan
+711^2 (where an early-exit orbit can pass the threshold test at
+|Im z| >= 711), 1-4 workers, default, ragged and one-row tiles, and
+corners that are signed zeros, subnormal, near the double range, near
+the overflow of cosh and sinh, infinite or nan.  Each checkout runs every scan
 in its own process and reports the SHA-256 of the mask and of both
 output layouts; the script prints the scans whose digests differ and
 exits 1 if there are any.
@@ -45,7 +45,7 @@ def draw_cases(count: int, seed: int) -> list[dict]:
         threshold = rng.choice(
             [bound - 1e-2, bound - 2**-40, bound, bound + 2**-40, bound + 1e-2]
             + [10 ** rng.uniform(-2.0, 0.5), rng.uniform(0.5, 100.0)]
-            + [1e6, 1e300]  # above 711**2, where early exit adds the |Im z| >= 711 drop
+            + [1e6, 1e300]  # above 711**2, where early exit can keep an orbit at |Im z| >= 711
         )
         cx, cy = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
         half = 10 ** rng.uniform(-4, 0.5)
