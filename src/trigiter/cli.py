@@ -61,8 +61,8 @@ def _atof(text: str) -> float:
 
 
 def _fmt(x: float) -> str:
-    """Shortest decimal string that round-trips, capped at 16 significant digits."""
-    for precision in range(1, 17):
+    """Shortest decimal string that parses back to `x`: at most 17 significant digits, nan as is."""
+    for precision in range(1, 18):
         s = "%.*g" % (precision, x)
         if float(s) == x:
             return s
@@ -155,18 +155,17 @@ def _cmd_dottie(args: argparse.Namespace) -> int:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
-    value = iterate(TrigKind.parse(args.f), args.n, args.v)
+    value = iterate(args.f, args.n, args.v)
     print(_fmt_value(value))
     return 0
 
 
 def _cmd_derivative(args: argparse.Namespace) -> int:
-    kind = TrigKind.parse(args.f)
-    value = iterated_derivative(kind, args.n, args.x)
+    value = iterated_derivative(args.f, args.n, args.x)
     print(_fmt(value))
     if args.check:
         h = 1e-6
-        fd = (iterate(kind, args.n, args.x + h) - iterate(kind, args.n, args.x - h)) / (2 * h)
+        fd = (iterate(args.f, args.n, args.x + h) - iterate(args.f, args.n, args.x - h)) / (2 * h)
         print(f"finite-difference: {_fmt(fd)}")
         print(f"difference: {abs(value - fd):.3e}")
     return 0
@@ -174,11 +173,11 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     try:
-        series = iterated_series(TrigKind.parse(args.f), args.order, args.terms)
+        series = iterated_series(args.f, args.order, args.terms)
     except TailBoundError as exc:
         # the error speaks of the working truncation, which no flag sets
         raise ValueError(
-            f"argument --order: --f {args.f} --order {args.order} --terms {args.terms} has no"
+            f"argument --order: --f {args.f.value} --order {args.order} --terms {args.terms} has no"
             " tail estimate: it diverges from this --order on, for any --terms; use a lower --order"
         ) from exc
     print(" ".join(f"c{k}={_fmt(c)}" for k, c in enumerate(series.coefficients)))
@@ -186,8 +185,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    kind = TrigKind.parse(args.f)
-    if kind is TrigKind.COSINE:
+    if args.f is TrigKind.COSINE:
         bound = cos_range(args.n)
         lower, upper = bound.lower, bound.upper
     else:
@@ -199,7 +197,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_extrema(args: argparse.Namespace) -> int:
-    for locus in extrema_locations(TrigKind.parse(args.f), args.n, args.periods):
+    for locus in extrema_locations(args.f, args.n, args.periods):
         print(_fmt(locus))
     return 0
 
@@ -211,23 +209,15 @@ def _write_blocks(result, padded: bool = True) -> None:
         sys.stdout.write(format_points(block, padded=padded))
 
 
-def _run_scan(args: argparse.Namespace, mapping) -> int:
+def _cmd_scan(args: argparse.Namespace) -> int:
     x1, y1, x2, y2 = args.region
     cap = _max_iterations(args.grid)
     _check_count(args.iterations, f"--iterations at --grid {args.grid}", 0, cap)
     params = EscapeParams(args.iterations, args.threshold, args.early_exit)
     region = ScanRegion(complex(x1, y1), complex(x2, y2), args.grid)
-    result = scan(region, mapping, params, workers=args.workers)
+    result = scan(region, args.f, params, workers=args.workers)
     _write_blocks(result, padded=(args.format == "gnuplot"))
     return 0
-
-
-def _cmd_julia(args: argparse.Namespace) -> int:
-    return _run_scan(args, TrigKind.parse(args.f))
-
-
-def _cmd_mandelbrot(args: argparse.Namespace) -> int:
-    return _run_scan(args, MANDELBROT)
 
 
 def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
@@ -246,13 +236,13 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--iterations",
         type=_count("iterations", 0, MAX_ITERATIONS),
-        default=50,
+        default=EscapeParams.iterations,
         help="orbit length; the cap shrinks with the grid (default %(default)s)",
     )
     parser.add_argument(
         "--threshold",
         type=_finite("threshold", True),
-        default=10.0,
+        default=EscapeParams.threshold_sq,
         help="escape bound on the squared magnitude (default %(default)s)",
     )
     parser.add_argument(
@@ -282,7 +272,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trigiter", description="Iterated cosine and sine toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("dottie", help="solve cos(x) = x")
+    def command(name: str, summary: str, func, maps: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        if maps:  # the one declaration of --f: every handler receives a TrigKind
+            p.add_argument("--f", required=True, type=_flag(TrigKind.parse), metavar="{cos,sin}")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("dottie", "solve cos(x) = x", _cmd_dottie, maps=False)
     tol = _finite("tolerance", True)
     p.add_argument("--tol", type=tol, default=1e-12, help="tolerance (default %(default)s)")
     p.add_argument(
@@ -297,48 +294,33 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="print this many proven digits instead (max 64)",
     )
-    p.set_defaults(func=_cmd_dottie)
 
-    p = sub.add_parser("iterate", help="apply cos or sin n times")
-    p.add_argument("--f", required=True, choices=("cos", "sin"))
+    p = command("iterate", "apply cos or sin n times", _cmd_iterate)
     p.add_argument("--n", required=True, type=_count("order", 0, MAX_STEPS), help="iteration count")
     p.add_argument("--v", type=_flag(_parse_value), default=0.0, help="real or complex start")
-    p.set_defaults(func=_cmd_iterate)
 
-    p = sub.add_parser("derivative", help="closed-form iterate derivative")
-    p.add_argument("--f", required=True, choices=("cos", "sin"))
+    p = command("derivative", "closed-form iterate derivative", _cmd_derivative)
     p.add_argument("--n", required=True, type=_count("order", 0, MAX_STEPS))
     p.add_argument("--x", required=True, type=_finite("x"))
     p.add_argument("--check", action="store_true", help="print a finite-difference cross-check")
-    p.set_defaults(func=_cmd_derivative)
 
-    p = sub.add_parser("series", help="Maclaurin coefficients of an iterate")
-    p.add_argument("--f", required=True, choices=("cos", "sin"))
+    p = command("series", "Maclaurin coefficients of an iterate", _cmd_series)
     order, terms = _count("order", 0, MAX_SERIES_ORDER), _count("truncation", 0, MAX_TRUNCATION)
     p.add_argument("--order", required=True, type=order, help="iteration count")
     p.add_argument("--terms", required=True, type=terms, help="truncation order")
-    p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("bounds", help="range of an iterate")
-    p.add_argument("--f", required=True, choices=("cos", "sin"))
+    p = command("bounds", "range of an iterate", _cmd_bounds)
     p.add_argument("--n", required=True, type=_count("order", 1, MAX_STEPS))
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("extrema", help="extrema loci of an iterate")
-    p.add_argument("--f", required=True, choices=("cos", "sin"))
+    p = command("extrema", "extrema loci of an iterate", _cmd_extrema)
     p.add_argument("--n", required=True, type=_count("order", 1, MAX_STEPS))
     periods = _count("periods", 1, MAX_PERIODS)
     p.add_argument("--periods", type=periods, default=1, help="half-width in multiples of pi")
-    p.set_defaults(func=_cmd_extrema)
 
-    p = sub.add_parser("julia", help="escape-time scan of a trig map")
-    p.add_argument("--f", required=True, choices=("cos", "sin"))
+    _add_scan_flags(command("julia", "escape-time scan of a trig map", _cmd_scan))
+    p = command("mandelbrot", "escape-time scan of z*z + c", _cmd_scan, maps=False)
     _add_scan_flags(p)
-    p.set_defaults(func=_cmd_julia)
-
-    p = sub.add_parser("mandelbrot", help="escape-time scan of z*z + c")
-    _add_scan_flags(p)
-    p.set_defaults(func=_cmd_mandelbrot)
+    p.set_defaults(f=MANDELBROT)
 
     sub.add_parser(
         "legacy",
@@ -365,10 +347,11 @@ def _run_legacy(args: list[str]) -> int:
     if grid > MAX_GRID:
         print(f"Grid ({grid_text}) must be <= {MAX_GRID}", file=sys.stderr)
         return 1
-    if name not in ("sin", "cos"):
+    try:
+        kind = TrigKind.parse(name)
+    except ValueError:
         print(f"Type sin or cos but not {name}", file=sys.stderr)
         return 1
-    kind = TrigKind.COSINE if name == "cos" else TrigKind.SINE
     result = scan_raw(x1, y1, x2, y2, grid, kind)
     _write_blocks(result)
     return 0
@@ -376,28 +359,19 @@ def _run_legacy(args: list[str]) -> int:
 
 # argparse reads a value that begins with a dash as an option string
 # unless it is a plain negative number such as -1 or -.5; exponents,
-# comma-joined regions and complex literals are not.  A dashed value after
-# any --flag is therefore merged into --flag=value form.
-_DASHED_VALUE = re.compile(r"-[\d.]")
+# comma-joined regions, complex literals, -inf and -nan are not.  A dashed
+# value after any --flag is therefore merged into --flag=value form.
+_DASHED_VALUE = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
 
 
 def _merge_dashed_values(argv: list[str]) -> list[str]:
-    merged = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if (
-            token.startswith("--")
-            and token != "--"
-            and "=" not in token
-            and i + 1 < len(argv)
-            and _DASHED_VALUE.match(argv[i + 1])
-        ):
-            merged.append(f"{token}={argv[i + 1]}")
-            i += 2
-            continue
-        merged.append(token)
-        i += 1
+    merged: list[str] = []
+    for token in argv:
+        flag = merged[-1] if merged else ""
+        if _DASHED_VALUE.match(token) and flag.startswith("--") and flag != "--" and "=" not in flag:
+            merged[-1] = f"{flag}={token}"
+        else:
+            merged.append(token)
     return merged
 
 

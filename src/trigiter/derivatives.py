@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from typing import Any
 
-from .iteration import TrigKind, _check_count, _map_and_slope
+from .iteration import TrigKind, _check_count, _check_kind, _map_and_slope
 
 __all__ = [
     "iterated_derivative",
@@ -30,6 +30,7 @@ def iterated_derivative(kind: TrigKind, order: int, at: float) -> float:
     contributes -sin(x_k), each sine step cos(x_k).  Order 0
     differentiates the identity, giving 1.
     """
+    _check_kind(kind)
     _check_count(order, "order")
     x = float(at)
     step, slope = _map_and_slope(kind)
@@ -90,6 +91,7 @@ def extrema_locations(kind: TrigKind, order: int, periods: int = 1) -> list[floa
     pi/2 for cosine iterates of order >= 2, and multiples of pi for
     plain cosine.  The interval is open at both ends.
     """
+    _check_kind(kind)
     _check_count(order, "order", 1)
     _check_count(periods, "periods", 1)
     if kind is TrigKind.SINE:

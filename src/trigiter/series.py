@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iteration import TrigKind, _check_count
+from .iteration import TrigKind, _check_count, _check_kind
 
 __all__ = [
     "PowerSeries",
@@ -222,6 +222,7 @@ def iterated_series(kind: TrigKind, order: int, truncation: int) -> PowerSeries:
     powers; sine iterates only odd ones.  `truncation` is at most
     MAX_TRUNCATION.
     """
+    _check_kind(kind)
     _check_count(order, "order")
     _check_count(truncation, "truncation", 0, MAX_TRUNCATION)
     if order == 0:

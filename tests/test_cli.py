@@ -10,7 +10,9 @@ import sys
 import pytest
 
 import trigiter
-from trigiter import MANDELBROT, MAX_GRID, ScanRegion, TrigKind, dottie, dottie_digits, iterate, scan
+from trigiter import (
+    MANDELBROT, MAX_GRID, ScanRegion, TrigKind, dottie, dottie_digits, iterate, scan, sin_envelope,
+)
 from trigiter.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_scan_5x5.txt"
@@ -165,13 +167,13 @@ class TestComputeCommands:
     def test_iterate_complex(self, capsys):
         code, out, _ = run_cli(capsys, ["iterate", "--f", "cos", "--n", "1", "--v", "1+2j"])
         assert code == 0
-        assert out == "2.032723007019666-3.0518977991518j\n"
+        assert out == "2.0327230070196656-3.0518977991518j\n"
 
     def test_iterate_negative_complex_value(self, capsys):
         # a leading dash in the value must not be mistaken for a flag
         code, out, _ = run_cli(capsys, ["iterate", "--f", "cos", "--n", "1", "--v", "-1+2j"])
         assert code == 0
-        assert out == "2.032723007019666+3.0518977991518j\n"
+        assert out == "2.0327230070196656+3.0518977991518j\n"
 
     def test_derivative_signed_zero(self, capsys):
         code, out, _ = run_cli(capsys, ["derivative", "--f", "cos", "--n", "1", "--x", "0"])
@@ -192,7 +194,7 @@ class TestComputeCommands:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 3
-        assert lines[0] == "-0.219936979839726"
+        assert lines[0] == "-0.21993697983972604"
         assert lines[1].startswith("finite-difference: ")
         assert lines[2].startswith("difference: ")
         assert float(lines[2].split(": ")[1]) < 1e-9
@@ -203,8 +205,8 @@ class TestComputeCommands:
         )
         assert code == 0
         assert out == (
-            "c0=0.5403023058681398 c1=0 c2=0.4207354924039483 c3=0"
-            " c4=-0.1025990792671798 c5=0 c6=-0.005105637776789517 c7=0"
+            "c0=0.5403023058681398 c1=0 c2=0.42073549240394825 c3=0"
+            " c4=-0.10259907926717984 c5=0 c6=-0.005105637776789517 c7=0"
             " c8=0.00492460646506231\n"
         )
 
@@ -225,7 +227,9 @@ class TestComputeCommands:
         _, out, _ = run_cli(capsys, ["bounds", "--f", "sin", "--n", str(n)])
         lower, upper = (part.split("=")[1] for part in out.split())
         assert lower == "-" + upper
-        # both commands print at most 16 significant digits
+        # the printed ends parse back to the computed envelope
+        assert float(upper) == (1.0 if n == 1 else sin_envelope(n - 1))
+        # both commands print the shortest text that parses back to the double
         peak = run_cli(capsys, ["iterate", "--f", "sin", "--n", str(n), "--v", repr(math.pi / 2)])[1]
         assert peak == upper + "\n"
         rng = random.Random(n)
@@ -234,7 +238,7 @@ class TestComputeCommands:
 
     def test_extrema_lines(self, capsys):
         _, out, _ = run_cli(capsys, ["extrema", "--f", "sin", "--n", "2"])
-        assert out == "-1.570796326794897\n1.570796326794897\n"
+        assert out == "-1.5707963267948966\n1.5707963267948966\n"
         _, out, _ = run_cli(capsys, ["extrema", "--f", "cos", "--n", "1", "--periods", "2"])
         assert out == "-3.141592653589793\n0\n3.141592653589793\n"
 

@@ -69,6 +69,28 @@ def test_refused_at_parse_naming_the_flag(argv, flag):
     assert seconds < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, flag, reason",
+    [
+        (["derivative", "--f", "cos", "--n", "2", "--x", "-inf"], "--x", "x must be finite"),
+        (["derivative", "--f", "cos", "--n", "2", "--x", "-Infinity"], "--x", "x must be finite"),
+        (["iterate", "--f", "cos", "--n", "2", "--v", "-nan"], "--v", "start value must be finite"),
+        (["iterate", "--f", "cos", "--n", "2", "--v", "-inf+1j"], "--v", "start value must be finite"),
+        (["julia", "--f", "cos", "--region", "-inf,0,1,1"], "--region", "region '-inf,0,1,1' has a non-finite"),
+        (["mandelbrot", "--threshold", "-NaN"], "--threshold", "threshold must be positive and finite"),
+        (["iterate", "--f", "tan", "--n", "2"], "--f", "unknown map 'tan'"),
+    ],
+    ids=["x-inf", "x-Infinity", "v-nan", "v-inf+1j", "region-inf", "threshold-NaN", "f-tan"],
+)
+def test_refused_with_the_flags_own_reason(argv, flag, reason):
+    # -inf and -nan after a flag are read as its value, not as an unknown option
+    code, out, err, _ = run(argv)
+    assert code == 1
+    assert out == ""
+    assert "expected one argument" not in err
+    assert f"argument {flag}: {reason}" in err.strip().splitlines()[-1]
+
+
 @pytest.mark.parametrize("method", ["fixed-point", "newton"])
 def test_too_few_dottie_iterations_name_the_flags(method):
     code, out, err, _ = run(["dottie", "--method", method, "--max-iterations", "1"])

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -10,6 +11,7 @@ import pytest
 
 from trigiter import (
     DOTTIE,
+    MANDELBROT,
     ConvergenceError,
     RangeBound,
     SolverMethod,
@@ -17,8 +19,11 @@ from trigiter import (
     cos_range,
     dottie,
     dottie_digits,
+    extrema_locations,
     intersection_distances,
     iterate,
+    iterated_derivative,
+    iterated_series,
     sin_envelope,
 )
 from trigiter import iteration
@@ -99,6 +104,23 @@ class TestIterate:
         for order in (-1, -3):
             with pytest.raises(ValueError, match="non-negative"):
                 iterate(COS, order, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind: iterate(kind, 3, 0.5),
+        lambda kind: iterated_derivative(kind, 3, 0.5),
+        lambda kind: iterated_series(kind, 2, 8),
+        lambda kind: extrema_locations(kind, 1),
+    ],
+    ids=["iterate", "iterated_derivative", "iterated_series", "extrema_locations"],
+)
+@pytest.mark.parametrize("kind", ["cos", "sin", None, MANDELBROT], ids=repr)
+def test_calculus_entry_points_refuse_anything_but_a_trig_kind(call, kind):
+    # a name or the Mandelbrot map used to be iterated as sine (cosine for extrema)
+    with pytest.raises(TypeError, match=re.escape(repr(kind))):
+        call(kind)
 
 
 class TestDottie:

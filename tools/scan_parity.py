@@ -1,4 +1,4 @@
-"""Compare scan masks and output bytes of this checkout with another checkout's.
+"""Compare scan masks, output bytes and CLI output of this checkout with another checkout's.
 
     python3 tools/scan_parity.py BASELINE_SRC [--scans 1500] [--seed 0]
 
@@ -12,14 +12,21 @@ thresholds on both sides of each kernel trap's enable bound and above
 corners that are signed zeros, subnormal, near the double range, near
 the overflow of cosh and sinh, infinite or nan.  Each checkout runs every scan
 in its own process and reports the SHA-256 of the mask and of both
-output layouts; the script prints the scans whose digests differ and
-exits 1 if there are any.
+output layouts.  It also runs the scan through `trigiter.cli.main`
+(`julia --f NAME` or `mandelbrot`, gnuplot and plain layouts in turn,
+`--region=A` and `--region A` in turn, so that negative and non-finite
+corners meet the merge of dashed values), and `legacy` on the same
+corners for cos and sin, and reports the SHA-256 of each exit code and
+stdout; stderr is left out, so error wording may change.  The script
+prints the scans whose digests differ and exits 1 if there are any.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -71,20 +78,48 @@ def draw_cases(count: int, seed: int) -> list[dict]:
     return cases
 
 
+def cli_argvs(k: int, case: dict) -> list[list[str]]:
+    """The CLI runs of case number `k`: its scan command, and `legacy` for cos and sin."""
+    name, corners = case["name"], [repr(c) for c in case["corners"]]
+    region = ",".join(corners)
+    argv = ["mandelbrot"] if name == "mandelbrot" else ["julia", "--f", name]
+    argv += [f"--region={region}"] if k % 2 else ["--region", region]
+    argv += ["--grid", str(case["grid"]), "--iterations", str(case["iterations"])]
+    argv += ["--threshold", repr(case["threshold"]), "--workers", str(case["workers"])]
+    argv += ["--format", ("gnuplot", "plain")[k // 2 % 2]] + ["--early-exit"] * case["early_exit"]
+    if name == "mandelbrot":
+        return [argv]
+    return [argv, ["legacy", *corners, str(case["grid"]), name]]
+
+
+def run_cli(argv: list[str]) -> bytes:
+    """Exit code and stdout of one `trigiter.cli.main` run; stderr is dropped."""
+    from trigiter import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return f"{code}\n{out.getvalue()}".encode("ascii")
+
+
 def run_cases(cases: list[dict]) -> list[list[str]]:
-    """Digests of the mask and both layouts of each scan, in this process."""
+    """Digests of the mask, both layouts and the CLI runs of each scan, in this process."""
     from trigiter import MANDELBROT, EscapeParams, TrigKind, fractal
 
     fractal._usable_cpus = lambda: 4  # let 1-4 workers start as many threads
     default_tile = fractal._TILE_CELLS
     digests = []
-    for case in cases:
+    for k, case in enumerate(cases):
         grid = case["grid"]
         fractal._TILE_CELLS = {"default": default_tile, "rows": 1, "ragged": 3 * grid + 1}[case["tile"]]
         mapping = {"cos": TrigKind.COSINE, "sin": TrigKind.SINE, "mandelbrot": MANDELBROT}[case["name"]]
         params = EscapeParams(case["iterations"], case["threshold"], case["early_exit"])
         ps = fractal.scan_raw(*case["corners"], grid, mapping, params, workers=case["workers"])
         texts = [ps.mask.tobytes()] + [fractal.format_points(ps, p).encode("ascii") for p in (True, False)]
+        texts += [run_cli(argv) for argv in cli_argvs(k, case)]
         digests.append([hashlib.sha256(t).hexdigest() for t in texts])
     return digests
 
