@@ -26,11 +26,9 @@ from .iteration import _check_count
 __all__ = [
     "MANDELBROT",
     "EscapeParams",
-    "ScanRegion",
     "PointSet",
     "MAX_GRID",
     "point_survives",
-    "scan",
     "scan_raw",
     "format_point",
     "format_points",
@@ -56,25 +54,6 @@ class EscapeParams:
         t = float(self.threshold_sq)
         if not math.isfinite(t) or t <= 0.0:
             raise ValueError(f"threshold_sq must be positive and finite, got {self.threshold_sq!r}")
-
-
-@dataclass(frozen=True)
-class ScanRegion:
-    """Rectangle to sample, normalized so corner1 is the lower-left corner."""
-
-    corner1: complex
-    corner2: complex
-    grid: int
-
-    def __post_init__(self) -> None:
-        _check_count(self.grid, "grid", 2, MAX_GRID)
-        a, b = complex(self.corner1), complex(self.corner2)
-        if not all(map(math.isfinite, (a.real, a.imag, b.real, b.imag))):
-            raise ValueError(f"corners must be finite, got {a!r} and {b!r}")
-        lo = complex(min(a.real, b.real), min(a.imag, b.imag))
-        hi = complex(max(a.real, b.real), max(a.imag, b.imag))
-        object.__setattr__(self, "corner1", lo)
-        object.__setattr__(self, "corner2", hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,25 +286,6 @@ def scan_raw(
 
     mask.setflags(write=False)
     return PointSet(mask, xs, ys, float(x1))
-
-
-def scan(
-    region: ScanRegion,
-    mapping,
-    params: EscapeParams = EscapeParams(),
-    workers: int | None = None,
-) -> PointSet:
-    """Scan a normalized region; see scan_raw for sampling semantics."""
-    return scan_raw(
-        region.corner1.real,
-        region.corner1.imag,
-        region.corner2.real,
-        region.corner2.imag,
-        region.grid,
-        mapping,
-        params,
-        workers=workers,
-    )
 
 
 def format_point(z: complex, padded: bool = True) -> str:

@@ -126,14 +126,15 @@ def _minus_sin(x: float) -> float:
 
 def _map_and_slope(kind: TrigKind):
     """(f, f') for the map: (cos, -sin) or (sin, cos)."""
-    return (math.cos, _minus_sin) if kind is TrigKind.COSINE else (math.sin, math.cos)
+    return (math.cos, _minus_sin) if kind is _COSINE else (math.sin, math.cos)
 
 
 def _iterate_real(kind: TrigKind, order: int, x: float) -> float:
-    f = math.cos if kind is TrigKind.COSINE else math.sin
+    # one test is enough: cos and sin send every finite double into [-1, 1]
+    if order and not math.isfinite(x):
+        return math.nan
+    f = math.cos if kind is _COSINE else math.sin
     for _ in range(order):
-        if not math.isfinite(x):
-            return math.nan
         x = f(x)
     return x
 
@@ -282,15 +283,15 @@ def cos_range(order: int) -> RangeBound:
     """Exact range of the order-n cosine iterate over the real line, n >= 1.
 
     The first iterate spans [-1, 1].  From the second on, the endpoints
-    are consecutive cosine iterates of 1; which pair depends on the
-    parity of n.
+    are the cosine iterates n - 2 and n - 1 of 1, both from one orbit;
+    the parity of n decides which is the lower end.
     """
     _check_count(order, "order", 1)
     if order == 1:
         return RangeBound(-1.0, 1.0, 1)
-    parity = order % 2
-    lower = _iterate_real(TrigKind.COSINE, order - 1 - parity, 1.0)
-    upper = _iterate_real(TrigKind.COSINE, order - 2 + parity, 1.0)
+    a = _iterate_real(_COSINE, order - 2, 1.0)
+    b = math.cos(a)
+    lower, upper = (a, b) if order % 2 else (b, a)
     return RangeBound(lower, upper, order)
 
 
@@ -303,7 +304,7 @@ def sin_envelope(order: int) -> float:
     repeated sine flattens everything toward the axis.
     """
     _check_count(order, "order", 1)
-    return _iterate_real(TrigKind.SINE, order, 1.0)
+    return _iterate_real(_SINE, order, 1.0)
 
 
 def intersection_distances(order: int) -> tuple[float, float]:

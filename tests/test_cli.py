@@ -8,12 +8,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigiter
 from trigiter import (
-    MANDELBROT, MAX_GRID, ScanRegion, TrigKind, dottie, dottie_digits, iterate, scan, sin_envelope,
+    MANDELBROT, MAX_GRID, TrigKind, dottie, dottie_digits, iterate, scan_raw, sin_envelope,
 )
-from trigiter.cli import main
+from trigiter.cli import _fmt, _parse_region, main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_scan_5x5.txt"
 # SHA-256 of `trigiter legacy -2.5 -2.5 2.5 2.5 1000 cos` and of `... sin`
@@ -243,6 +245,34 @@ class TestComputeCommands:
         assert out == "-3.141592653589793\n0\n3.141592653589793\n"
 
 
+def search_fmt(x: float) -> str:
+    """The fewest %g digits that read back as x, found by trying 1 to 17 in turn."""
+    for precision in range(1, 18):
+        text = "%.*g" % (precision, x)
+        if float(text) == x:
+            return text
+    return "%.16g" % x
+
+
+class TestShortestText:
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e16, 2.0**-1017, 0.1, 100.0]
+
+    @pytest.mark.parametrize("x", EDGES, ids=repr)
+    def test_edges(self, x):
+        assert _fmt(x) == search_fmt(x)
+
+    def test_powers_of_two(self):
+        # round to nearest can land on the narrow side of a power of two
+        for e in range(-1074, 1024):
+            for x in (math.ldexp(1.0, e), -math.ldexp(1.0, e)):
+                assert _fmt(x) == search_fmt(x), x
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats())
+    def test_matches_the_digit_search(self, x):
+        assert _fmt(x) == search_fmt(x)
+
+
 class TestScanCommands:
     def test_julia_defaults_match_legacy_region(self, capsys):
         code, out, _ = run_cli(
@@ -258,6 +288,46 @@ class TestScanCommands:
             ["julia", "--f", "cos", "--region", "2.5,2.5,-2.5,-2.5", "--grid", "5"],
         )
         assert reversed_out == GOLDEN.read_text()
+
+    # SHA-256 of the grid-9 output over each ascending region, as printed
+    # when the corners were still sorted by the library: the -0.0 corners
+    # print as -0 in the first line, the first sample keeping its sign.
+    ASCENDING_SHA256 = {
+        ("julia", "-2,-1.5,1,1.5"): "c8be6698497948a492f6f916447d5bbee63e4f774893dad2f27eb5663e2c73a6",
+        ("julia", "-0.0,-1,1,0"): "3cd154733ed26a20ed668bce1521239a65f812adbcae7f1040338a40a33f3932",
+        ("julia", "-1,-0.0,1,1"): "064d8adede8c4c16ec4e7ff893a812e7c9aeb661dbf0591f7f46cf7d552fff74",
+        ("mandelbrot", "-2,-1.5,1,1.5"): "24fae8bad947016f1ff1893727ad88f59809b30cc738b7cba6c970431404f228",
+        ("mandelbrot", "-0.0,-1,1,0"): "5d71907b2b558135c60bbaf6c2be6953a9a80ebfe56489d100fd2f6fcb30e583",
+        ("mandelbrot", "-1,-0.0,1,1"): "587a147cee1068200300304d2cf4898b8b9d1c40044dedcbad720fd494f97bac",
+    }
+    # the same rectangles with their corners in every other order
+    OTHER_ORDERS = {
+        "-2,-1.5,1,1.5": ["1,1.5,-2,-1.5", "1,-1.5,-2,1.5", "-2,1.5,1,-1.5"],
+        "-0.0,-1,1,0": ["1,0,-0.0,-1", "1,-1,-0.0,0", "-0.0,0,1,-1"],
+        "-1,-0.0,1,1": ["1,1,-1,-0.0", "1,-0.0,-1,1", "-1,1,1,-0.0"],
+    }
+
+    @pytest.mark.parametrize("ascending", list(OTHER_ORDERS))
+    @pytest.mark.parametrize("command", ["julia", "mandelbrot"])
+    def test_corner_order_leaves_the_bytes(self, capsys, command, ascending):
+        argv = ["julia", "--f", "cos"] if command == "julia" else ["mandelbrot"]
+        outputs = [
+            run_cli(capsys, [*argv, f"--region={region}", "--grid", "9"])
+            for region in [ascending, *self.OTHER_ORDERS[ascending]]
+        ]
+        code, out, err = outputs[0]
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ASCENDING_SHA256[command, ascending]
+        assert all(other == outputs[0] for other in outputs[1:])
+
+    def test_region_is_sorted_where_it_is_parsed(self):
+        assert _parse_region("2.5,2.5,-2.5,-2.5") == (-2.5, -2.5, 2.5, 2.5)
+        assert _parse_region("1,-1.5,-2,1.5") == (-2.0, -1.5, 1.0, 1.5)
+        # of two equal ends, both sides take the one given first, with its sign
+        signs = [math.copysign(1.0, v) for v in _parse_region("-0.0,0,0,-0.0")]
+        assert signs == [-1.0, 1.0, -1.0, 1.0]
+        signs = [math.copysign(1.0, v) for v in _parse_region("0,-0.0,-0.0,0")]
+        assert signs == [1.0, -1.0, 1.0, -1.0]
 
     def test_plain_format(self, capsys):
         _, out, _ = run_cli(
@@ -293,7 +363,7 @@ class TestScanCommands:
         assert code == 0
         from trigiter import format_points
 
-        expected = scan(ScanRegion(complex(-2, -1.5), complex(1, 1.5), 7), MANDELBROT)
+        expected = scan_raw(-2, -1.5, 1, 1.5, 7, MANDELBROT)
         assert out == format_points(expected.points, padded=False)
 
     def test_one_parser_serves_successive_commands(self, capsys):
@@ -302,9 +372,8 @@ class TestScanCommands:
 
         base = ["mandelbrot", "--region", "-2,-1.5,1,1.5", "--grid", "9", "--threshold", "2", "--iterations", "9"]
         outputs = [run_cli(capsys, [*base, "--early-exit"]), run_cli(capsys, base)]
-        region = ScanRegion(complex(-2, -1.5), complex(1, 1.5), 9)
         for early_exit, (code, out, err) in zip((True, False), outputs):
-            expected = scan(region, MANDELBROT, EscapeParams(9, 2.0, early_exit))
+            expected = scan_raw(-2, -1.5, 1, 1.5, 9, MANDELBROT, EscapeParams(9, 2.0, early_exit))
             assert (code, out, err) == (0, format_points(expected), "")
         assert outputs[0][1] != outputs[1][1]
         code, out, err = run_cli(capsys, [*base, "--grid", "1"])
@@ -428,9 +497,12 @@ class TestExitCodes:
         assert code == 1
         assert "x1,y1,x2,y2" in err
 
-    @pytest.mark.parametrize("region", ["nan,0,1,1", "0,0,inf,1"])
-    def test_non_finite_region(self, capsys, region):
-        code, out, err = run_cli(capsys, ["julia", "--f", "cos", "--region", region])
+    @pytest.mark.parametrize("region", ["nan,0,1,1", "0,0,inf,1", "0,nan,1,1", "0,0,1,-inf"])
+    @pytest.mark.parametrize(
+        "command", [["julia", "--f", "cos"], ["mandelbrot"]], ids=["julia", "mandelbrot"]
+    )
+    def test_non_finite_region(self, capsys, command, region):
+        code, out, err = run_cli(capsys, [*command, f"--region={region}"])
         assert code == 1
         assert out == ""
         assert "--region" in err
@@ -442,7 +514,7 @@ class TestExitCodes:
     def test_grid_outside_its_range(self, capsys, monkeypatch, command, grid):
         import trigiter.cli as cli
 
-        monkeypatch.setattr(cli, "scan", None)  # a scan would end in exit 2
+        monkeypatch.setattr(cli, "scan_raw", None)  # a scan would end in exit 2
         code, out, err = run_cli(capsys, [*command, "--grid", grid])
         assert code == 1
         assert out == ""
@@ -465,7 +537,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise RuntimeError("disk on fire")
 
-        monkeypatch.setattr(cli, "scan", boom)
+        monkeypatch.setattr(cli, "scan_raw", boom)
         code, _, err = run_cli(capsys, ["julia", "--f", "cos", "--grid", "5"])
         assert code == 2
         assert err == "internal error: disk on fire\n"

@@ -103,7 +103,7 @@ def test_too_few_dottie_iterations_name_the_flags(method):
 def test_iterations_cap_shrinks_with_the_grid(monkeypatch):
     import trigiter.cli as cli
 
-    monkeypatch.setattr(cli, "scan", None)  # a scan would end in exit 2
+    monkeypatch.setattr(cli, "scan_raw", None)  # a scan would end in exit 2
     code, out, err, _ = run(["mandelbrot", "--grid", str(MAX_GRID), "--iterations", "53"])
     assert code == 1
     assert out == ""

@@ -10,12 +10,10 @@ from trigiter import (
     MANDELBROT,
     EscapeParams,
     PointSet,
-    ScanRegion,
     TrigKind,
     format_point,
     format_points,
     point_survives,
-    scan,
     scan_raw,
 )
 
@@ -103,22 +101,7 @@ class TestScanSemantics:
         with pytest.raises(ValueError, match=">= 2"):
             scan_raw(0.0, 0.0, 1.0, 1.0, 1, COS)
         with pytest.raises(ValueError, match=">= 2"):
-            ScanRegion(0j, 1 + 1j, 0)
-
-    @pytest.mark.parametrize(
-        "corner", [complex(math.nan, 0.0), complex(0.0, math.inf)], ids=["nan", "inf"]
-    )
-    def test_region_rejects_non_finite_corners(self, corner):
-        with pytest.raises(ValueError, match="finite"):
-            ScanRegion(corner, 1 + 1j, 5)
-
-    def test_region_normalization(self):
-        region = ScanRegion(2.5 + 2.5j, -2.5 - 2.5j, 5)
-        assert region.corner1 == -2.5 - 2.5j
-        assert region.corner2 == 2.5 + 2.5j
-        normalized = scan(region, COS)
-        forward = scan_raw(-2.5, -2.5, 2.5, 2.5, 5, COS)
-        assert list(normalized) == list(forward)
+            scan_raw(0.0, 0.0, 1.0, 1.0, 0, COS)
 
     def test_scan_raw_preserves_corner_order(self):
         ps = scan_raw(
@@ -449,10 +432,10 @@ class TestGridCap:
         with pytest.raises(ValueError, match=f"<= {fractal.MAX_GRID}"):
             scan_raw(0.0, 0.0, 1.0, 1.0, grid, COS)
 
-    def test_region_rejects_grid_over_cap(self):
-        assert ScanRegion(0j, 1 + 1j, fractal.MAX_GRID).grid == fractal.MAX_GRID
-        with pytest.raises(ValueError, match=f"<= {fractal.MAX_GRID}"):
-            ScanRegion(0j, 1 + 1j, fractal.MAX_GRID + 1)
+    def test_scan_raw_admits_the_cap(self, no_allocation):
+        # past every check, the scan reaches the refused axis allocation
+        with pytest.raises(AssertionError, match="allocated"):
+            scan_raw(0.0, 0.0, 1.0, 1.0, fractal.MAX_GRID, COS)
 
 
     def test_iterations_cap_admits_the_scans_in_use(self):

@@ -99,6 +99,7 @@ class TestIterate:
     def test_nonfinite_real_input_propagates(self):
         assert math.isnan(iterate(COS, 3, math.inf))
         assert math.isnan(iterate(SIN, 1, math.nan))
+        assert iterate(COS, 0, -math.inf) == -math.inf  # order 0 returns the start as given
 
     def test_negative_order_rejected(self):
         for order in (-1, -3):
@@ -290,6 +291,15 @@ class TestCosRange:
         deep = cos_range(60)
         assert deep.lower == pytest.approx(DOTTIE, abs=1e-9)
         assert deep.upper == pytest.approx(DOTTIE, abs=1e-9)
+
+    def test_one_orbit_matches_two(self):
+        # the ends as two separate orbits of 1, the lower one longer for even n
+        for n in range(2, 201):
+            parity = n % 2
+            lower = iterate(COS, n - 1 - parity, 1.0)
+            upper = iterate(COS, n - 2 + parity, 1.0)
+            bound = cos_range(n)
+            assert (bound.lower.hex(), bound.upper.hex()) == (lower.hex(), upper.hex()), n
 
     def test_order_validation(self):
         with pytest.raises(ValueError, match=">= 1"):

@@ -1,4 +1,4 @@
-"""Count the code lines of each module in a package directory.
+"""Count the code lines and public names of each module in a package directory.
 
     python3 tools/census.py [PACKAGE_DIR]
 
@@ -6,8 +6,12 @@ PACKAGE_DIR defaults to src/trigiter.  A code line holds at least one
 token that is not a comment, a line break or indentation, outside the
 docstrings: the string that opens a module, class or function body.
 Blank lines, comments and those docstrings are not counted; a string
-statement anywhere else (an attribute's docstring) is.  Prints one line
-per module, then the total.
+statement anywhere else (an attribute's docstring) is.  Public names
+are the entries of the module's `__all__`, read with `ast`: a list or
+tuple of strings, or a sum of such lists and `module.__all__` of sibling
+modules; a module without `__all__` shows `-`.  Prints one line per
+module, then the totals (the package's public names are those of its
+`__init__.py`).
 """
 
 from __future__ import annotations
@@ -44,6 +48,24 @@ def code_lines(path: pathlib.Path) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def public_names(path: pathlib.Path) -> list[str] | None:
+    """The strings of the module's `__all__`, None if it assigns none."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return _names(node.value, path.parent)
+    return None
+
+
+def _names(node: ast.expr, package: pathlib.Path) -> list[str]:
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return [element.value for element in node.elts]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _names(node.left, package) + _names(node.right, package)
+    if isinstance(node, ast.Attribute) and node.attr == "__all__" and isinstance(node.value, ast.Name):
+        return public_names(package / f"{node.value.id}.py") or []
+    raise ValueError(f"an __all__ in {package} is not a sum of string lists: {ast.unparse(node)}")
+
+
 def main(argv: list[str]) -> int:
     package = pathlib.Path(argv[0]) if argv else ROOT / "src" / "trigiter"
     modules = sorted(package.glob("*.py"))
@@ -51,11 +73,17 @@ def main(argv: list[str]) -> int:
         print(f"no modules in {package}", file=sys.stderr)
         return 1
     total = 0
+    exported = "-"
+    print("  code  public  module")
     for path in modules:
         count = code_lines(path)
         total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total ({package})")
+        names = public_names(path)
+        shown = "-" if names is None else len(names)
+        if path.name == "__init__.py":
+            exported = shown
+        print(f"{count:6d}  {shown:>6}  {path.name}")
+    print(f"{total:6d}  {exported:>6}  total ({package})")
     return 0
 
 
