@@ -37,7 +37,7 @@ from .series import MAX_TRUNCATION, TailBoundError, iterated_series
 # step takes 0.1-0.5 us, so MAX_STEPS steps take under a second.  A series
 # composition takes about 1 ms at working order 30 and 0.09-0.14 s at
 # MAX_TRUNCATION, so `series --f cos --order 100 --terms 170` runs for
-# 13-15 s.  An extremum line takes about 6 us to print, up to four per
+# 13-15 s.  An extremum line takes about 19 us to print, up to four per
 # period (2-vCPU Xeon, Python 3.11, numpy 2.4).
 MAX_STEPS = 10**6
 MAX_SERIES_ORDER = 100
@@ -64,15 +64,11 @@ def _atof(text: str) -> float:
 
 def _fmt(x: float) -> str:
     """Shortest decimal string that parses back to `x`: at most 17 significant digits, nan as is."""
-    if not math.isfinite(x):
-        return "%.16g" % x
-    # No fewer digits round-trip than the shortest ones repr prints.  %g
-    # rounds to nearest, which next to a power of two can fall on the
-    # narrower side of x and need one digit more (2.0**-1017, for one).
-    precision = len(repr(x).partition("e")[0].replace("-", "").replace(".", "").strip("0")) or 1
-    while float(text := "%.*g" % (precision, x)) != x:
-        precision += 1
-    return text
+    for precision in range(1, 18):
+        s = "%.*g" % (precision, x)
+        if float(s) == x:
+            return s
+    return "%.16g" % x
 
 
 def _fmt_value(v: complex | float) -> str:

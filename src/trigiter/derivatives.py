@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from typing import Any
 
-from .iteration import _COSINE, _SINE, TrigKind, _check_count, _check_kind, _map_and_slope
+from .iteration import TrigKind, _check_count, _check_kind, _map_and_slope
 
 __all__ = [
     "iterated_derivative",
@@ -78,7 +78,7 @@ def second_derivative_at_zero(order: int) -> float:
     0, which is -1.
     """
     _check_count(order, "order", 1)
-    return -iterated_derivative(_COSINE, order - 1, 1.0)
+    return -iterated_derivative(TrigKind.COSINE, order - 1, 1.0)
 
 
 def extrema_locations(kind: TrigKind, order: int, periods: int = 1) -> list[float]:
@@ -94,7 +94,7 @@ def extrema_locations(kind: TrigKind, order: int, periods: int = 1) -> list[floa
     _check_kind(kind)
     _check_count(order, "order", 1)
     _check_count(periods, "periods", 1)
-    if kind is _SINE:
+    if kind is TrigKind.SINE:
         half = math.pi / 2.0
         return [half + j * math.pi for j in range(-periods, periods)]
     if order == 1:

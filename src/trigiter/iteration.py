@@ -289,7 +289,7 @@ def cos_range(order: int) -> RangeBound:
     _check_count(order, "order", 1)
     if order == 1:
         return RangeBound(-1.0, 1.0, 1)
-    a = _iterate_real(_COSINE, order - 2, 1.0)
+    a = _iterate_real(TrigKind.COSINE, order - 2, 1.0)
     b = math.cos(a)
     lower, upper = (a, b) if order % 2 else (b, a)
     return RangeBound(lower, upper, order)
@@ -304,7 +304,7 @@ def sin_envelope(order: int) -> float:
     repeated sine flattens everything toward the axis.
     """
     _check_count(order, "order", 1)
-    return _iterate_real(_SINE, order, 1.0)
+    return _iterate_real(TrigKind.SINE, order, 1.0)
 
 
 def intersection_distances(order: int) -> tuple[float, float]:

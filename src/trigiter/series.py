@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iteration import _COSINE, _SINE, TrigKind, _check_count, _check_kind
+from .iteration import TrigKind, _check_count, _check_kind
 
 __all__ = [
     "PowerSeries",
@@ -130,19 +130,19 @@ def _trig_series(kind: TrigKind, order: int) -> PowerSeries:
     # cos keeps the even powers (from k = 0), sin the odd ones (from k = 1)
     _check_count(order, "order", 0, MAX_TRUNCATION)
     coeffs = [0.0] * (order + 1)
-    for k in range(0 if kind is _COSINE else 1, order + 1, 2):
+    for k in range(0 if kind is TrigKind.COSINE else 1, order + 1, 2):
         coeffs[k] = (-1.0) ** (k // 2) / math.factorial(k)
     return PowerSeries(tuple(coeffs), _exp_tail(1.0, order))
 
 
 def cos_series(order: int = 16) -> PowerSeries:
     """Maclaurin series of cos truncated at the given order."""
-    return _trig_series(_COSINE, order)
+    return _trig_series(TrigKind.COSINE, order)
 
 
 def sin_series(order: int = 17) -> PowerSeries:
     """Maclaurin series of sin truncated at the given order."""
-    return _trig_series(_SINE, order)
+    return _trig_series(TrigKind.SINE, order)
 
 
 def cauchy_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
