@@ -15,7 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,9 +28,7 @@ __all__ = [
     "EscapeParams",
     "PointSet",
     "MAX_GRID",
-    "point_survives",
     "scan_raw",
-    "format_point",
     "format_points",
 ]
 
@@ -67,10 +65,9 @@ class PointSet:
     `xs[0]` only when a scan starts at -0.0 (see scan_raw).  The three
     arrays are read-only; arrays the caller could still write are copied.
 
-    len(), indexing and iteration see the survivors in scan order (they
-    may repeat on degenerate zero-step grids); `points` holds them as
-    Python complex numbers, built on first use.  `scanned` counts every
-    cell evaluated.
+    The survivors are the cells where `mask` is set, in scan order (row
+    by row); on degenerate zero-step grids their coordinates repeat.
+    len() counts them and `scanned` counts every cell evaluated.
     """
 
     mask: np.ndarray = field(repr=False)
@@ -99,25 +96,8 @@ class PointSet:
     def scanned(self) -> int:
         return self.mask.size
 
-    @cached_property
-    def points(self) -> tuple[complex, ...]:
-        rows, cols = np.nonzero(self.mask)
-        z = np.empty(rows.size, dtype=np.complex128)
-        z.real = self.xs[rows]
-        z.imag = self.ys[cols]
-        points = z.tolist()
-        if points and self.mask[0, 0]:
-            points[0] = complex(self.first, self.ys[0])
-        return tuple(points)
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
-
-    def __getitem__(self, index):
-        return self.points[index]
-
-    def __iter__(self):
-        return iter(self.points)
 
     def row_blocks(self):
         """Yield this set cut into blocks of whole rows, in scan order.
@@ -139,25 +119,6 @@ class PointSet:
 def _check_map(mapping) -> None:
     if not any(mapping is m for m in _kernels.MAPS):
         raise TypeError(f"mapping must be TrigKind.COSINE, TrigKind.SINE or MANDELBROT, got {mapping!r}")
-
-
-def point_survives(
-    initial: complex,
-    mapping,
-    params: EscapeParams = EscapeParams(),
-) -> bool:
-    """Escape test for a single starting point (parameter point for MANDELBROT)."""
-    _check_map(mapping)
-    z = complex(initial)
-    grid = _kernels.survive(
-        np.array([z.real]),
-        np.array([z.imag]),
-        mapping,
-        params.threshold_sq,
-        params.early_exit,
-        params.iterations,
-    )
-    return bool(grid[0, 0])
 
 
 # Worst-case memory of a scan's whole output as one string, as
@@ -288,31 +249,28 @@ def scan_raw(
     return PointSet(mask, xs, ys, float(x1))
 
 
-def format_point(z: complex, padded: bool = True) -> str:
-    """One output line: 16-significant-digit coordinates, right-aligned to 25 columns."""
-    re_str = "%.16g" % z.real
-    im_str = "%.16g" % z.imag
-    if padded:
-        return "%25s %25s" % (re_str, im_str)
-    return f"{re_str} {im_str}"
+def format_points(points: PointSet, padded: bool = True) -> str:
+    """One newline-terminated line per survivor of a PointSet, in scan order.
 
+    A line is the survivor's real and imaginary coordinates, each as
+    "%.16g" text: right-aligned to 25 columns and joined by one space in
+    the gnuplot layout (`padded`), joined by one space in the plain one.
+    The real coordinate of the very first cell is `first`, not `xs[0]`.
+    An empty set gives an empty string; anything but a PointSet is a
+    TypeError.
 
-def format_points(points, padded: bool = True) -> str:
-    """Newline-terminated lines for each point; empty input gives an empty string.
-
-    A PointSet is formatted from two tables, one line start per grid
-    row and one line end per column, so each coordinate is formatted
-    once per axis index instead of once per survivor.  Each block's
-    lines are gathered from those tables into one (survivors, 2) array:
-    fixed-width byte records in the gnuplot layout, Python strings in
-    the plain one.  The column table is cached on the column
-    coordinates, so the row blocks of one scan build it once.  The lines
-    are the ones format_point gives for the PointSet's points.  The text
-    is built one row block at a time, so besides the returned string
-    only one block's lines are alive.
+    The lines come from two tables, one line start per grid row and one
+    line end per column, so each coordinate is formatted once per axis
+    index instead of once per survivor.  Each block's lines are gathered
+    from those tables into one (survivors, 2) array: fixed-width byte
+    records in the gnuplot layout, Python strings in the plain one.  The
+    column table is cached on the column coordinates, so the row blocks
+    of one scan build it once.  The text is built one row block at a
+    time, so besides the returned string only one block's lines are
+    alive.
     """
     if not isinstance(points, PointSet):
-        return "".join(format_point(z, padded) + "\n" for z in points)
+        raise TypeError(f"format_points takes a PointSet, got {type(points).__name__}")
     text = ""
     for block in points.row_blocks():
         # CPython grows a str that nothing else references in place, so

@@ -47,8 +47,26 @@ def grid_samples(x1, y1, x2, y2, n):
         x = rest + dzr
 
 
-def _lines(samples):
-    return "".join("%25s %25s\n" % ("%.16g" % re, "%.16g" % im) for re, im in samples)
+def survivors(ps):
+    """(re, im) of every set cell of a PointSet's mask, row by row, as floats.
+
+    Row r has real coordinate xs[r] and column i imaginary coordinate
+    ys[i], except the very first cell, whose real coordinate is `first`.
+    """
+    xs, ys = ps.xs.tolist(), ps.ys.tolist()
+    return [
+        (ps.first if r == i == 0 else xs[r], ys[i])
+        for r, row in enumerate(ps.mask.tolist())
+        for i, cell in enumerate(row)
+        if cell
+    ]
+
+
+def lines(samples, padded=True):
+    """Output text of (re, im) samples: one line each, both at 16 significant
+    digits, right-aligned to 25 columns (gnuplot) or single-spaced (plain)."""
+    line = "%25s %25s\n" if padded else "%s %s\n"
+    return "".join(line % ("%.16g" % re, "%.16g" % im) for re, im in samples)
 
 
 def straightline_scan(x1, y1, x2, y2, n, name, iterations=50, threshold=10.0):
@@ -65,7 +83,7 @@ def straightline_scan(x1, y1, x2, y2, n, name, iterations=50, threshold=10.0):
                 a, b = math.sin(a) * _cosh(b), math.cos(a) * _sinh(b)
         if a * a + b * b < threshold:
             survivors.append((re, im))
-    return _lines(survivors)
+    return lines(survivors)
 
 
 def quadratic_scan(x1, y1, x2, y2, n, c=None, iterations=50, threshold=10.0, early_exit=False):
@@ -80,7 +98,7 @@ def quadratic_scan(x1, y1, x2, y2, n, c=None, iterations=50, threshold=10.0, ear
         start, param = (0j, z) if c is None else (z, c)
         if quadratic_survives(start, param, iterations, threshold, early_exit):
             survivors.append((re, im))
-    return _lines(survivors)
+    return lines(survivors)
 
 
 def orbit_survives(z: complex, name: str, iterations=50, threshold=10.0, early_exit=False) -> bool:

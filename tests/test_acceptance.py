@@ -172,7 +172,7 @@ def test_criterion_09_scanner_parity():
         for workers in (1, 2, 8):
             result = scan_raw(-2.5, -2.5, 2.5, 2.5, 500, COS, workers=workers)
             assert result.scanned == 250000
-            outputs[workers] = format_points(result.points)
+            outputs[workers] = format_points(result)
         elapsed = time.perf_counter() - start
         assert outputs[1] == outputs[2] == outputs[8]
         assert elapsed < 10.0

@@ -345,7 +345,7 @@ class TestScanCommands:
         from trigiter import format_points
 
         expected = scan_raw(-2, -1.5, 1, 1.5, 7, MANDELBROT)
-        assert out == format_points(expected.points, padded=False)
+        assert out == format_points(expected, padded=False)
 
     def test_one_parser_serves_successive_commands(self, capsys):
         import trigiter.cli as cli
@@ -445,6 +445,58 @@ class TestStreamedOutput:
         assert proc.returncode == 0, proc.stderr
         peak_mib = int(proc.stdout) / 1024
         assert peak_mib < 80, f"grid 1000 scan peaked at {peak_mib:.1f} MiB"
+
+
+class TestBenchmarkPatchPoints:
+    """The module attributes that trigbench/tracing.py wraps, called the way it reads them.
+
+    The tracer counts survivors with len() of what `cli.scan_raw`
+    returns, lines with len() of the first argument of
+    `cli.format_points`, and cell-steps from the sixth positional
+    argument of `_kernels.survive`; it times `fractal._cumulative_axis`.
+    """
+
+    SCANS = {
+        "julia": (["julia", "--f", "sin", "--grid", "40", "--iterations", "30"], 40, 30),
+        "mandelbrot": (["mandelbrot", "--grid", "50", "--iterations", "40", "--early-exit"], 50, 40),
+        "legacy": (["legacy", "-2.5", "-2.5", "2.5", "2.5", "30", "cos"], 30, 50),
+    }
+
+    @pytest.mark.parametrize("argv, grid, iterations", SCANS.values(), ids=SCANS.keys())
+    def test_hooks_see_what_the_tracer_reads(self, capsys, monkeypatch, argv, grid, iterations):
+        import trigiter.cli as cli
+        from trigiter import _kernels, fractal
+
+        calls = {}
+
+        def record(module, attr):
+            original = getattr(module, attr)
+            seen = calls[attr] = []
+
+            def recorder(*args, **kwargs):
+                result = original(*args, **kwargs)
+                seen.append((args, result))
+                return result
+
+            monkeypatch.setattr(module, attr, recorder)
+
+        for module, attr in (
+            (cli, "scan_raw"), (cli, "format_points"), (fractal, "_cumulative_axis"), (_kernels, "survive"),
+        ):
+            record(module, attr)
+        # 7-row tiles and blocks: several kernel calls and blocks per scan
+        monkeypatch.setattr(fractal, "_TILE_CELLS", 7 * grid)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out
+        assert all(calls.values()), {attr: len(seen) for attr, seen in calls.items()}
+        assert len(calls["survive"]) > 1 and len(calls["format_points"]) > 1
+        assert [args[5] for args, _ in calls["survive"]] == [iterations] * len(calls["survive"])
+        for (block, *_), text in calls["format_points"]:
+            assert len(block) == text.count("\n")
+        [(_, result)] = calls["scan_raw"]
+        assert len(result) == out.count("\n")
+        assert "".join(text for _, text in calls["format_points"]) == out
 
 
 class TestExitCodes:

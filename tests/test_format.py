@@ -1,9 +1,12 @@
-"""Scan output built from per-axis string tables, against the one-line definition.
+"""Scan output built from per-axis string tables, against the line formula.
 
-`format_points` formats a PointSet from one string per grid row and one
-per column; a plain sequence of complex goes through `format_point` one
-point at a time.  Both must give the same bytes for every scan, and so
-must the row blocks of a PointSet formatted one at a time and joined.
+A scan's output has one line per set cell of the mask, row by row: the
+cell's real coordinate (`xs[r]`, or `first` for the very first cell)
+and imaginary coordinate (`ys[i]`), each as "%.16g" text, right-aligned
+to 25 columns (gnuplot) or joined by one space (plain).  `format_points`
+builds those lines from one string per grid row and one per column; it
+must give the formula's bytes for every scan, and so must the row blocks
+of a PointSet formatted one at a time and joined.
 """
 
 import math
@@ -24,7 +27,6 @@ from trigiter import (
     EscapeParams,
     PointSet,
     TrigKind,
-    format_point,
     format_points,
     scan_raw,
 )
@@ -62,24 +64,20 @@ PARAMS = {
 }
 
 
-def reference_lines(ps, padded):
-    """One format_point line per survivor, taken point by point."""
-    return [format_point(z, padded) for z in ps.points]
+def reference_text(ps, padded):
+    """The line formula applied survivor by survivor, read off the arrays."""
+    return oracles.lines(oracles.survivors(ps), padded)
 
 
 def assert_formats_like_reference(ps, padded):
-    text = format_points(ps, padded)
-    expected = reference_lines(ps, padded)
-    assert text.splitlines() == expected
-    assert text == "".join(line + "\n" for line in expected)
-    assert text == format_points(ps.points, padded)
+    assert format_points(ps, padded) == reference_text(ps, padded)
 
 
 @pytest.mark.parametrize("padded", [True, False], ids=["gnuplot", "plain"])
 @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
 @pytest.mark.parametrize("region", REGIONS.values(), ids=REGIONS.keys())
 @pytest.mark.parametrize("mapping", MAPS.values(), ids=MAPS.keys())
-def test_table_lines_match_format_point(mapping, region, params, padded):
+def test_table_lines_match_the_line_formula(mapping, region, params, padded):
     assert_formats_like_reference(scan_raw(*region, mapping, params), padded)
 
 
@@ -115,10 +113,13 @@ class TestTableEdges:
         assert len(ps) == 0
         assert format_points(ps, padded) == ""
 
-    def test_plain_sequences_keep_the_one_line_join(self):
+    @pytest.mark.parametrize("kind", ["list", "generator"])
+    def test_only_point_sets_are_formatted(self, kind):
         points = [complex(-0.0, 1.5), 2 + 0j]
-        assert format_points(points) == "".join(format_point(z) + "\n" for z in points)
-        assert format_points(iter(points), padded=False) == "-0 1.5\n2 0\n"
+        if kind == "generator":
+            points = (z for z in points)
+        with pytest.raises(TypeError, match=f"PointSet, got {kind}$"):
+            format_points(points)
 
 
 coordinate = st.floats(min_value=-3.0, max_value=3.0)
@@ -136,7 +137,7 @@ coordinate = st.floats(min_value=-3.0, max_value=3.0)
 def test_random_scans_match_straightline_oracle(x1, y1, x2, y2, grid, name):
     ps = scan_raw(x1, y1, x2, y2, grid, MAPS[name])
     assert format_points(ps) == oracles.straightline_scan(x1, y1, x2, y2, grid, name)
-    assert format_points(ps, padded=False) == format_points(ps.points, padded=False)
+    assert format_points(ps, padded=False) == reference_text(ps, padded=False)
 
 
 def joined_blocks(ps, padded=True):
@@ -155,7 +156,8 @@ def assert_blocks_join_to_whole(ps, rows):
     assert sum(block.scanned for block in blocks) == ps.scanned
     assert sum(len(block) for block in blocks) == len(ps)
     # compared by repr, which tells -0.0 from 0.0 and lets nan equal nan
-    assert [repr(z) for block in blocks for z in block] == list(map(repr, ps))
+    in_blocks = [repr(z) for block in blocks for z in oracles.survivors(block)]
+    assert in_blocks == list(map(repr, oracles.survivors(ps)))
     for block in blocks:
         # views of the set's read-only arrays, not copies
         assert block.ys is ps.ys
@@ -247,7 +249,7 @@ def test_random_row_blocks_match_straightline_oracle(x1, y1, x2, y2, grid, name,
     with tile_of_rows(rows, grid):
         ps = scan_raw(x1, y1, x2, y2, grid, MAPS[name])
         assert joined_blocks(ps) == oracles.straightline_scan(x1, y1, x2, y2, grid, name)
-        assert joined_blocks(ps, padded=False) == format_points(ps.points, padded=False)
+        assert joined_blocks(ps, padded=False) == reference_text(ps, padded=False)
 
 
 # Coordinates of every width %.16g gives, from "0" to 23 characters.
@@ -271,7 +273,7 @@ def point_sets(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(ps=point_sets(), tile=st.integers(min_value=1, max_value=12))
-def test_any_point_set_formats_like_format_point(ps, tile):
+def test_any_point_set_formats_like_the_line_formula(ps, tile):
     # Grid scans never mix such widths in one block; the tables must not care.
     with mock.patch.object(fractal, "_TILE_CELLS", tile):
         for padded in (True, False):

@@ -5,20 +5,27 @@ import numpy as np
 import pytest
 
 import oracles
-from trigiter import fractal
+from trigiter import _kernels, fractal
 from trigiter import (
     MANDELBROT,
     EscapeParams,
     PointSet,
     TrigKind,
-    format_point,
     format_points,
-    point_survives,
     scan_raw,
 )
 
 COS = TrigKind.COSINE
 SIN = TrigKind.SINE
+
+
+def survives(z, mapping, params=EscapeParams()):
+    """The kernel's escape test of one starting point (parameter point for MANDELBROT)."""
+    grid = _kernels.survive(
+        np.array([z.real]), np.array([z.imag]), mapping,
+        params.threshold_sq, params.early_exit, params.iterations,
+    )
+    return bool(grid[0, 0])
 
 
 class TestPointSurvives:
@@ -34,7 +41,7 @@ class TestPointSurvives:
         ]
         for name, kind in (("cos", COS), ("sin", SIN)):
             for z in samples:
-                assert point_survives(z, kind) == oracles.orbit_survives(z, name), (
+                assert survives(z, kind) == oracles.orbit_survives(z, name), (
                     name,
                     z,
                 )
@@ -43,22 +50,22 @@ class TestPointSurvives:
         # cosh(3) ** 2 > 10 yet the orbit collapses back under the
         # threshold by iteration 50, so the point is a member.
         assert oracles.orbit_survives(3j, "cos") is True
-        assert point_survives(3j, COS) is True
+        assert survives(3j, COS) is True
 
     def test_early_exit_rejects_transient_excursions(self):
-        assert point_survives(3j, COS, EscapeParams(early_exit=True)) is False
+        assert survives(3j, COS, EscapeParams(early_exit=True)) is False
 
     def test_mandelbrot_membership(self):
-        assert point_survives(0.0j, MANDELBROT) is True
-        assert point_survives(-1.0 + 0.0j, MANDELBROT) is True
-        assert point_survives(0.25 + 0.0j, MANDELBROT) is True
-        assert point_survives(-2.0 + 0.0j, MANDELBROT) is True
-        assert point_survives(1.0 + 0.0j, MANDELBROT) is False
-        assert point_survives(0.3 + 0.5j, MANDELBROT) is True
+        assert survives(0.0j, MANDELBROT) is True
+        assert survives(-1.0 + 0.0j, MANDELBROT) is True
+        assert survives(0.25 + 0.0j, MANDELBROT) is True
+        assert survives(-2.0 + 0.0j, MANDELBROT) is True
+        assert survives(1.0 + 0.0j, MANDELBROT) is False
+        assert survives(0.3 + 0.5j, MANDELBROT) is True
 
     def test_mapping_validation(self):
         with pytest.raises(TypeError, match="mapping"):
-            point_survives(0j, "cos")
+            scan_raw(0.0, 0.0, 1.0, 1.0, 2, "cos")
 
 
 class TestScanSemantics:
@@ -66,7 +73,7 @@ class TestScanSemantics:
         ps = scan_raw(0.0, 0.0, 0.0, 0.0, 2, COS)
         assert ps.scanned == 4
         assert len(ps) == 4
-        assert all(z == 0j for z in ps)
+        assert oracles.survivors(ps) == [(0.0, 0.0)] * 4
         text = format_points(ps)
         assert text.count("\n") == 4
         assert set(text.splitlines()) == {"%25s %25s" % ("0", "0")}
@@ -78,8 +85,8 @@ class TestScanSemantics:
             0.0, 0.0, 2.0, 2.0, 3, COS, EscapeParams(iterations=1, threshold_sq=1e30)
         )
         assert ps.scanned == 9
-        expected = [complex(x, y) for x in (0.0, 1.0, 2.0) for y in (0.0, 1.0, 2.0)]
-        assert list(ps) == expected
+        expected = [(x, y) for x in (0.0, 1.0, 2.0) for y in (0.0, 1.0, 2.0)]
+        assert oracles.survivors(ps) == expected
 
     def test_matches_straightline_oracle(self):
         regions = [
@@ -107,8 +114,9 @@ class TestScanSemantics:
         ps = scan_raw(
             2.5, 2.5, -2.5, -2.5, 5, COS, EscapeParams(iterations=1, threshold_sq=1e30)
         )
-        assert ps[0] == 2.5 + 2.5j
-        assert ps[-1] == -2.5 - 2.5j
+        points = oracles.survivors(ps)
+        assert points[0] == (2.5, 2.5)
+        assert points[-1] == (-2.5, -2.5)
 
 
 def record_tiles(monkeypatch):
@@ -161,7 +169,7 @@ class TestActiveSetKernel:
         # from c = -1.5, z_1 = -1.5 is past threshold 1 and z_2 = 0.75 is back below it
         params = EscapeParams(iterations=2, threshold_sq=1.0, early_exit=early_exit)
         assert oracles.quadratic_survives(0j, -1.5, 2, 1.0, early_exit) is not early_exit
-        assert point_survives(-1.5 + 0j, MANDELBROT, params) is not early_exit
+        assert survives(-1.5 + 0j, MANDELBROT, params) is not early_exit
 
 
 class TestDeterminism:
@@ -196,7 +204,8 @@ class TestDeterminism:
     def test_workers_beyond_rows_are_safe(self):
         a = scan_raw(-1.0, -1.0, 1.0, 1.0, 3, SIN, workers=50)
         b = scan_raw(-1.0, -1.0, 1.0, 1.0, 3, SIN, workers=1)
-        assert list(a) == list(b)
+        assert np.array_equal(a.mask, b.mask)
+        assert format_points(a) == format_points(b)
 
     def test_central_symmetry_bitwise(self):
         # Exact-binary region: step 3.125 / 100 = 2**-5, so every sample
@@ -310,8 +319,8 @@ class TestEscapeParams:
 
     def test_zero_iterations_tests_initial_point(self):
         params = EscapeParams(iterations=0, threshold_sq=10.0)
-        assert point_survives(0j, COS, params) is True
-        assert point_survives(4.0 + 0.0j, COS, params) is False
+        assert survives(0j, COS, params) is True
+        assert survives(4.0 + 0.0j, COS, params) is False
 
 
 class TestStartPoint:
@@ -326,7 +335,7 @@ class TestStartPoint:
         params = EscapeParams(iterations, 5.0, early_exit)
         want = not early_exit
         assert oracles.orbit_survives(3.0 + 0j, "cos", iterations, 5.0, early_exit) is want
-        assert point_survives(3.0 + 0j, COS, params) is want
+        assert survives(3.0 + 0j, COS, params) is want
         # rows 0, 1, 2, 3: only row 3 starts past the threshold
         ps = scan_raw(0.0, 0.0, 3.0, 1.0, 4, COS, params)
         assert ps.xs[3] == 3.0 and ps.ys[0] == 0.0
@@ -338,10 +347,9 @@ class TestRealAxisCoverage:
     @pytest.mark.parametrize("kind", [COS, SIN])
     def test_odd_grid_hits_exact_real_axis(self, kind):
         ps = scan_raw(-2.0, -2.0, 2.0, 2.0, 5, kind)
-        axis = [z for z in ps if z.imag == 0.0]
+        axis = [re for re, im in oracles.survivors(ps) if im == 0.0]
         # real orbits of cos/sin stay in [-1, 1]: every axis sample survives
-        assert len(axis) == 5
-        assert sorted(z.real for z in axis) == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert sorted(axis) == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
 
 class TestPointSet:
@@ -350,20 +358,18 @@ class TestPointSet:
         # one cosine step under a huge bound: every cell of the 2x2 grid survives
         return scan_raw(x1, 0.0, 1.0, 1.0, 2, COS, EscapeParams(iterations=1, threshold_sq=1e30))
 
-    def test_sequence_protocol(self):
+    def test_survivors_are_the_mask_in_scan_order(self):
         ps = self.full_scan()
         assert ps.scanned == 4
         assert len(ps) == 4
-        assert ps[0] == 0j
-        assert ps[-1] == 1 + 1j
-        assert list(iter(ps)) == [0j, 1j, 1 + 0j, 1 + 1j]
-        assert ps.points == (0j, 1j, 1 + 0j, 1 + 1j)
-        assert ps.points is ps.points
+        assert ps.mask.tolist() == [[True, True], [True, True]]
+        assert (ps.xs.tolist(), ps.ys.tolist(), ps.first) == ([0.0, 1.0], [0.0, 1.0], 0.0)
+        assert format_points(ps, padded=False).splitlines() == ["0 0", "0 1", "1 0", "1 1"]
 
     def test_len_counts_survivors(self):
         ps = scan_raw(-2.5, -2.5, 2.5, 2.5, 21, COS)
         assert 0 < len(ps) < ps.scanned == 21 * 21
-        assert len(ps) == len(ps.points) == int(ps.mask.sum())
+        assert len(ps) == int(ps.mask.sum())
 
     def test_fields_are_mask_and_axes(self):
         ps = scan_raw(1.0, 3.0, -1.0, 2.0, 3, SIN, EscapeParams(iterations=0, threshold_sq=1e30))
@@ -376,7 +382,7 @@ class TestPointSet:
         ps = self.full_scan(x1=-0.0)
         assert math.copysign(1.0, ps.first) == -1.0
         assert math.copysign(1.0, ps.xs[0]) == 1.0
-        assert [math.copysign(1.0, z.real) for z in ps] == [-1.0, 1.0, 1.0, 1.0]
+        assert [math.copysign(1.0, re) for re, im in oracles.survivors(ps)] == [-1.0, 1.0, 1.0, 1.0]
         first_two = ["%25s %25s" % ("-0", "0"), "%25s %25s" % ("0", "1")]
         assert format_points(ps).splitlines()[:2] == first_two
         assert format_points(ps, padded=False).splitlines()[:2] == ["-0 0", "0 1"]
@@ -461,19 +467,24 @@ class TestGridCap:
             scan_raw(0.0, 0.0, 1.0, 1.0, grid, COS, EscapeParams(iterations))
 
 
-class TestFormatting:
-    def test_format_point_padded(self):
-        line = format_point(complex(-2.5, 1.25))
-        assert line == "%25s %25s" % ("-2.5", "1.25")
-        assert len(line) == 51
+def one_cell(re, im, alive=True):
+    """A PointSet of one cell at re + im*i."""
+    return PointSet(np.full((1, 1), alive), [re], [im], re)
 
-    def test_format_point_plain(self):
-        assert format_point(complex(-2.5, 1.25), padded=False) == "-2.5 1.25"
+
+class TestFormatting:
+    def test_padded_line(self):
+        line = format_points(one_cell(-2.5, 1.25))
+        assert line == "%25s %25s\n" % ("-2.5", "1.25")
+        assert len(line) == 52
+
+    def test_plain_line(self):
+        assert format_points(one_cell(-2.5, 1.25), padded=False) == "-2.5 1.25\n"
 
     def test_sixteen_significant_digits(self):
-        line = format_point(complex(1 / 3, 0.0), padded=False)
+        line = format_points(one_cell(1 / 3, 0.0), padded=False)
         assert line.split()[0] == "0.3333333333333333"
 
     def test_format_points_empty(self):
-        assert format_points([]) == ""
-        assert format_points([0j]) == "%25s %25s\n" % ("0", "0")
+        assert format_points(one_cell(0.0, 0.0, alive=False)) == ""
+        assert format_points(one_cell(0.0, 0.0)) == "%25s %25s\n" % ("0", "0")
