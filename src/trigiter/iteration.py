@@ -103,7 +103,6 @@ class RangeBound:
 
     lower: float
     upper: float
-    order: int
 
 
 def _cosh_inf(x: float) -> float:
@@ -288,11 +287,11 @@ def cos_range(order: int) -> RangeBound:
     """
     _check_count(order, "order", 1)
     if order == 1:
-        return RangeBound(-1.0, 1.0, 1)
+        return RangeBound(-1.0, 1.0)
     a = _iterate_real(TrigKind.COSINE, order - 2, 1.0)
     b = math.cos(a)
     lower, upper = (a, b) if order % 2 else (b, a)
-    return RangeBound(lower, upper, order)
+    return RangeBound(lower, upper)
 
 
 def sin_envelope(order: int) -> float:

@@ -2,11 +2,11 @@
 
 A series is a finite coefficient tuple plus a tail bound: an estimate of
 the sup-norm, on |x| <= 1, of everything the truncation discards.
-Products convolve coefficients, composition substitutes one series into
-another at full degree before cropping, and both propagate tail bounds
-so Horner evaluation comes with an error estimate.  Composition carries
-the inner tail bound through with constant 1: the outer series is cos
-or sin, which are 1-Lipschitz on the reals.
+Products convolve coefficients, composition substitutes a series into
+the cos or sin series of its own order at full degree before cropping,
+and both propagate tail bounds so Horner evaluation comes with an error
+estimate.  Composition carries the inner tail bound through with
+constant 1: cos and sin are 1-Lipschitz on the reals.
 
 The estimate is not a proof.  It is computed in plain floats, and it
 does not count the rounding of the coefficients: against mpmath at 40
@@ -18,6 +18,7 @@ TailBoundError from n = 7.  Item 1 of ROADMAP.md plans certified bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,12 +84,6 @@ class PowerSeries:
         """Truncation order N; the highest retained power."""
         return len(self.coefficients) - 1
 
-    @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series of x itself padded to the given truncation order."""
-        _check_count(order, "order", 1)
-        return cls((0.0, 1.0) + (0.0,) * (order - 1))
-
     def __call__(self, x: float) -> float:
         """Horner evaluation of the polynomial part."""
         acc = 0.0
@@ -107,12 +102,8 @@ class PowerSeries:
         return float(sum(abs(c) for c in self.coefficients))
 
     def truncate(self, order: int) -> "PowerSeries":
-        """Crop (or zero-pad) to the given order, charging cropped mass to the tail."""
-        _check_count(order, "order")
-        if order >= self.order:
-            return PowerSeries(
-                self.coefficients + (0.0,) * (order - self.order), self.tail_bound
-            )
+        """Crop to an order in 0..self.order, charging cropped mass to the tail."""
+        _check_count(order, "order", 0, self.order)
         dropped = sum(abs(c) for c in self.coefficients[order + 1 :])
         return PowerSeries(self.coefficients[: order + 1], self.tail_bound + dropped)
 
@@ -127,8 +118,15 @@ class PowerSeries:
 
 
 def _trig_series(kind: TrigKind, order: int) -> PowerSeries:
-    # cos keeps the even powers (from k = 0), sin the odd ones (from k = 1)
+    # checked before the cache, whose key 8 would also answer 8.0 or True
     _check_count(order, "order", 0, MAX_TRUNCATION)
+    return _cached_trig_series(kind, order)
+
+
+@functools.cache
+def _cached_trig_series(kind: TrigKind, order: int) -> PowerSeries:
+    # cos keeps the even powers (from k = 0), sin the odd ones (from k = 1);
+    # built once per (kind, order) and shared, since PowerSeries is frozen
     coeffs = [0.0] * (order + 1)
     for k in range(0 if kind is TrigKind.COSINE else 1, order + 1, 2):
         coeffs[k] = (-1.0) ** (k // 2) / math.factorial(k)
@@ -164,21 +162,20 @@ def cauchy_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return PowerSeries(kept, tail)
 
 
-def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    """Substitute `inner` into `outer`, truncated at the lower of their orders.
+def compose(kind: TrigKind, inner: PowerSeries) -> PowerSeries:
+    """Substitute `inner` into the cos or sin series of its own order.
 
-    `outer` must be a cos or sin series, as cos_series and sin_series
-    build.  The tail estimate relies on two properties of cos and sin:
-    their Maclaurin coefficients obey |c_k| <= C / k! with C = 1, and
-    they are 1-Lipschitz on the reals, so the inner tail bound is
-    carried into the result with constant 1.  For any other outer series
-    the estimate does not hold.
+    The tail estimate relies on two properties of cos and sin: their
+    Maclaurin coefficients obey |c_k| <= C / k! with C = 1, and they are
+    1-Lipschitz on the reals, so the inner tail bound is carried into
+    the result with constant 1.  inner.order is at most MAX_TRUNCATION.
 
     Powers of `inner` are accumulated at full polynomial degree and only
-    cropped at the end.  Requires outer.order + 1 > the inner magnitude
+    cropped at the end.  Requires inner.order + 1 > the inner magnitude
     bound, else the error estimate diverges and TailBoundError is raised.
     """
-    result_order = min(outer.order, inner.order)
+    _check_kind(kind)
+    outer = _trig_series(kind, inner.order)
     magnitude = inner.l1_norm() + inner.tail_bound
     if outer.order + 1 <= magnitude:
         raise TailBoundError(
@@ -204,10 +201,10 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
             fresh = acc[: power.size] + contribution
             comp[: power.size] = (fresh - acc[: power.size]) - contribution
             acc[: power.size] = fresh
-    if acc.size < result_order + 1:
-        acc = np.pad(acc, (0, result_order + 1 - acc.size))
-    kept = tuple(float(c) for c in acc[: result_order + 1])
-    dropped = float(np.abs(acc[result_order + 1 :]).sum())
+    if acc.size < outer.order + 1:
+        acc = np.pad(acc, (0, outer.order + 1 - acc.size))
+    kept = tuple(float(c) for c in acc[: outer.order + 1])
+    dropped = float(np.abs(acc[outer.order + 1 :]).sum())
 
     tail = _exp_tail(magnitude, outer.order) + inner.tail_bound + dropped
     return PowerSeries(kept, tail)
@@ -226,11 +223,9 @@ def iterated_series(kind: TrigKind, order: int, truncation: int) -> PowerSeries:
     _check_count(order, "order")
     _check_count(truncation, "truncation", 0, MAX_TRUNCATION)
     if order == 0:
-        # cropped to the constant 0, the identity keeps |x| <= 1 as its tail
-        return PowerSeries.identity(max(truncation, 1)).truncate(truncation)
-    working = max(truncation, 30)
-    base = _trig_series(kind, working)
-    series = base
+        # x itself; cropped to the constant 0, it keeps |x| <= 1 as its tail
+        return PowerSeries((0.0, 1.0) + (0.0,) * (truncation - 1)).truncate(truncation)
+    series = _trig_series(kind, max(truncation, 30))
     for _ in range(order - 1):
-        series = compose(base, series)
+        series = compose(kind, series)
     return series.truncate(truncation)

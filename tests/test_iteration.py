@@ -16,7 +16,9 @@ from trigiter import (
     RangeBound,
     SolverMethod,
     TrigKind,
+    compose,
     cos_range,
+    cos_series,
     dottie,
     dottie_digits,
     extrema_locations,
@@ -25,6 +27,7 @@ from trigiter import (
     iterated_derivative,
     iterated_series,
     sin_envelope,
+    sin_series,
 )
 from trigiter import iteration
 from oracles import decimal_dottie
@@ -114,10 +117,15 @@ class TestIterate:
         lambda kind: iterated_derivative(kind, 3, 0.5),
         lambda kind: iterated_series(kind, 2, 8),
         lambda kind: extrema_locations(kind, 1),
+        lambda kind: compose(kind, sin_series(8)),
     ],
-    ids=["iterate", "iterated_derivative", "iterated_series", "extrema_locations"],
+    ids=["iterate", "iterated_derivative", "iterated_series", "extrema_locations", "compose"],
 )
-@pytest.mark.parametrize("kind", ["cos", "sin", None, MANDELBROT], ids=repr)
+@pytest.mark.parametrize(
+    "kind",
+    ["cos", "sin", None, MANDELBROT, pytest.param(cos_series(8), id="cos_series(8)")],
+    ids=repr,
+)
 def test_calculus_entry_points_refuse_anything_but_a_trig_kind(call, kind):
     # a name or the Mandelbrot map used to be iterated as sine (cosine for extrema)
     with pytest.raises(TypeError, match=re.escape(repr(kind))):
@@ -267,7 +275,7 @@ class TestCosRange:
         c1 = math.cos(1.0)
         c2 = math.cos(c1)
         c3 = math.cos(c2)
-        assert cos_range(1) == RangeBound(-1.0, 1.0, 1)
+        assert cos_range(1) == RangeBound(-1.0, 1.0)
         assert cos_range(2).lower == pytest.approx(c1, abs=1e-15)
         assert cos_range(2).upper == 1.0
         assert cos_range(3).lower == pytest.approx(c1, abs=1e-15)

@@ -61,9 +61,8 @@ class TestPowerSeries:
         t = s.truncate(1)
         assert t.coefficients == (1.0, -2.0)
         assert t.tail_bound == pytest.approx(0.1 + 0.75)
-        padded = s.truncate(5)
-        assert padded.coefficients == (1.0, -2.0, 0.5, 0.25, 0.0, 0.0)
-        assert padded.tail_bound == 0.1
+        with pytest.raises(ValueError, match="order"):
+            s.truncate(5)  # truncate only crops
 
     def test_addition_aligns_orders(self):
         total = cos_series(12) + PowerSeries((0.0, 1.0, 2.0))
@@ -89,6 +88,13 @@ class TestBaseSeries:
 
     def test_tail_bound_shrinks(self):
         assert cos_series(12).tail_bound < cos_series(6).tail_bound < 1e-3
+
+    def test_order_is_checked_before_the_cache(self):
+        # the series are cached per order, and 8.0 == 8 would find the cached order-8 series
+        assert cos_series(8) is cos_series(8)
+        for order in (8.0, [8]):
+            with pytest.raises(ValueError, match="order"):
+                cos_series(order)
 
 
 class TestCauchyProduct:
@@ -128,27 +134,27 @@ class TestCauchyProduct:
 class TestCompose:
     def test_identity_inner_preserves_outer(self):
         outer = cos_series(10)
-        got = compose(outer, PowerSeries.identity(10))
+        got = compose(COS, PowerSeries((0.0, 1.0) + (0.0,) * 9))
         assert got.coefficients == outer.coefficients
 
     def test_constant_term_is_outer_at_inner_constant(self):
-        got = compose(cos_series(30), cos_series(30))
+        got = compose(COS, cos_series(30))
         assert got.coefficients[0] == math.cos(1.0)
 
     def test_quadratic_example(self):
         # cos(x^2) = 1 - x^4/2 + ...
-        got = compose(cos_series(8), PowerSeries((0.0, 0.0, 1.0)).truncate(8))
+        got = compose(COS, PowerSeries((0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)))
         assert got.coefficients[0] == 1.0
         assert got.coefficients[2] == 0.0
         assert got.coefficients[4] == pytest.approx(-0.5, abs=1e-15)
 
     def test_tail_bound_validates_truncation(self):
-        wide = PowerSeries(tuple([1.0] * 4))  # l1 norm 4 > order + 1
+        wide = PowerSeries(tuple([1.0] * 4))  # l1 norm 4 >= order + 1
         with pytest.raises(TailBoundError, match="magnitude"):
-            compose(cos_series(2), wide)
+            compose(COS, wide)
 
     def test_composition_error_within_tail(self):
-        got = compose(cos_series(12), sin_series(12))
+        got = compose(COS, sin_series(12))
         for i in range(-10, 11):
             x = i / 10.0
             assert abs(got(x) - math.cos(math.sin(x))) <= got.tail_bound
@@ -156,8 +162,8 @@ class TestCompose:
     def test_inner_tail_is_charged_once(self):
         # cos is 1-Lipschitz, so an inner error of 1e-6 moves the result by at most 1e-6
         coefficients = sin_series(12).coefficients
-        exact = compose(cos_series(12), PowerSeries(coefficients))
-        blurred = compose(cos_series(12), PowerSeries(coefficients, 1e-6))
+        exact = compose(COS, PowerSeries(coefficients))
+        blurred = compose(COS, PowerSeries(coefficients, 1e-6))
         assert blurred.tail_bound - exact.tail_bound == pytest.approx(1e-6, rel=1e-6)
 
 
@@ -243,6 +249,7 @@ class TestIteratedSeries:
             lambda: iterated_series(COS, 3, MAX_TRUNCATION + 1),
             lambda: cos_series(MAX_TRUNCATION + 1),
             lambda: sin_series(MAX_TRUNCATION + 1),
+            lambda: compose(SIN, PowerSeries((0.0,) * (MAX_TRUNCATION + 2))),
         ):
             with pytest.raises(ValueError, match=f"<= {MAX_TRUNCATION}"):
                 call()

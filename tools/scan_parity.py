@@ -1,24 +1,35 @@
-"""Compare scan masks, output bytes and CLI output of this checkout with another checkout's.
+"""Compare scans, library calls and command lines of this checkout with another checkout's.
 
     python3 tools/scan_parity.py BASELINE_SRC [--scans 1500] [--seed 0]
 
 BASELINE_SRC is the `src` directory of the checkout to compare against,
-for example a `git archive` of the parent commit.  The script draws
-seeded random scans: cos, sin and Mandelbrot, early exit on and off,
-iteration counts on both sides of the Mandelbrot compaction points,
-thresholds on both sides of each kernel trap's enable bound and above
-711^2 (where an early-exit orbit can pass the threshold test at
-|Im z| >= 711), 1-4 workers, default, ragged and one-row tiles, and
-corners that are signed zeros, subnormal, near the double range, near
-the overflow of cosh and sinh, infinite or nan.  Each checkout runs every scan
-in its own process and reports the SHA-256 of the mask and of both
-output layouts.  It also runs the scan through `trigiter.cli.main`
-(`julia --f NAME` or `mandelbrot`, gnuplot and plain layouts in turn,
-`--region=A` and `--region A` in turn, so that negative and non-finite
-corners meet the merge of dashed values), and `legacy` on the same
-corners for cos and sin, and reports the SHA-256 of each exit code and
-stdout; stderr is left out, so error wording may change.  The script
-prints the scans whose digests differ and exits 1 if there are any.
+for example a `git archive` of the parent commit.  Each checkout runs
+every case in its own process and reports digests; the script prints
+the cases whose digests differ and exits 1 if there are any.
+
+Scans: the script draws seeded random scans: cos, sin and Mandelbrot,
+early exit on and off, iteration counts on both sides of the Mandelbrot
+compaction points, thresholds on both sides of each kernel trap's
+enable bound and above 711^2 (where an early-exit orbit can pass the
+threshold test at |Im z| >= 711), 1-4 workers, default, ragged and
+one-row tiles, and corners that are signed zeros, subnormal, near the
+double range, near the overflow of cosh and sinh, infinite or nan.  It
+digests the mask and both output layouts.  It also runs the scan
+through `trigiter.cli.main` (`julia --f NAME` or `mandelbrot`, gnuplot
+and plain layouts in turn, `--region=A` and `--region A` in turn, so
+that negative and non-finite corners meet the merge of dashed values),
+and `legacy` on the same corners for cos and sin.
+
+Calculus: from the same seed it draws calls of every public calculus
+function (iteration, derivatives, ranges, series, the Dottie solvers
+and digits), refused arguments included, and digests each result's
+exact floats or the type of the exception it raises; and command lines
+of `dottie`, `iterate`, `derivative`, `series`, `bounds` and `extrema`,
+refused and dash-led values included.  A seed's calculus section runs
+in 0.3-0.7 s per checkout on a 2-vCPU x86-64 host.
+
+A command line is digested by its exit code and stdout; stderr is left
+out, as are exception messages, so error wording may change.
 """
 
 from __future__ import annotations
@@ -124,6 +135,181 @@ def run_cases(cases: list[dict]) -> list[list[str]]:
     return digests
 
 
+REALS = (0.0, -0.0, 1.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e308, -1e308, math.pi,
+         math.inf, -math.inf, math.nan)
+KINDS = ({"kind": "cos"}, {"kind": "sin"})
+REFUSED_KINDS = ("cos", None, {"kind": "mandelbrot"})
+# 30.0 equals 30, the working order whose base series iterated_series builds first
+REFUSED_COUNTS = (-1, 2.5, 30.0, "3", None, [8])
+CALLS_PER_FUNCTION = 30
+
+
+def draw_calls(seed: int) -> list[list]:
+    """Library calls as [name, *args]; `decode` turns the tagged arguments into objects."""
+    rng = random.Random(seed)
+
+    def kind():
+        return rng.choice(KINDS) if rng.random() < 0.9 else rng.choice(REFUSED_KINDS)
+
+    def count(low, high):
+        return rng.randint(low, high) if rng.random() < 0.9 else rng.choice((low - 1, high + 1, *REFUSED_COUNTS))
+
+    def real():
+        return rng.choice((rng.choice(REALS), rng.uniform(-4.0, 4.0), rng.uniform(-1e6, 1e6)))
+
+    def start():
+        if rng.random() < 0.5:
+            return real()
+        imag = rng.choice((rng.uniform(-3.0, 3.0), 800.0, -711.0, math.inf, math.nan))
+        return {"complex": [rng.choice((rng.uniform(-3.0, 3.0), real())), imag]}
+
+    def series():
+        if rng.random() < 0.5:
+            return {"call": [rng.choice(("cos_series", "sin_series")), rng.randint(0, 20)]}
+        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(rng.randint(1, 12))]
+        return {"series": [coeffs, rng.choice((0.0, rng.uniform(0.0, 1e-3)))]}
+
+    def table(order):
+        entry = (lambda: rng.randint(-5, 5)) if rng.random() < 0.5 else (lambda: rng.uniform(-2.0, 2.0))
+        return [entry() for _ in range(order + 1 - (rng.random() < 0.05))]
+
+    def factors():
+        order = rng.randint(0, 10)
+        return [[table(order) for _ in range(rng.randint(0, 5))], order]
+
+    drawers = {
+        "iterate": lambda: [kind(), count(0, 300), start()],
+        "iterated_derivative": lambda: [kind(), count(0, 300), real()],
+        "cos_range": lambda: [count(1, 200)],
+        "sin_envelope": lambda: [count(1, 200)],
+        "second_derivative_at_zero": lambda: [count(1, 100)],
+        # n = 50 composes 49 times at working order 30, about 0.1 s
+        "iterated_series": lambda: [kind(), rng.choice((*range(13), 20, 50, -1)), count(0, 30)],
+        "cos_series": lambda: [count(0, 170)],
+        "sin_series": lambda: [count(0, 170)],
+        "cauchy_product": lambda: [series(), series()],
+        "product_nth_derivative": factors,
+        "dottie": lambda: [
+            rng.choice((1e-12, 1e-6, 1e-15, 1e-17, 5e-324, 0.5, 2.0, 0.0, -1.0, math.inf, math.nan)),
+            {"method": rng.choice(("fixed-point", "newton"))},
+            rng.choice((1, 2, 5, 70, 1000, 0)),
+        ],
+        "dottie_digits": lambda: [count(1, 64)],
+        "extrema_locations": lambda: [kind(), count(1, 5), count(1, 50)],
+        "intersection_distances": lambda: [count(1, 10)],
+    }
+    calls = [[name, *draw()] for name, draw in drawers.items() for _ in range(CALLS_PER_FUNCTION)]
+    # every refused count on every seed, after the draws have filled the caches
+    for name in ("cos_range", "sin_envelope", "second_derivative_at_zero", "cos_series", "sin_series",
+                 "dottie_digits", "intersection_distances"):
+        calls += [[name, value] for value in REFUSED_COUNTS]
+    return calls
+
+
+def decode(arg):
+    """The object a drawn argument stands for: tagged dicts become library values."""
+    import trigiter
+
+    if isinstance(arg, list):
+        return [decode(a) for a in arg]
+    if not isinstance(arg, dict):
+        return arg
+    ((tag, value),) = arg.items()
+    if tag == "complex":
+        return complex(*value)
+    if tag == "kind":
+        return trigiter.MANDELBROT if value == "mandelbrot" else trigiter.TrigKind(value)
+    if tag == "method":
+        return trigiter.SolverMethod(value)
+    if tag == "series":
+        return trigiter.PowerSeries(*value)
+    name, *args = value  # tag "call": a library call whose result is the argument
+    return getattr(trigiter, name)(*decode(args))
+
+
+def canon(value):
+    """A JSON-able form of a result that keeps every bit of its floats."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return [value.real.hex(), value.imag.hex()]
+    if isinstance(value, (list, tuple)):
+        return [canon(v) for v in value]
+    if hasattr(value, "coefficients"):  # PowerSeries
+        return [canon(value.coefficients), canon(value.tail_bound)]
+    if hasattr(value, "lower"):  # RangeBound: its ends, not its repr
+        return [canon(value.lower), canon(value.upper)]
+    if hasattr(value, "residual"):  # FixedPointResult
+        return [canon(value.value), value.iterations, canon(value.residual), value.method.value]
+    if isinstance(value, (int, str)):
+        return value
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+def run_calls(calls: list[list]) -> list[str]:
+    """Digest of each call's result, or of the type of the exception it raised."""
+    import trigiter
+
+    digests = []
+    for name, *args in calls:
+        try:
+            out = canon(getattr(trigiter, name)(*decode(args)))
+        except Exception as exc:  # refused arguments are part of the draw
+            out = ["raised", type(exc).__name__]
+        digests.append(hashlib.sha256(json.dumps(out).encode("ascii")).hexdigest())
+    return digests
+
+
+def draw_argvs(seed: int) -> list[list[str]]:
+    """Command lines of the library subcommands, refused and dash-led values included."""
+    rng = random.Random(seed)
+
+    def pick(*values):
+        return str(rng.choice(values))
+
+    def f():
+        return pick("cos", "sin") if rng.random() < 0.9 else pick("tan", "COS", "")
+
+    def n(low, high):
+        return str(rng.randint(low, high)) if rng.random() < 0.85 else pick(low - 1, high + 1, -1, "1.5", "x")
+
+    def real():
+        if rng.random() < 0.6:
+            return repr(rng.uniform(-5.0, 5.0))
+        return pick("-0.5", "-1e-3", "-0", "-inf", "-Infinity", "nan", "-nan", "1e400", "abc", "")
+
+    def value():
+        if rng.random() < 0.5:
+            return real()
+        return pick("1+2j", "-1-2j", "-inf+1j", "0.3+800j", "-2.5j", "nanj", "1+j")
+
+    def flag(name, text):
+        return [f"{name}={text}"] if rng.random() < 0.3 else [name, text]
+
+    def dottie():
+        argv = ["dottie"]
+        if rng.random() < 0.3:
+            return argv + flag("--digits", n(1, 64))
+        if rng.random() < 0.7:
+            argv += flag("--tol", pick(1e-12, 1e-6, 1e-15, 1e-17, 5e-324, 0.5, 2.0, 0, -1e-3, "nan", "inf"))
+        if rng.random() < 0.5:
+            argv += flag("--method", pick("fixed-point", "newton", "bisect"))
+        if rng.random() < 0.3:
+            argv += flag("--max-iterations", n(1, 2000))
+        return argv
+
+    commands = {
+        "dottie": dottie,
+        "iterate": lambda: ["iterate", "--f", f(), *flag("--n", n(0, 300)), *flag("--v", value())],
+        "derivative": lambda: ["derivative", "--f", f(), "--n", n(0, 300), *flag("--x", real())]
+        + ["--check"] * (rng.random() < 0.5),
+        "series": lambda: ["series", "--f", f(), "--order", pick(*range(13), 20, 101, -1), "--terms", n(0, 30)],
+        "bounds": lambda: ["bounds", "--f", f(), *flag("--n", n(1, 200))],
+        "extrema": lambda: ["extrema", "--f", f(), "--n", n(1, 5), "--periods", n(1, 40)],
+    }
+    return [draw() for draw in commands.values() for _ in range(CALLS_PER_FUNCTION)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("baseline", nargs="?", help="src directory of the checkout to compare against")
@@ -132,30 +318,36 @@ def main() -> int:
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        json.dump(run_cases(json.load(sys.stdin)), sys.stdout)
+        job = json.load(sys.stdin)
+        result = {"scans": run_cases(job["scans"]), "calls": run_calls(job["calls"])}
+        result["argvs"] = [hashlib.sha256(run_cli(argv)).hexdigest() for argv in job["argvs"]]
+        json.dump(result, sys.stdout)
         return 0
     if args.baseline is None:
         parser.error("the baseline src directory is required")
-    cases = draw_cases(args.scans, args.seed)
+    job = {"scans": draw_cases(args.scans, args.seed), "calls": draw_calls(args.seed), "argvs": draw_argvs(args.seed)}
     here = pathlib.Path(__file__).resolve().parents[1] / "src"
     results = {}
     for label, src in (("baseline", args.baseline), ("checkout", str(here))):
         proc = subprocess.run(
             [sys.executable, __file__, "--worker"],
-            input=json.dumps(cases),
+            input=json.dumps(job),
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": src},
             check=True,
         )
         results[label] = json.loads(proc.stdout)
-    differ = [k for k, (a, b) in enumerate(zip(results["baseline"], results["checkout"])) if a != b]
-    for k in differ:
-        print("differs:", json.dumps(cases[k]))
-    survivors = sum(1 for d in results["checkout"] if d[1] != hashlib.sha256(b"").hexdigest())
-    print(f"{len(cases)} scans, {survivors} with survivors, {len(differ)} differ")
-    return 1 if differ else 0
-
+    differ = {}
+    for section, cases in job.items():
+        differ[section] = [k for k, (a, b) in enumerate(zip(results["baseline"][section], results["checkout"][section])) if a != b]
+        for k in differ[section]:
+            print("differs:", json.dumps(cases[k]))
+    survivors = sum(1 for d in results["checkout"]["scans"] if d[1] != hashlib.sha256(b"").hexdigest())
+    print(f"{len(job['scans'])} scans, {survivors} with survivors, {len(differ['scans'])} differ")
+    print(f"{len(job['calls'])} library calls, {len(differ['calls'])} differ")
+    print(f"{len(job['argvs'])} command lines, {len(differ['argvs'])} differ")
+    return 1 if any(differ.values()) else 0
 
 if __name__ == "__main__":
     sys.exit(main())
