@@ -25,6 +25,7 @@ from .iteration import (
     SolverMethod,
     TrigKind,
     _check_count,
+    _check_real,
     cos_range,
     dottie,
     dottie_digits,
@@ -33,12 +34,10 @@ from .iteration import (
 )
 from .series import MAX_TRUNCATION, TailBoundError, iterated_series
 
-# Caps on the count flags, each checked where its flag is parsed.  A map
-# step takes 0.1-0.5 us, so MAX_STEPS steps take under a second.  A series
-# composition takes about 1 ms at working order 30 and 0.09-0.14 s at
-# MAX_TRUNCATION, so `series --f cos --order 100 --terms 170` runs for
-# 13-15 s.  An extremum line takes about 19 us to print, up to four per
-# period (2-vCPU Xeon, Python 3.11, numpy 2.4).
+# Caps on the count flags, each checked where its flag is parsed.  Each
+# bounds one command's work: MAX_STEPS map steps, MAX_SERIES_ORDER - 1
+# series compositions, four printed extrema per period.  README's table
+# of input limits gives what one unit of that work costs.
 MAX_STEPS = 10**6
 MAX_SERIES_ORDER = 100
 MAX_PERIODS = 10**4
@@ -95,13 +94,7 @@ def _count(name: str, low: int = 0, high: int | None = None):
 
 
 def _finite(name: str, positive: bool = False):
-    def convert(text: str) -> float:
-        value = float(text)
-        if math.isfinite(value) and (value > 0.0 or not positive):
-            return value
-        raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {text!r}")
-
-    return _flag(convert)
+    return _flag(lambda text: _check_real(text, name, positive))
 
 
 def _parse_value(text: str) -> complex | float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import MANDELBROT
-from .iteration import _check_count
+from .iteration import _check_count, _check_real
 
 __all__ = [
     "MANDELBROT",
@@ -49,9 +49,7 @@ class EscapeParams:
 
     def __post_init__(self) -> None:
         _check_count(self.iterations, "iterations")
-        t = float(self.threshold_sq)
-        if not math.isfinite(t) or t <= 0.0:
-            raise ValueError(f"threshold_sq must be positive and finite, got {self.threshold_sq!r}")
+        _check_real(self.threshold_sq, "threshold_sq", positive=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,13 +42,25 @@ _ENCLOSURE_BITS = 4 * MAX_DIGITS + 64
 
 
 def _check_count(value, name: str, low: int = 0, high: int | None = None) -> int:
-    """`value` if an int in [low, high] (None: no upper limit), else a ValueError naming `name`."""
-    if isinstance(value, int) and low <= value and (high is None or value <= high):
+    """`value` if an int in [low, high] (None: no upper limit), else a ValueError naming `name`.
+
+    A bool is refused although it is an int: `True` is not a count.
+    """
+    if type(value) is not bool and isinstance(value, int) and low <= value and (high is None or value <= high):
         return value
     limits = "a non-negative integer" if low == 0 else f"an integer >= {low}"
     if high is not None:
         limits += f" <= {high}" if low == 0 else f" and <= {high}"
     raise ValueError(f"{name} must be {limits}, got {value!r}")
+
+
+def _check_real(value, name: str, positive: bool = False) -> float:
+    """float(value) if finite (and > 0 when `positive`), else a ValueError naming `name`."""
+    x = float(value)
+    if math.isfinite(x) and (x > 0.0 or not positive):
+        return x
+    hint = f"; the smallest usable {name} is {math.ulp(0.0)!r}" if positive else ""
+    raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {value!r}{hint}")
 
 
 class TrigKind(Enum):
@@ -176,12 +188,7 @@ def dottie(
     within `tolerance`.  Raises ConvergenceError, naming the best
     residual reached, if `max_iterations` applications are not enough.
     """
-    tol = float(tolerance)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValueError(
-            f"tolerance must be positive and finite, got {tolerance!r}; "
-            f"the smallest usable tolerance is {math.ulp(0.0):g}"
-        )
+    tol = _check_real(tolerance, "tolerance", positive=True)
     _check_count(max_iterations, "max_iterations", 1)
 
     if method is SolverMethod.FIXED_POINT:

@@ -13,6 +13,7 @@ from trigiter import (
     DOTTIE,
     MANDELBROT,
     ConvergenceError,
+    EscapeParams,
     RangeBound,
     SolverMethod,
     TrigKind,
@@ -26,6 +27,7 @@ from trigiter import (
     iterate,
     iterated_derivative,
     iterated_series,
+    scan_raw,
     sin_envelope,
     sin_series,
 )
@@ -132,6 +134,39 @@ def test_calculus_entry_points_refuse_anything_but_a_trig_kind(call, kind):
         call(kind)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: iterate(COS, True, 0.5), "order"),
+        (lambda: dottie_digits(True), "digits"),
+        (lambda: cos_series(True), "order"),
+        (lambda: iterated_series(COS, True, 8), "order"),
+        (lambda: iterated_series(COS, 2, False), "truncation"),
+        (lambda: dottie(max_iterations=True), "max_iterations"),
+        (lambda: EscapeParams(True), "iterations"),
+        (lambda: scan_raw(-1, -1, 1, 1, 8, COS, workers=True), "workers"),
+    ],
+    ids=["iterate", "dottie_digits", "cos_series", "iterated_series", "truncation", "dottie",
+         "EscapeParams", "scan_raw"],
+)
+def test_counts_refuse_bool(call, name):
+    # True == 1 and False == 0, but a flag passed as a count is a caller's slip
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got (True|False)$"):
+        call()
+
+
+# the text "1e-400" underflows to 0.0 when read
+@pytest.mark.parametrize("value", [0, -0.0, "1e-400", -1e-9, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call, name",
+    [(dottie, "tolerance"), (lambda value: EscapeParams(threshold_sq=value), "threshold_sq")],
+    ids=["dottie", "EscapeParams"],
+)
+def test_reals_refuse_what_is_not_positive_and_finite(call, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got .*5e-324$"):
+        call(value)
+
+
 class TestDottie:
     def test_fixed_point_solver(self):
         result = dottie(1e-12)
@@ -183,6 +218,10 @@ class TestDottie:
         with pytest.raises(ValueError):
             dottie(math.nan)
 
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'newton'"):
+            dottie(1e-12, "newton")  # the name, not SolverMethod.NEWTON
+
     @pytest.mark.parametrize("exponent", range(1, 16))
     def test_fixed_point_value_is_the_cosine_orbit_of_zero(self, exponent):
         result = dottie(10.0**-exponent)
@@ -209,6 +248,13 @@ class TestDottieDigits:
 
     def test_float_rounding_agrees(self):
         assert float(dottie_digits(20)) == DOTTIE
+
+    def test_enclosure_ends_that_round_apart_are_refused(self, monkeypatch):
+        ends = (Decimal("0.73908513321516060"), Decimal("0.73908513321516070"))
+        monkeypatch.setattr(iteration, "_dottie_enclosure", lambda: ends)
+        assert dottie_digits(15) == "0.739085133215161"
+        with pytest.raises(ConvergenceError, match="digit 16: 0.7390851332151606 vs 0.7390851332151607"):
+            dottie_digits(16)
 
     def test_digit_validation(self):
         with pytest.raises(ValueError, match="64"):

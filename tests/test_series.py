@@ -70,6 +70,10 @@ class TestPowerSeries:
         assert total.coefficients[0] == 1.0
         assert total.coefficients[1] == 1.0
 
+    def test_addition_takes_only_series(self):
+        with pytest.raises(TypeError):
+            cos_series(4) + 1.0
+
 
 class TestBaseSeries:
     def test_cos_coefficients_exact(self):
@@ -147,6 +151,11 @@ class TestCompose:
         assert got.coefficients[0] == 1.0
         assert got.coefficients[2] == 0.0
         assert got.coefficients[4] == pytest.approx(-0.5, abs=1e-15)
+
+    def test_result_is_padded_to_the_inner_order(self):
+        # the order-1 cos series is the constant 1, so no power of the inner reaches x
+        got = compose(COS, PowerSeries((0.5, 0.25)))
+        assert got.coefficients == (1.0, 0.0)
 
     def test_tail_bound_validates_truncation(self):
         wide = PowerSeries(tuple([1.0] * 4))  # l1 norm 4 >= order + 1

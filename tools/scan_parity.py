@@ -22,8 +22,10 @@ and `legacy` on the same corners for cos and sin.
 
 Calculus: from the same seed it draws calls of every public calculus
 function (iteration, derivatives, ranges, series, the Dottie solvers
-and digits), refused arguments included, and digests each result's
-exact floats or the type of the exception it raises; and command lines
+and digits) and of `EscapeParams`, refused arguments included: bools
+as counts, and zero, signed zero, underflowing, nan and infinite values
+as the tolerance and the threshold.  It digests each result's exact
+floats or the type of the exception it raises; and command lines
 of `dottie`, `iterate`, `derivative`, `series`, `bounds` and `extrema`,
 refused and dash-led values included.  A seed's calculus section runs
 in 0.3-0.7 s per checkout on a 2-vCPU x86-64 host.
@@ -139,8 +141,11 @@ REALS = (0.0, -0.0, 1.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e308, -1e
          math.inf, -math.inf, math.nan)
 KINDS = ({"kind": "cos"}, {"kind": "sin"})
 REFUSED_KINDS = ("cos", None, {"kind": "mandelbrot"})
-# 30.0 equals 30, the working order whose base series iterated_series builds first
-REFUSED_COUNTS = (-1, 2.5, 30.0, "3", None, [8])
+# 30.0 equals 30, the working order whose base series iterated_series builds first;
+# True and False equal 1 and 0
+REFUSED_COUNTS = (-1, 2.5, 30.0, "3", None, [8], True, False)
+# every value a positive-and-finite real refuses; the text "1e-400" reads as 0.0
+REFUSED_POSITIVE = (0.0, -0.0, "1e-400", -1.0, math.nan, math.inf)
 CALLS_PER_FUNCTION = 30
 
 
@@ -156,6 +161,9 @@ def draw_calls(seed: int) -> list[list]:
 
     def real():
         return rng.choice((rng.choice(REALS), rng.uniform(-4.0, 4.0), rng.uniform(-1e6, 1e6)))
+
+    def positive(*accepted):
+        return rng.choice(accepted) if rng.random() < 0.7 else rng.choice(REFUSED_POSITIVE)
 
     def start():
         if rng.random() < 0.5:
@@ -190,10 +198,11 @@ def draw_calls(seed: int) -> list[list]:
         "cauchy_product": lambda: [series(), series()],
         "product_nth_derivative": factors,
         "dottie": lambda: [
-            rng.choice((1e-12, 1e-6, 1e-15, 1e-17, 5e-324, 0.5, 2.0, 0.0, -1.0, math.inf, math.nan)),
+            positive(1e-12, 1e-6, 1e-15, 1e-17, 5e-324, 0.5, 2.0),
             {"method": rng.choice(("fixed-point", "newton"))},
-            rng.choice((1, 2, 5, 70, 1000, 0)),
+            rng.choice((1, 2, 5, 70, 1000, 0, True)),
         ],
+        "EscapeParams": lambda: [count(0, 100), positive(10.0, 1.0, 5e-324, 1e300), rng.random() < 0.5],
         "dottie_digits": lambda: [count(1, 64)],
         "extrema_locations": lambda: [kind(), count(1, 5), count(1, 50)],
         "intersection_distances": lambda: [count(1, 10)],
@@ -241,6 +250,8 @@ def canon(value):
         return [canon(value.lower), canon(value.upper)]
     if hasattr(value, "residual"):  # FixedPointResult
         return [canon(value.value), value.iterations, canon(value.residual), value.method.value]
+    if hasattr(value, "threshold_sq"):  # EscapeParams
+        return [value.iterations, canon(value.threshold_sq), value.early_exit]
     if isinstance(value, (int, str)):
         return value
     raise TypeError(f"no canonical form for {type(value).__name__}")
