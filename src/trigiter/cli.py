@@ -94,7 +94,7 @@ def _count(name: str, low: int = 0, high: int | None = None):
 
 
 def _finite(name: str, positive: bool = False):
-    return _flag(lambda text: _check_real(text, name, positive))
+    return _flag(lambda text: _check_real(float(text), name, positive))
 
 
 def _parse_value(text: str) -> complex | float:
@@ -113,12 +113,7 @@ def _parse_region(text: str) -> tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("region must be four comma-separated numbers: x1,y1,x2,y2")
-    try:
-        x1, y1, x2, y2 = (float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"region {text!r} contains a non-numeric entry") from None
-    if not all(map(math.isfinite, (x1, y1, x2, y2))):
-        raise ValueError(f"region {text!r} has a non-finite corner")
+    x1, y1, x2, y2 = (_check_real(float(p), name) for p, name in zip(parts, ("x1", "y1", "x2", "y2")))
     # lower-left corner first.  min and max return their first argument on
     # a tie, so an axis from 0.0 to -0.0 (or back) keeps the first sign at both ends.
     return min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2)
@@ -140,9 +135,7 @@ def _cmd_dottie(args: argparse.Namespace) -> int:
         result = dottie(args.tol, SolverMethod(args.method), args.max_iterations)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{exc}; raise --max-iterations or loosen --tol") from None
-    decimals = 12
-    if 0.0 < args.tol <= 1.0:
-        decimals = min(17, max(0, round(-math.log10(args.tol))))
+    decimals = min(17, round(-math.log10(args.tol))) if args.tol <= 1.0 else 12
     print(f"{result.value:.{decimals}f}")
     print(f"method: {result.method.value}")
     print(f"iterations: {result.iterations}")

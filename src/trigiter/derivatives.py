@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from typing import Any
 
-from .iteration import TrigKind, _check_count, _check_kind, _map_and_slope
+from .iteration import TrigKind, _check_count, _check_kind, _check_real, _map_and_slope
 
 __all__ = [
     "iterated_derivative",
@@ -28,11 +28,13 @@ def iterated_derivative(kind: TrigKind, order: int, at: float) -> float:
 
     Chain rule product over the forward orbit: each cosine step
     contributes -sin(x_k), each sine step cos(x_k).  Order 0
-    differentiates the identity, giving 1.
+    differentiates the identity, giving 1.  An `at` that is not a finite
+    real number (nan, ±inf, a str, a bool, an int beyond the double
+    range) raises ValueError.
     """
     _check_kind(kind)
     _check_count(order, "order")
-    x = float(at)
+    x = _check_real(at, "at")
     step, slope = _map_and_slope(kind)
     p = 1.0
     for _ in range(order):

@@ -49,7 +49,7 @@ class EscapeParams:
 
     def __post_init__(self) -> None:
         _check_count(self.iterations, "iterations")
-        _check_real(self.threshold_sq, "threshold_sq", positive=True)
+        object.__setattr__(self, "threshold_sq", _check_real(self.threshold_sq, "threshold_sq", True))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iteration import TrigKind, _check_count, _check_kind
+from .iteration import TrigKind, _check_count, _check_kind, _check_real
 
 __all__ = [
     "PowerSeries",
@@ -68,11 +68,9 @@ class PowerSeries:
     tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = tuple(_check_real(c, "coefficients") for c in self.coefficients)
         if not coeffs:
             raise ValueError("need at least the constant coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError("coefficients must be finite")
         tail = float(self.tail_bound)
         if math.isnan(tail) or tail < 0.0:
             raise ValueError(f"tail_bound must be >= 0, got {self.tail_bound!r}")
@@ -93,8 +91,7 @@ class PowerSeries:
 
     def derivative_at_zero(self, k: int) -> float:
         """k-th derivative at 0, recovered as k! times the coefficient."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"derivative {k} outside stored range 0..{self.order}")
+        _check_count(k, "k", 0, self.order)
         return self.coefficients[k] * math.factorial(k)
 
     def l1_norm(self) -> float:

@@ -76,11 +76,14 @@ def test_refused_at_parse_naming_the_flag(argv, flag):
         (["derivative", "--f", "cos", "--n", "2", "--x", "-Infinity"], "--x", "x must be finite"),
         (["iterate", "--f", "cos", "--n", "2", "--v", "-nan"], "--v", "start value must be finite"),
         (["iterate", "--f", "cos", "--n", "2", "--v", "-inf+1j"], "--v", "start value must be finite"),
-        (["julia", "--f", "cos", "--region", "-inf,0,1,1"], "--region", "region '-inf,0,1,1' has a non-finite"),
+        (["julia", "--f", "cos", "--region", "-inf,0,1,1"], "--region", "x1 must be finite, got -inf"),
+            (["mandelbrot", "--region", "0,0,1,1e400"], "--region", "y2 must be finite, got inf"),
+            (["mandelbrot", "--region", "a,0,1,1"], "--region", "could not convert string to float: 'a'"),
         (["mandelbrot", "--threshold", "-NaN"], "--threshold", "threshold must be positive and finite"),
         (["iterate", "--f", "tan", "--n", "2"], "--f", "unknown map 'tan'"),
     ],
-    ids=["x-inf", "x-Infinity", "v-nan", "v-inf+1j", "region-inf", "threshold-NaN", "f-tan"],
+    ids=["x-inf", "x-Infinity", "v-nan", "v-inf+1j", "region-inf", "region-1e400", "region-a",
+         "threshold-NaN", "f-tan"],
 )
 def test_refused_with_the_flags_own_reason(argv, flag, reason):
     # -inf and -nan after a flag are read as its value, not as an unknown option

@@ -14,6 +14,7 @@ from trigiter import (
     MANDELBROT,
     ConvergenceError,
     EscapeParams,
+    PowerSeries,
     RangeBound,
     SolverMethod,
     TrigKind,
@@ -101,10 +102,14 @@ class TestIterate:
         assert isinstance(value, complex)
         assert not (math.isfinite(value.real) and math.isfinite(value.imag))
 
-    def test_nonfinite_real_input_propagates(self):
-        assert math.isnan(iterate(COS, 3, math.inf))
-        assert math.isnan(iterate(SIN, 1, math.nan))
-        assert iterate(COS, 0, -math.inf) == -math.inf  # order 0 returns the start as given
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_nonfinite_real_input_refused(self, order, start):
+        # these returned nan (order 0: the start itself) before every real start was checked
+        with pytest.raises(ValueError, match=r"^initial must be finite, got (-?inf|nan)$"):
+            iterate(COS, order, start)
+        with pytest.raises(ValueError, match=r"^at must be finite, got (-?inf|nan)$"):
+            iterated_derivative(SIN, order, start)
 
     def test_negative_order_rejected(self):
         for order in (-1, -3):
@@ -165,6 +170,47 @@ def test_counts_refuse_bool(call, name):
 def test_reals_refuse_what_is_not_positive_and_finite(call, name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got .*5e-324$"):
         call(value)
+
+
+REAL_INPUTS = {
+    "iterate": (lambda value: iterate(COS, 2, value), "initial"),
+    "iterated_derivative": (lambda value: iterated_derivative(COS, 2, value), "at"),
+    "dottie": (dottie, "tolerance"),
+    "EscapeParams": (lambda value: EscapeParams(threshold_sq=value), "threshold_sq"),
+    "PowerSeries": (lambda value: PowerSeries((1.0, value)), "coefficients"),
+}
+NOT_REAL = {"str": "0.5", "True": True, "False": False, "None": None, "MANDELBROT": MANDELBROT}
+
+
+# a str or a bool used to pass through float(), and EscapeParams kept a str
+# until a scan raised TypeError; an int beyond the double range raised OverflowError
+@pytest.mark.parametrize("value", list(NOT_REAL.values()), ids=list(NOT_REAL))
+@pytest.mark.parametrize("call, name", list(REAL_INPUTS.values()), ids=list(REAL_INPUTS))
+def test_reals_refuse_what_is_not_a_real_number(call, name, value):
+    refusal = rf"^{name} must be (positive and )?finite, got .* not a real number\)"
+    with pytest.raises(ValueError, match=refusal):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024], ids=["10**400", "-10**400", "2**1024"])
+@pytest.mark.parametrize("call, name", list(REAL_INPUTS.values()), ids=list(REAL_INPUTS))
+def test_reals_refuse_ints_beyond_the_double_range(call, name, value):
+    refusal = rf"^{name} must be (positive and )?finite, got int value beyond the double range"
+    with pytest.raises(ValueError, match=refusal):
+        call(value)
+
+
+@pytest.mark.parametrize("call, name", list(REAL_INPUTS.values())[1:], ids=list(REAL_INPUTS)[1:])
+def test_complex_is_a_real_only_as_an_iterate_start(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be .*\(complex, not a real number\)"):
+        call(0.5 + 0j)
+    assert iterate(COS, 2, 0.5 + 0j) == complex(math.cos(math.cos(0.5)), -0.0)
+
+
+def test_reals_are_held_as_floats():
+    assert type(EscapeParams(threshold_sq=10).threshold_sq) is float
+    assert EscapeParams(threshold_sq=10).threshold_sq == 10.0
+    assert type(iterate(COS, 0, 3)) is float
 
 
 class TestDottie:

@@ -53,8 +53,14 @@ class TestPowerSeries:
         assert s.derivative_at_zero(2) == -1.0
         assert s.derivative_at_zero(4) == 1.0
         assert s.derivative_at_zero(1) == 0.0
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=r"^k must be a non-negative integer <= 6, got 7$"):
             s.derivative_at_zero(7)
+
+    @pytest.mark.parametrize("k", [True, 2.0, -1, "1", None], ids=repr)
+    def test_derivative_index_is_a_count(self, k):
+        # True used to read c_1, 2.0 to fail indexing the tuple with TypeError
+        with pytest.raises(ValueError, match=r"^k must be a non-negative integer <= 4, got "):
+            cos_series(4).derivative_at_zero(k)
 
     def test_truncate_charges_tail(self):
         s = PowerSeries((1.0, -2.0, 0.5, 0.25), 0.1)

@@ -23,8 +23,11 @@ and `legacy` on the same corners for cos and sin.
 Calculus: from the same seed it draws calls of every public calculus
 function (iteration, derivatives, ranges, series, the Dottie solvers
 and digits) and of `EscapeParams`, refused arguments included: bools
-as counts, and zero, signed zero, underflowing, nan and infinite values
-as the tolerance and the threshold.  It digests each result's exact
+as counts; zero, signed zero, underflowing, nan and infinite values
+as the tolerance and the threshold; and a str, a bool and an int
+beyond the double range among the reals and real starts of `iterate`
+and `iterated_derivative`, each also passed on every seed to those two,
+`dottie`, `EscapeParams` and `PowerSeries`.  It digests each result's exact
 floats or the type of the exception it raises; and command lines
 of `dottie`, `iterate`, `derivative`, `series`, `bounds` and `extrema`,
 refused and dash-led values included.  A seed's calculus section runs
@@ -139,6 +142,9 @@ def run_cases(cases: list[dict]) -> list[list[str]]:
 
 REALS = (0.0, -0.0, 1.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e308, -1e308, math.pi,
          math.inf, -math.inf, math.nan)
+# not real numbers, or beyond the double range: "0.5" and True used to
+# pass through float(), and 10**400 to raise OverflowError
+REFUSED_REALS = ("0.5", True, 10**400)
 KINDS = ({"kind": "cos"}, {"kind": "sin"})
 REFUSED_KINDS = ("cos", None, {"kind": "mandelbrot"})
 # 30.0 equals 30, the working order whose base series iterated_series builds first;
@@ -159,8 +165,8 @@ def draw_calls(seed: int) -> list[list]:
     def count(low, high):
         return rng.randint(low, high) if rng.random() < 0.9 else rng.choice((low - 1, high + 1, *REFUSED_COUNTS))
 
-    def real():
-        return rng.choice((rng.choice(REALS), rng.uniform(-4.0, 4.0), rng.uniform(-1e6, 1e6)))
+    def real(refused=REFUSED_REALS):
+        return rng.choice((rng.choice(REALS + refused), rng.uniform(-4.0, 4.0), rng.uniform(-1e6, 1e6)))
 
     def positive(*accepted):
         return rng.choice(accepted) if rng.random() < 0.7 else rng.choice(REFUSED_POSITIVE)
@@ -169,7 +175,7 @@ def draw_calls(seed: int) -> list[list]:
         if rng.random() < 0.5:
             return real()
         imag = rng.choice((rng.uniform(-3.0, 3.0), 800.0, -711.0, math.inf, math.nan))
-        return {"complex": [rng.choice((rng.uniform(-3.0, 3.0), real())), imag]}
+        return {"complex": [rng.choice((rng.uniform(-3.0, 3.0), real(()))), imag]}
 
     def series():
         if rng.random() < 0.5:
@@ -212,6 +218,10 @@ def draw_calls(seed: int) -> list[list]:
     for name in ("cos_range", "sin_envelope", "second_derivative_at_zero", "cos_series", "sin_series",
                  "dottie_digits", "intersection_distances"):
         calls += [[name, value] for value in REFUSED_COUNTS]
+    # and every refused real in each place that takes one
+    for value in REFUSED_REALS:
+        calls += [["iterate", {"kind": "cos"}, 2, value], ["iterated_derivative", {"kind": "sin"}, 2, value],
+                  ["dottie", value], ["EscapeParams", 50, value], ["PowerSeries", [1.0, value]]]
     return calls
 
 
