@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import MANDELBROT
-from .iteration import _check_count, _check_real
+from .iteration import _check_count, _check_real, _real
 
 __all__ = [
     "MANDELBROT",
@@ -58,10 +58,8 @@ class PointSet:
 
     `mask[r, i]` tells whether the sample at real step r, imaginary
     step i survives; `xs[r]` is the real coordinate of row r and `ys[i]`
-    the imaginary coordinate of column i.  `first` is the real
-    coordinate of the very first sample, kept as given: it differs from
-    `xs[0]` only when a scan starts at -0.0 (see scan_raw).  The three
-    arrays are read-only; arrays the caller could still write are copied.
+    the imaginary coordinate of column i.  The three arrays are
+    read-only; arrays the caller could still write are copied.
 
     The survivors are the cells where `mask` is set, in scan order (row
     by row); on degenerate zero-step grids their coordinates repeat.
@@ -71,7 +69,6 @@ class PointSet:
     mask: np.ndarray = field(repr=False)
     xs: np.ndarray = field(repr=False)
     ys: np.ndarray = field(repr=False)
-    first: float
 
     def __post_init__(self) -> None:
         mask = np.asarray(self.mask)
@@ -88,7 +85,6 @@ class PointSet:
                 array = array.copy()
                 array.setflags(write=False)
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "first", float(self.first))
 
     @property
     def scanned(self) -> int:
@@ -101,17 +97,15 @@ class PointSet:
         """Yield this set cut into blocks of whole rows, in scan order.
 
         Each block is a PointSet of about _TILE_CELLS cells that views
-        this set's read-only arrays, so nothing is copied; its `first` is
-        this set's `first` for block 0 and its own first row's coordinate
-        after that.  Formatting the blocks one at a time and joining the
-        text gives the bytes format_points gives for the whole set, with
-        only one block's text alive at a time.
+        this set's read-only arrays, so nothing is copied.  Every row's
+        text depends on that row alone, so formatting the blocks one at
+        a time and joining the text gives the bytes format_points gives
+        for the whole set, with only one block's text alive at a time.
         """
         rows = _tile_rows(self.mask.shape[1])
         for lo in range(0, self.mask.shape[0], rows):
             hi = lo + rows
-            first = self.first if lo == 0 else self.xs[lo]
-            yield PointSet(self.mask[lo:hi], self.xs[lo:hi], self.ys, first)
+            yield PointSet(self.mask[lo:hi], self.xs[lo:hi], self.ys)
 
 
 def _check_map(mapping) -> None:
@@ -196,12 +190,14 @@ def scan_raw(
     """Scan the rectangle (x1, y1)-(x2, y2) without normalizing corner order.
 
     Sampling follows cumulative stepping: the imaginary coordinate runs
-    from y1 in increments of (y2-y1)/(grid-1) and resets per column;
-    the real coordinate accumulates across columns.  Adding the (zero)
-    imaginary step to a row origin normalizes a negative-zero real part,
-    so the very first sample is the only place -0.0 can appear on the
-    real axis; the coordinates reproduce that faithfully.  Corners given
-    in descending order scan in descending order.
+    from y1 in increments of (y2-y1)/(grid-1) and resets per row; the
+    real coordinate starts at x1 as given, -0.0 included, and row r + 1
+    starts at row r's coordinate plus 0.0 plus the real step.  Corners
+    given in descending order scan in descending order.  The kernel
+    takes xs as they are: a -0.0 in row 0 flips only the sign of zero
+    components of its orbits, which no trap or magnitude test reads.
+    The corners may be any real numbers, ±inf and nan included; anything
+    else is a ValueError.
 
     Rows are scanned in tiles of about 32k cells by a pool of at most
     `workers` threads (default: the usable CPUs), and never more threads
@@ -212,21 +208,22 @@ def scan_raw(
     _check_count(grid, "grid", 2, MAX_GRID)
     _check_count(params.iterations, f"iterations at grid {grid}", 0, _max_iterations(grid))
     _check_map(mapping)
-    n = grid
-    step_re = (float(x2) - float(x1)) / (n - 1)
-    step_im = (float(y2) - float(y1)) / (n - 1)
+    x1, y1, x2, y2 = (_real(v, name) for v, name in zip((x1, y1, x2, y2), ("x1", "y1", "x2", "y2")))
+    step_re = (x2 - x1) / (grid - 1)
+    step_im = (y2 - y1) / (grid - 1)
 
-    ys = _cumulative_axis(float(y1), step_im, n)
-    # Adding +0.0 turns a -0.0 origin into +0.0 for every sample except
-    # the very first, which keeps x1 as given.
-    xs = _cumulative_axis(float(x1) + 0.0, step_re, n)
+    ys = _cumulative_axis(y1, step_im, grid)
+    # The rows after the first accumulate from x1 + 0.0: from -0.0 a
+    # step of -0.0 (an underflowing one) would otherwise keep -0.0.
+    xs = _cumulative_axis(x1 + 0.0, step_re, grid)
+    xs[0] = x1
 
     if workers is None:
         workers = _usable_cpus()
     _check_count(workers, "workers", 1)
 
-    mask = np.empty((n, n), dtype=bool)
-    rows = _tile_rows(n)
+    mask = np.empty((grid, grid), dtype=bool)
+    rows = _tile_rows(grid)
 
     def run_tile(lo: int) -> None:
         hi = lo + rows
@@ -239,12 +236,12 @@ def scan_raw(
             params.iterations,
         )
 
-    tiles = range(0, n, rows)
+    tiles = range(0, grid, rows)
     with ThreadPoolExecutor(max_workers=min(workers, len(tiles), _usable_cpus())) as pool:
         list(pool.map(run_tile, tiles))
 
     mask.setflags(write=False)
-    return PointSet(mask, xs, ys, float(x1))
+    return PointSet(mask, xs, ys)
 
 
 def format_points(points: PointSet, padded: bool = True) -> str:
@@ -253,9 +250,11 @@ def format_points(points: PointSet, padded: bool = True) -> str:
     A line is the survivor's real and imaginary coordinates, each as
     "%.16g" text: right-aligned to 25 columns and joined by one space in
     the gnuplot layout (`padded`), joined by one space in the plain one.
-    The real coordinate of the very first cell is `first`, not `xs[0]`.
-    An empty set gives an empty string; anything but a PointSet is a
-    TypeError.
+    The classic scanner's rule for the real coordinate holds per row: a
+    row's first cell prints `xs[r]` as given, its later cells print
+    `xs[r] + 0.0`, the column step it adds, so a -0.0 prints as "-0" in
+    column 0 only.  An empty set gives an empty string; anything but a
+    PointSet is a TypeError.
 
     The lines come from two tables, one line start per grid row and one
     line end per column, so each coordinate is formatted once per axis
@@ -281,14 +280,16 @@ def _format_block(points: PointSet, padded: bool) -> str:
     mask = points.mask
     if not mask.any():
         return ""
-    re_tab = _coordinate_table(points.xs.tolist(), " ", padded)
+    re_tab = _coordinate_table((points.xs + 0.0).tolist(), " ", padded)
     im_tab = _column_line_ends(points.ys.tobytes(), padded)
     rows, cols = np.nonzero(mask)
     lines = np.empty((rows.size, 2), dtype=im_tab.dtype)
     lines[:, 0] = re_tab[rows]
     lines[:, 1] = im_tab[cols]
-    if mask[0, 0]:
-        lines[0, 0] = _coordinate_table([points.first], " ", padded)[0]
+    # x + 0.0 differs from x only at -0.0, so only a -0.0 row's first cell needs its own text
+    negative_zero = (points.xs == 0.0) & np.signbit(points.xs)
+    if negative_zero.any():
+        lines[(cols == 0) & negative_zero[rows], 0] = _coordinate_table([-0.0], " ", padded)[0]
     if padded:
         return str(lines.data, "ascii")
     return "".join(lines.ravel().tolist())

@@ -55,28 +55,39 @@ def _check_count(value, name: str, low: int = 0, high: int | None = None) -> int
     raise ValueError(f"{name} must be {limits}, got {value!r}")
 
 
-def _check_real(value, name: str, positive: bool = False) -> float:
-    """`value` as a float if a finite real number (> 0 when `positive`), else a ValueError naming `name`.
+def _real(value, name: str, must: str = "a real number", hint: str = "") -> float:
+    """`value` as a float if a real number, ±inf and nan included, else a ValueError naming `name`.
 
     A real number is a numbers.Real other than a bool: an int, a float or
     a numpy scalar.  A str, None or a complex is refused, and so is an
-    int too large for a double.
+    int too large for a double.  The error reads "`name` must be `must`,
+    got ..." followed by `hint`.
     """
     # the exact types first: an isinstance test against numbers.Real takes about 0.8 us
     exact = type(value) is float or type(value) is int
     if exact or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
         try:
-            x = float(value)
+            return float(value)
         except OverflowError:
             got = f"{type(value).__name__} value beyond the double range"
-        else:
-            if math.isfinite(x) and (x > 0.0 or not positive):
-                return x
-            got = repr(value)
     else:
         got = f"{value!r} ({type(value).__name__}, not a real number)"
-    hint = f"; the smallest usable {name} is {math.ulp(0.0)!r}" if positive else ""
-    raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {got}{hint}")
+    raise ValueError(f"{name} must be {must}, got {got}{hint}")
+
+
+def _check_real(value, name: str, positive: bool = False) -> float:
+    """`value` as a float if a finite real number (> 0 when `positive`), else a ValueError naming `name`.
+
+    What counts as a real number is up to _real.
+    """
+    if type(value) is float and math.isfinite(value) and (value > 0.0 or not positive):
+        return value  # the common case, without building the error's wording
+    must = "positive and finite" if positive else "finite"
+    hint = f"; the smallest usable {name} is 5e-324" if positive else ""  # math.ulp(0.0)
+    x = _real(value, name, must, hint)
+    if math.isfinite(x) and (x > 0.0 or not positive):
+        return x
+    raise ValueError(f"{name} must be {must}, got {value!r}{hint}")
 
 
 class TrigKind(Enum):

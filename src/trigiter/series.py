@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iteration import TrigKind, _check_count, _check_kind, _check_real
+from .iteration import TrigKind, _check_count, _check_kind, _check_real, _real
 
 __all__ = [
     "PowerSeries",
@@ -71,8 +71,8 @@ class PowerSeries:
         coeffs = tuple(_check_real(c, "coefficients") for c in self.coefficients)
         if not coeffs:
             raise ValueError("need at least the constant coefficient")
-        tail = float(self.tail_bound)
-        if math.isnan(tail) or tail < 0.0:
+        tail = _real(self.tail_bound, "tail_bound", ">= 0")
+        if not tail >= 0.0:  # nan too
             raise ValueError(f"tail_bound must be >= 0, got {self.tail_bound!r}")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "tail_bound", tail)
@@ -83,7 +83,8 @@ class PowerSeries:
         return len(self.coefficients) - 1
 
     def __call__(self, x: float) -> float:
-        """Horner evaluation of the polynomial part."""
+        """Horner evaluation of the polynomial part at a finite real `x`."""
+        x = _check_real(x, "x")
         acc = 0.0
         for c in reversed(self.coefficients):
             acc = acc * x + c

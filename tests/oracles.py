@@ -50,12 +50,13 @@ def grid_samples(x1, y1, x2, y2, n):
 def survivors(ps):
     """(re, im) of every set cell of a PointSet's mask, row by row, as floats.
 
-    Row r has real coordinate xs[r] and column i imaginary coordinate
-    ys[i], except the very first cell, whose real coordinate is `first`.
+    Column i has imaginary coordinate ys[i].  Row r has real coordinate
+    xs[r] in its first cell and xs[r] + 0.0 in the others, as in
+    grid_samples, so only a row's first cell can keep a -0.0.
     """
     xs, ys = ps.xs.tolist(), ps.ys.tolist()
     return [
-        (ps.first if r == i == 0 else xs[r], ys[i])
+        (xs[r] if i == 0 else xs[r] + 0.0, ys[i])
         for r, row in enumerate(ps.mask.tolist())
         for i, cell in enumerate(row)
         if cell

@@ -4,8 +4,9 @@ Each public function and constructor is called with its counts, reals
 and maps drawn from valid values and from a pool of values that some or
 all of them refuse: bools, nan, ±inf and 1e308, complex values, strings,
 None, the three maps, and (as reals only) ints beyond the double range.
-Structured arguments (series, derivative tables, point sets, scan
-corners and escape parameters) are drawn valid.  A call must return, or
+So are a series' tail bound, the point a series is evaluated at and the
+scan corners.  Structured arguments (series, derivative tables, point
+sets and escape parameters) are drawn valid.  A call must return, or
 raise ValueError (TailBoundError is one), TypeError or ConvergenceError:
 never OverflowError, IndexError, or an error from inside a computation.
 
@@ -77,7 +78,10 @@ CALLS = {
     "product_nth_derivative": (trigiter.product_nth_derivative, st.tuples(tables, count(0, 6))),
     "second_derivative_at_zero": (trigiter.second_derivative_at_zero, st.tuples(count(1, 30))),
     "extrema_locations": (trigiter.extrema_locations, st.tuples(mapping, count(1, 5), count(1, 20))),
-    "PowerSeries": (PowerSeries, st.tuples(st.lists(real(), max_size=6).map(tuple))),
+    "PowerSeries": (
+        PowerSeries, st.tuples(st.lists(real(), max_size=6).map(tuple), real(st.sampled_from((0.0, 1e-3, math.inf))))
+    ),
+    "PowerSeries.__call__": (PowerSeries.__call__, st.tuples(series, real())),
     "PowerSeries.truncate": (PowerSeries.truncate, st.tuples(series, count(0, 12))),
     "PowerSeries.derivative_at_zero": (PowerSeries.derivative_at_zero, st.tuples(series, count(0, 12))),
     "cos_series": (trigiter.cos_series, st.tuples(count(0, 40))),
@@ -86,9 +90,9 @@ CALLS = {
     "compose": (trigiter.compose, st.tuples(mapping, series)),
     "iterated_series": (trigiter.iterated_series, st.tuples(mapping, count(0, 3), count(0, 30))),
     "EscapeParams": (EscapeParams, st.tuples(count(0, 20), real(st.floats(1e-3, 1e6)), st.booleans())),
-    "PointSet": (lambda p: PointSet(p.mask, p.xs, p.ys, p.first), st.tuples(points)),
+    "PointSet": (lambda p: PointSet(p.mask, p.xs, p.ys), st.tuples(points)),
     "scan_raw": (
-        trigiter.scan_raw, st.tuples(*[st.floats(-3.0, 3.0)] * 4, count(2, 8), mapping, params, count(1, 3))
+        trigiter.scan_raw, st.tuples(*[real(st.floats(-3.0, 3.0))] * 4, count(2, 8), mapping, params, count(1, 3))
     ),
     "format_points": (trigiter.format_points, st.tuples(points, st.booleans())),
 }

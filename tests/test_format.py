@@ -1,7 +1,7 @@
 """Scan output built from per-axis string tables, against the line formula.
 
 A scan's output has one line per set cell of the mask, row by row: the
-cell's real coordinate (`xs[r]`, or `first` for the very first cell)
+cell's real coordinate (`xs[r]` in column 0, `xs[r] + 0.0` after it)
 and imaginary coordinate (`ys[i]`), each as "%.16g" text, right-aligned
 to 25 columns (gnuplot) or joined by one space (plain).  `format_points`
 builds those lines from one string per grid row and one per column; it
@@ -99,14 +99,14 @@ class TestTableEdges:
         ys = [math.nan, -math.inf, 0.0]
         mask = np.ones((4, 3), dtype=bool)
         mask[1, 1] = mask[3, 0] = False
-        ps = PointSet(mask, xs, ys, -math.inf)
+        ps = PointSet(mask, xs, ys)
         for padded in (True, False):
             assert_formats_like_reference(ps, padded)
-        assert format_points(ps).splitlines()[0] == "%25s %25s" % ("-inf", "nan")
+        assert format_points(ps).splitlines()[0] == "%25s %25s" % ("inf", "nan")
 
     @pytest.mark.parametrize("padded", [True, False], ids=["gnuplot", "plain"])
     def test_empty_survivor_set(self, padded):
-        ps = PointSet(np.zeros((3, 2), dtype=bool), [0.0, 1.0, 2.0], [0.0, 1.0], -0.0)
+        ps = PointSet(np.zeros((3, 2), dtype=bool), [0.0, 1.0, 2.0], [0.0, 1.0])
         assert len(ps) == 0
         assert format_points(ps, padded) == ""
         ps = scan_raw(*REGIONS["escaping"], MAPS["cos"])
@@ -192,7 +192,7 @@ class TestRowBlocks:
         ys = [-0.0, 0.25, 0.5]
         mask = np.zeros((6, 3), dtype=bool)
         mask[2, 0] = mask[3, 2] = mask[5, 1] = True
-        ps = PointSet(mask, xs, ys, -0.0)
+        ps = PointSet(mask, xs, ys)
         with tile_of_rows(rows, 3):
             assert_blocks_join_to_whole(ps, rows)
         assert format_points(ps).splitlines()[0] == "%25s %25s" % ("-0", "-0")
@@ -268,7 +268,7 @@ def point_sets(draw):
     mask[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = False
     xs = draw(st.lists(mixed_coordinate, min_size=rows, max_size=rows))
     ys = draw(st.lists(mixed_coordinate, min_size=cols, max_size=cols))
-    return PointSet(mask, xs, ys, draw(mixed_coordinate))
+    return PointSet(mask, xs, ys)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -96,6 +97,8 @@ class TestScanSemantics:
             (-1.0, -1.0, 1.0, 1.0, 16),
             (0.0, 0.0, -0.0, -0.0, 4),  # zero steps keep the signed corners
             (-0.0, 1.0, 0.0, -1.0, 5),  # only the first sample keeps -0.0
+            # the real step -5e-324 / 2 underflows to -0.0, which row 1 must not keep
+            (-0.0, -1.0, -5e-324, 1.0, 3),
         ]
         for name, kind in (("cos", COS), ("sin", SIN)):
             for x1, y1, x2, y2, n in regions:
@@ -103,6 +106,16 @@ class TestScanSemantics:
                 assert format_points(ps) == oracles.straightline_scan(
                     x1, y1, x2, y2, n, name
                 ), (name, x1, y1, x2, y2, n)
+
+    # "0.5" and True used to be scanned, and 10**400 raised OverflowError
+    @pytest.mark.parametrize("value", ["0.5", True, None, 0.5 + 0j, 10**400], ids=repr)
+    @pytest.mark.parametrize("corner", range(4), ids=["x1", "y1", "x2", "y2"])
+    def test_corners_refuse_what_is_not_a_real_number(self, corner, value):
+        corners = [0.0, 0.0, 1.0, 1.0]
+        corners[corner] = value
+        name = ("x1", "y1", "x2", "y2")[corner]
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got .*(real number|double range)"):
+            scan_raw(*corners, 2, COS)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match=">= 2"):
@@ -363,7 +376,7 @@ class TestPointSet:
         assert ps.scanned == 4
         assert len(ps) == 4
         assert ps.mask.tolist() == [[True, True], [True, True]]
-        assert (ps.xs.tolist(), ps.ys.tolist(), ps.first) == ([0.0, 1.0], [0.0, 1.0], 0.0)
+        assert (ps.xs.tolist(), ps.ys.tolist()) == ([0.0, 1.0], [0.0, 1.0])
         assert format_points(ps, padded=False).splitlines() == ["0 0", "0 1", "1 0", "1 1"]
 
     def test_len_counts_survivors(self):
@@ -376,12 +389,11 @@ class TestPointSet:
         assert ps.mask.shape == (3, 3) and ps.mask.all()
         assert ps.xs.tolist() == [1.0, 0.0, -1.0]
         assert ps.ys.tolist() == [3.0, 2.5, 2.0]
-        assert ps.first == 1.0
+        assert [f.name for f in dataclasses.fields(ps)] == ["mask", "xs", "ys"]
 
     def test_negative_zero_first_point(self):
         ps = self.full_scan(x1=-0.0)
-        assert math.copysign(1.0, ps.first) == -1.0
-        assert math.copysign(1.0, ps.xs[0]) == 1.0
+        assert math.copysign(1.0, ps.xs[0]) == -1.0
         assert [math.copysign(1.0, re) for re, im in oracles.survivors(ps)] == [-1.0, 1.0, 1.0, 1.0]
         first_two = ["%25s %25s" % ("-0", "0"), "%25s %25s" % ("0", "1")]
         assert format_points(ps).splitlines()[:2] == first_two
@@ -395,7 +407,7 @@ class TestPointSet:
 
     def test_caller_arrays_are_copied(self):
         mask, xs, ys = np.ones((2, 3), dtype=bool), np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0])
-        ps = PointSet(mask, xs, ys, 0.0)
+        ps = PointSet(mask, xs, ys)
         assert mask.flags.writeable and xs.flags.writeable and ys.flags.writeable
         mask[0, 0], xs[0], ys[0] = False, 5.0, 5.0
         assert ps.mask[0, 0] and ps.xs[0] == 0.0 and ps.ys[0] == 0.0
@@ -407,14 +419,14 @@ class TestPointSet:
     )
     def test_validation(self, xs, ys):
         with pytest.raises(ValueError, match="axis lengths"):
-            PointSet(np.zeros((2, 2), dtype=bool), xs, ys, 0.0)
+            PointSet(np.zeros((2, 2), dtype=bool), xs, ys)
 
     @pytest.mark.parametrize(
         "mask", [np.zeros((2, 2), dtype=int), np.zeros(4, dtype=bool)], ids=["int", "flat"]
     )
     def test_mask_must_be_a_boolean_matrix(self, mask):
         with pytest.raises(ValueError, match="mask"):
-            PointSet(mask, np.zeros(2), np.zeros(2), 0.0)
+            PointSet(mask, np.zeros(2), np.zeros(2))
 
 
 class TestGridCap:
@@ -469,7 +481,7 @@ class TestGridCap:
 
 def one_cell(re, im, alive=True):
     """A PointSet of one cell at re + im*i."""
-    return PointSet(np.full((1, 1), alive), [re], [im], re)
+    return PointSet(np.full((1, 1), alive), [re], [im])
 
 
 class TestFormatting:

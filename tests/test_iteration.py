@@ -178,6 +178,7 @@ REAL_INPUTS = {
     "dottie": (dottie, "tolerance"),
     "EscapeParams": (lambda value: EscapeParams(threshold_sq=value), "threshold_sq"),
     "PowerSeries": (lambda value: PowerSeries((1.0, value)), "coefficients"),
+    "PowerSeries.__call__": (lambda value: PowerSeries((1.0, 2.0))(value), "x"),
 }
 NOT_REAL = {"str": "0.5", "True": True, "False": False, "None": None, "MANDELBROT": MANDELBROT}
 

@@ -46,6 +46,25 @@ class TestPowerSeries:
         s = PowerSeries((1.0, 2.0, 3.0))
         assert s(0.0) == 1.0
         assert s(2.0) == 1.0 + 4.0 + 12.0
+        assert s(2) == 17.0
+
+    # "0.5" and True used to be taken, and 10**400 raised OverflowError
+    @pytest.mark.parametrize(
+        "value", ["0.5", True, None, 0.5 + 0j, 10**400, math.nan, -0.1, -math.inf], ids=repr
+    )
+    def test_tail_bound_refuses_what_is_not_a_real_at_least_zero(self, value):
+        with pytest.raises(ValueError, match=r"^tail_bound must be >= 0, got "):
+            PowerSeries((1.0,), value)
+
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, 3, 1e-3, math.inf], ids=repr)
+    def test_tail_bound_admits_zero_to_infinity(self, value):
+        tail = PowerSeries((1.0,), value).tail_bound
+        assert type(tail) is float and tail == value
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_evaluation_refuses_non_finite_points(self, value):
+        with pytest.raises(ValueError, match=r"^x must be finite, got "):
+            cos_series(4)(value)
 
     def test_derivative_extraction(self):
         s = cos_series(6)

@@ -21,16 +21,18 @@ that negative and non-finite corners meet the merge of dashed values),
 and `legacy` on the same corners for cos and sin.
 
 Calculus: from the same seed it draws calls of every public calculus
-function (iteration, derivatives, ranges, series, the Dottie solvers
-and digits) and of `EscapeParams`, refused arguments included: bools
-as counts; zero, signed zero, underflowing, nan and infinite values
-as the tolerance and the threshold; and a str, a bool and an int
-beyond the double range among the reals and real starts of `iterate`
-and `iterated_derivative`, each also passed on every seed to those two,
-`dottie`, `EscapeParams` and `PowerSeries`.  It digests each result's exact
-floats or the type of the exception it raises; and command lines
-of `dottie`, `iterate`, `derivative`, `series`, `bounds` and `extrema`,
-refused and dash-led values included.  A seed's calculus section runs
+function (iteration, derivatives, ranges, series, composition, series
+evaluation, the Dottie solvers and digits) and of `EscapeParams`,
+refused arguments included: bools as counts; zero, signed zero,
+underflowing, nan and infinite values as the tolerance and the
+threshold; and a str, a bool and an int beyond the double range among
+the reals and real starts of `iterate`, `iterated_derivative` and
+series evaluation, each also passed on every seed to those three,
+`dottie`, `EscapeParams`, a `PowerSeries` coefficient and tail bound,
+and each corner of `scan_raw`.  It digests each result's exact floats
+(a scan's mask and axes) or the type of the exception it raises; and
+command lines of `dottie`, `iterate`, `derivative`, `series`, `bounds`
+and `extrema`, refused and dash-led values included.  A seed's calculus section runs
 in 0.3-0.7 s per checkout on a 2-vCPU x86-64 host.
 
 A command line is digested by its exit code and stdout; stderr is left
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -212,6 +215,8 @@ def draw_calls(seed: int) -> list[list]:
         "dottie_digits": lambda: [count(1, 64)],
         "extrema_locations": lambda: [kind(), count(1, 5), count(1, 50)],
         "intersection_distances": lambda: [count(1, 10)],
+        "compose": lambda: [kind(), series()],
+        "PowerSeries.__call__": lambda: [series(), real()],
     }
     calls = [[name, *draw()] for name, draw in drawers.items() for _ in range(CALLS_PER_FUNCTION)]
     # every refused count on every seed, after the draws have filled the caches
@@ -221,7 +226,12 @@ def draw_calls(seed: int) -> list[list]:
     # and every refused real in each place that takes one
     for value in REFUSED_REALS:
         calls += [["iterate", {"kind": "cos"}, 2, value], ["iterated_derivative", {"kind": "sin"}, 2, value],
-                  ["dottie", value], ["EscapeParams", 50, value], ["PowerSeries", [1.0, value]]]
+                  ["dottie", value], ["EscapeParams", 50, value], ["PowerSeries", [1.0, value]],
+                  ["PowerSeries", [1.0], value], ["PowerSeries.__call__", {"call": ["cos_series", 4]}, value]]
+        for k in range(4):
+            corners = [0.0, 0.0, 1.0, 1.0]
+            corners[k] = value
+            calls.append(["scan_raw", *corners, 2, {"kind": "cos"}])
     return calls
 
 
@@ -262,6 +272,8 @@ def canon(value):
         return [canon(value.value), value.iterations, canon(value.residual), value.method.value]
     if hasattr(value, "threshold_sq"):  # EscapeParams
         return [value.iterations, canon(value.threshold_sq), value.early_exit]
+    if hasattr(value, "mask"):  # PointSet
+        return [value.mask.tolist(), canon(value.xs.tolist()), canon(value.ys.tolist())]
     if isinstance(value, (int, str)):
         return value
     raise TypeError(f"no canonical form for {type(value).__name__}")
@@ -274,7 +286,8 @@ def run_calls(calls: list[list]) -> list[str]:
     digests = []
     for name, *args in calls:
         try:
-            out = canon(getattr(trigiter, name)(*decode(args)))
+            function = functools.reduce(getattr, name.split("."), trigiter)  # "PowerSeries.__call__" too
+            out = canon(function(*decode(args)))
         except Exception as exc:  # refused arguments are part of the draw
             out = ["raised", type(exc).__name__]
         digests.append(hashlib.sha256(json.dumps(out).encode("ascii")).hexdigest())
