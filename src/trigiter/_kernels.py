@@ -17,19 +17,58 @@ A cos or sin step costs libm calls, so those orbits are compacted on
 every step.  A Mandelbrot step is a few multiplications and additions,
 so there the fixed cost of the array calls dominates, and the live
 orbits are compacted only every COMPACTION_STRIDE = 8 steps; in between
-the dropped orbits are still computed and their results ignored.  With
-early exit a boolean mask carries the test between compactions, and it
-is sticky, `live &= |z|^2 < threshold`: below threshold 4 an orbit can
-come back under the threshold after it has failed, and a nan fails `<`.
-Without early exit an orbit is dropped, at a compaction, once a
-component is non-finite: a non-finite state steps to a non-finite state
-and fails the final test, so it could never survive.  The final test is
-`live & (|z_N|^2 < threshold)`.  Each cell's iterates are the ones the
-full grid computes, up to the sign of a zero component (see below), and
-every test sees the same magnitudes as when each step compacted, so no
-outcome can change.  The step reuses a*a and b*b, as (a*a - b*b) + cr,
-and keeps the imaginary part as (2.0 * a) * b + ci: a*b + a*b differs
-from that in the last bit when the product is subnormal.
+the dropped orbits are still computed and their results ignored.
+
+A Mandelbrot compaction has one rule in every mode: it keeps the orbits
+with S = aa + bb < drop_sq, where aa = a*a and bb = b*b are the squares
+the step computes anyway, and drop_sq = max(threshold, r^2).  The escape
+radius r is taken once per tile from C, a bound on |c| over its cells,
+as the root of r^2 = g r + C with growth factor g = ESCAPE_GROWTH =
+1.25; C and r^2 each carry a relative slack of 2^-40.  Past r every
+float step multiplies S by more than g^2 (1 - 12u) > 1.5, u = 2^-53 (the
+escape lemma, |z| > max(2, |c|) makes the orbit escape, with rounding
+charged):
+
+- S <= (1 + u)^2 |z|^2, so S >= r^2 gives |z|^2 >= r^2 / (1 + u)^2.
+  The slack on r^2 covers that factor and the few ulps lost in computing
+  r; the slack on C covers its own rounding and a relative 4u more.  So
+  |z|^2 - (1 + 4u)|c| >= g|z| for every cell's c.
+- The step forms (aa - bb) + cr and (2.0 * a) * b + ci: z^2 + c with an
+  error below 3u|z|^2 before the last rounding of each component, a
+  relative u.  So |z'| >= (1 - u)((1 - 3u)|z|^2 - |c|) >=
+  (1 - u)(1 - 3u)(|z|^2 - (1 + 4u)|c|) >= (1 - u)(1 - 3u) g|z|.
+- S' >= (1 - u)^2 |z'|^2 >= g^2 (1 - 12u) S.
+- An underflow adds an absolute error below 2^-1074, inside the slack
+  as |z|^2 > 1.5.  An overflow makes a component of z' non-finite, or
+  S' = inf.
+
+So an orbit with S >= drop_sq keeps S >= drop_sq >= threshold at every
+later iterate, or goes non-finite.  Non-finite iterates are absorbing:
+a nan or infinite aa or bb makes (aa - bb) + cr non-finite whatever c
+is, and a non-finite S fails `<`.  Either way the orbit fails the final
+test and every early-exit test from then on, so dropping it changes no
+outcome.  Where C or r^2 is not finite (an axis holds an infinity or a
+nan, or |c| comes near DBL_MAX), drop_sq is inf and the rule drops the
+iterates with S = inf or nan.  A finite z with S = inf has |z|^2 >
+DBL_MAX / (1 + u)^2: if |c| <= DBL_MAX / 4, its next iterate has
+S = inf and the one after is non-finite; if |c| > DBL_MAX / 4, already
+z_2 is non-finite, and compactions test z_8 onward.
+
+With early exit a boolean mask carries the threshold test between
+compactions, sticky, `live &= S < threshold`, but only where threshold
+< drop_sq: below the radius an orbit can come back under the threshold
+after it has failed (below threshold 4, say), and a nan fails `<`.
+Where threshold = drop_sq an iterate that fails the threshold fails
+every later one, so the final test decides early exit too; at the
+default threshold 10 every tile of the plane [-2.5, 2.5]^2 has
+r^2 < 6.8, so its early-exit steps make 7 array calls rather than 10.
+The final test is `live & (S_N < threshold)`.  Each cell's iterates are
+the ones the full grid computes, up to the sign of a zero component (see
+below), and every test sees the same magnitudes as when each step
+compacted, so no outcome can change.  The step reuses aa and bb, as
+(aa - bb) + cr, and keeps the imaginary part as (2.0 * a) * b + ci:
+a*b + a*b differs from that in the last bit when the product is
+subnormal.
 
 A Mandelbrot orbit starts at z_1 = c, not at z_0 = 0, and runs N - 1
 steps.  z_0 = 0 passes every test, as the threshold is positive, so only
@@ -113,6 +152,8 @@ to both boundaries.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .iteration import DOTTIE, TrigKind
@@ -146,6 +187,11 @@ _MULTIPLIER_BOUND = 1.0 - 1e-3
 
 # Mandelbrot steps between two compactions of the live orbits.
 COMPACTION_STRIDE = 8
+
+# Least factor by which a Mandelbrot step grows |z| past the escape radius,
+# and the relative slack on the bound on |c| and on the squared radius.
+ESCAPE_GROWTH = 1.25
+_BOUND_SLACK = 1.0 + 2.0**-40
 
 
 def _in_dottie_rectangle(a, b):
@@ -248,6 +294,19 @@ def survive(xs, ys, mapping, threshold, early_exit, iterations):
     return alive.reshape(shape)
 
 
+def _escape_radius_sq(xs, ys):
+    """r^2 of the tile with axes xs, ys: past it a step multiplies aa + bb by more than 1.5.
+
+    inf where the bound on |c| or r^2 is not finite.
+    """
+    bound = math.hypot(np.abs(xs).max(), np.abs(ys).max()) * _BOUND_SLACK
+    # the positive root of r^2 - ESCAPE_GROWTH r - bound
+    half = ESCAPE_GROWTH / 2.0
+    radius = half + math.sqrt(half * half + bound)
+    radius_sq = radius * radius * _BOUND_SLACK
+    return radius_sq if math.isfinite(radius_sq) else math.inf
+
+
 def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
     """Set `alive` for the parameters of the tile with axes xs, ys."""
     if iterations == 0:
@@ -260,21 +319,25 @@ def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
         alive[inside] = True
         outside = ~inside
         cr, ci, cells = cr[outside], ci[outside], cells[outside]
+        if not cells.size:
+            return
+    drop_sq = max(threshold, _escape_radius_sq(xs, ys))
+    # past drop_sq an orbit fails every later test, so only a threshold
+    # below it needs early exit's own test, on every step
+    sticky = early_exit and threshold < drop_sq
     a, b = cr, ci  # z_1; the steps below never write into cr and ci
     live = np.ones(cells.size, dtype=bool)
     for step in range(1, iterations):
+        aa, bb = a * a, b * b
+        if sticky:
+            live &= aa + bb < threshold
         if step % COMPACTION_STRIDE == 0:
-            if not early_exit:
-                live = np.isfinite(a)
-                live &= np.isfinite(b)
+            live &= aa + bb < drop_sq
             if not live.all():
-                a, b, cr, ci, cells = a[live], b[live], cr[live], ci[live], cells[live]
+                a, b, aa, bb, cr, ci, cells = (v[live] for v in (a, b, aa, bb, cr, ci, cells))
                 if not cells.size:
                     return
                 live = np.ones(cells.size, dtype=bool)
-        aa, bb = a * a, b * b
-        if early_exit:
-            live &= aa + bb < threshold
         # (aa - bb) + cr and 2.0 * a * b + ci, the same roundings with fewer temporaries
         b2 = 2.0 * a
         b2 *= b

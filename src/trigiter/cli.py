@@ -5,7 +5,8 @@ parsing; the `legacy` subcommand instead reproduces the classic
 escape-time scanner byte-for-byte, including its C-style argument
 parsing, its usage-then-success quirk, and its exact output format.
 
-Exit codes: 0 success, 1 validation or usage error, 2 internal error.
+Exit codes: 0 success, 1 validation or usage error, 2 internal error;
+a reader that closes stdout early ends the command with 0.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -238,7 +240,7 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
         type=_count("workers", 1),
         default=None,
         help="scan threads, capped at the usable CPUs and at one per tile of rows"
-        " (default: all usable CPUs)",
+        " (default: all usable CPUs); Mandelbrot scans use one",
     )
     parser.add_argument(
         "--format",
@@ -372,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         command = args.func
     try:
         return command(args)
+    except BrokenPipeError:  # the reader closed early, as `| head` does: not an error
+        return 0
     except (ValueError, ConvergenceError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -380,5 +384,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The `trigiter` command: run `main` and exit with its code.
+
+    If the reader has closed stdout, output still buffered cannot be
+    flushed; stdout's descriptor then goes to the null device, so the
+    flush at exit does not raise again.  Only the command does this, as
+    `main` also runs inside other processes.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

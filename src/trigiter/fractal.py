@@ -129,8 +129,9 @@ MAX_GRID = math.isqrt(_SCAN_BUDGET_BYTES // (52 + 1))
 # A scan's work in cell-steps: grid * grid cells per iteration plus the
 # fixed cost of the kernel's array calls in each step, counted as 1024
 # cells.  On orbits that run every step, a cell-step takes 15-30 ns for
-# cos and sin and 4-6 ns for Mandelbrot (8-13 ns when it compacted on
-# every step), the fixed cost 4-12 us per step (2-vCPU Xeon, numpy 2.4).
+# cos and sin and 3-5 ns for Mandelbrot with or without early exit (real
+# parameters in [-1.99, -1.41] at threshold 10), the fixed cost 5-13 us
+# per step (2-vCPU Xeon, numpy 2.4).
 # The budget, 10-40 s of one thread's kernel time, admits the legacy
 # scanner's 50 iterations at MAX_GRID; it is checked before allocation.
 # It stays the worst case: an orbit that enters a kernel trap stops
@@ -201,8 +202,12 @@ def scan_raw(
 
     Rows are scanned in tiles of about 32k cells by a pool of at most
     `workers` threads (default: the usable CPUs), and never more threads
-    than tiles or usable CPUs.  The iteration count is capped by a work
-    budget that shrinks with the grid: 52 iterations at MAX_GRID,
+    than tiles or usable CPUs.  Mandelbrot tiles run on one thread: its
+    step is a few numpy calls on arrays that shrink within a few
+    compactions, which hold the GIL for most of their time, and one
+    thread scanned the benchmark's Mandelbrot requests faster than two.
+    The iteration count is capped by a work budget that shrinks with
+    the grid: 52 iterations at MAX_GRID,
     MAX_ITERATIONS at grid 2.
     """
     _check_count(grid, "grid", 2, MAX_GRID)
@@ -237,7 +242,8 @@ def scan_raw(
         )
 
     tiles = range(0, grid, rows)
-    with ThreadPoolExecutor(max_workers=min(workers, len(tiles), _usable_cpus())) as pool:
+    threads = 1 if mapping is MANDELBROT else min(workers, len(tiles), _usable_cpus())
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run_tile, tiles))
 
     mask.setflags(write=False)

@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import math
 import os
 import pathlib
 import random
 import re
+import stat
 import subprocess
 import sys
 
@@ -575,6 +577,31 @@ class TestExitCodes:
         assert code == 2
         assert err == "internal error: disk on fire\n"
 
+    def test_a_closed_pipe_is_not_an_error(self, capsys, monkeypatch):
+        import trigiter.cli as cli
+
+        def closed(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "format_points", closed)
+        code, out, err = run_cli(capsys, ["julia", "--f", "cos", "--grid", "5"])
+        assert (code, out, err) == (0, "", "")
+
+    def test_main_leaves_a_closed_pipe_to_its_caller(self, capsys, monkeypatch):
+        # in process, stdout on a real pipe whose reader has gone: main
+        # returns 0 and does not point the caller's descriptor elsewhere
+        read, write = os.pipe()
+        os.close(read)
+        stream = open(write, "w")
+        monkeypatch.setattr(sys, "stdout", stream)
+        try:
+            assert main(["legacy", "-2.5", "-2.5", "2.5", "2.5", "300", "cos"]) == 0
+            assert stat.S_ISFIFO(os.fstat(write).st_mode)
+        finally:
+            with contextlib.suppress(BrokenPipeError):
+                stream.close()  # closes the descriptor although the flush fails
+        assert capsys.readouterr().err == ""
+
     def test_internal_error_in_legacy(self, capsys, monkeypatch):
         import trigiter.cli as cli
 
@@ -587,18 +614,18 @@ class TestExitCodes:
         assert err == "internal error: disk on fire\n"
 
 
+def tree_env():
+    """The environment with this tree's ``src`` first on the path."""
+    src = pathlib.Path(trigiter.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestEntryPoints:
     @staticmethod
     def run_python(code, *args):
         """Run `code` in a fresh interpreter with this tree's ``src`` first on the path."""
-        src = pathlib.Path(trigiter.__file__).resolve().parents[1]
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-c", code, *args],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=tree_env())
 
     def test_cli_import_leaves_mpmath_unloaded(self):
         proc = self.run_python(
@@ -612,6 +639,49 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0.73908513321516064166\n"
 
+    @staticmethod
+    def command(entry, argv):
+        """The `trigiter` command line through `python -m` or the console script, and its environment.
+
+        stdout is block-buffered, as a shell leaves it for a pipe.
+        """
+        launch = ["-m", "trigiter"] if entry == "module" else ["-c", TestEntryPoints.console_launcher()]
+        env = {k: v for k, v in tree_env().items() if k != "PYTHONUNBUFFERED"}
+        return [sys.executable, *launch, *argv], env
+
+    @pytest.mark.parametrize("entry", ["module", "console-script"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["legacy", "-2.5", "-2.5", "2.5", "2.5", "300", "cos"], ["mandelbrot", "--grid", "400"]],
+        ids=["legacy", "mandelbrot"],
+    )
+    def test_a_reader_that_closes_early_is_not_an_error(self, argv, entry):
+        # megabytes of output, far beyond a pipe's buffer: the command is
+        # still writing when the reader closes after one line, as `| head -1` does
+        command, env = self.command(entry, argv)
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == b""
+        assert first.endswith(b"\n")
+
+    @pytest.mark.parametrize("entry", ["module", "console-script"])
+    @pytest.mark.parametrize("argv", [["legacy"], ["dottie"]], ids=["usage", "dottie"])
+    def test_a_reader_gone_before_the_exit_flush_is_not_an_error(self, argv, entry):
+        # the short output is still buffered when main returns, so only
+        # the flush at exit meets the closed pipe
+        read, write = os.pipe()
+        os.close(read)
+        command, env = self.command(entry, argv)
+        try:
+            proc = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
     def test_module_invocation_matches_golden(self):
         proc = subprocess.run(
             [sys.executable, "-m", "trigiter", "legacy", "-2.5", "-2.5", "2.5", "2.5", "5", "cos"],
@@ -622,25 +692,29 @@ class TestEntryPoints:
         assert proc.stdout == GOLDEN.read_text()
 
     @staticmethod
-    def run_console_script(args):
-        """Run the ``trigiter`` console script declared by the tree under test.
+    def console_launcher():
+        """Code that runs the ``trigiter`` console script declared by the tree under test.
 
         The target comes from ``[project.scripts]`` of the ``pyproject.toml``
         beside the imported package, and is loaded and called the way an
-        installer's launcher does, with that tree's ``src`` first on the path.
+        installer's launcher does.
         """
         tomllib = pytest.importorskip("tomllib")
         src = pathlib.Path(trigiter.__file__).resolve().parents[1]
         pyproject = tomllib.loads((src.parent / "pyproject.toml").read_text())
         target = pyproject["project"]["scripts"]["trigiter"]
-        launcher = (
+        return (
             "import sys\n"
             "from importlib.metadata import EntryPoint\n"
             f"func = EntryPoint('trigiter', {target!r}, 'console_scripts').load()\n"
             "sys.argv[0] = 'trigiter'\n"
             "sys.exit(func())\n"
         )
-        return TestEntryPoints.run_python(launcher, *args)
+
+    @staticmethod
+    def run_console_script(args):
+        """Run the console script with this tree's ``src`` first on the path."""
+        return TestEntryPoints.run_python(TestEntryPoints.console_launcher(), *args)
 
     def test_console_script_exists_and_runs(self):
         proc = self.run_console_script(["legacy"])

@@ -284,13 +284,23 @@ class TestThreadPool:
         scan_raw(-1.0, -1.0, 1.0, 1.0, 40, COS)
         assert pool_sizes == [4, 1]
 
+    @pytest.mark.parametrize("workers", [None, 1, 2, 5000], ids=["default", "1", "2", "5000"])
+    def test_mandelbrot_uses_one_thread(self, monkeypatch, pool_sizes, workers):
+        monkeypatch.setattr(fractal, "_TILE_CELLS", 40)
+        rows = record_tiles(monkeypatch)
+        scan_raw(-1.0, -1.0, 1.0, 1.0, 40, MANDELBROT, workers=workers)
+        assert pool_sizes == [1]
+        assert rows == [1] * 40
+
     def test_cli_workers_flag_is_capped(self, monkeypatch, capsys, pool_sizes):
         from trigiter.cli import main
 
         monkeypatch.setattr(fractal, "_TILE_CELLS", 40)
         assert main(["julia", "--f", "cos", "--grid", "40", "--workers", "5000"]) == 0
         assert capsys.readouterr().out
-        assert pool_sizes == [3]
+        assert main(["mandelbrot", "--grid", "40", "--workers", "5000"]) == 0
+        assert capsys.readouterr().out
+        assert pool_sizes == [3, 1]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):

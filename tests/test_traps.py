@@ -5,7 +5,8 @@ from the active set.  These tests check the constants each trap's proof
 rests on in interval arithmetic, compare cells placed just inside and
 just outside each trap with the scalar oracles, compare whole grids with
 the kernel run with its traps turned off, and fail if the traps stop
-firing.
+firing.  They also check the escape lemma behind the Mandelbrot drop:
+past the tile's escape radius every float step grows |z|^2.
 """
 
 import cmath
@@ -14,6 +15,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import iv
 
 import oracles
@@ -294,6 +297,143 @@ class TestMandelbrotInterior:
         corners = np.array([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0])
         with np.errstate(over="ignore", invalid="ignore"):
             assert not test(corners, corners[::-1]).any()
+
+
+DBL_MAX = sys.float_info.max
+
+
+def float_step(a, b, cr, ci):
+    """One Mandelbrot step as the kernel rounds it, on float64 scalars."""
+    aa, bb = a * a, b * b
+    return (aa - bb) + cr, (2.0 * a) * b + ci
+
+
+def squared(a, b):
+    return a * a + b * b
+
+
+def on_the_ray(drop_sq, angle, spread=1.0):
+    """The float z at `angle` and about `spread` * sqrt(drop_sq) from 0 with aa + bb >= drop_sq."""
+    radius = math.sqrt(min(drop_sq, DBL_MAX)) * spread
+    a, b = np.float64(radius * math.cos(angle)), np.float64(radius * math.sin(angle))
+    with np.errstate(over="ignore"):
+        while squared(a, b) < drop_sq:  # onto the drop radius as the kernel rounds |z|^2
+            a, b = a * (1 + 2.0**-52), b * (1 + 2.0**-52)
+    return a, b
+
+
+def against(cr, ci):
+    """An angle of z at which z^2 points against c, where a step grows |z| least."""
+    return (math.atan2(ci, cr) + math.pi) / 2
+
+
+def check_growth(drop_sq, cr, ci, a, b):
+    """The escape lemma for one state: the step grows aa + bb by more than 1.5 or goes non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isfinite(drop_sq) and squared(a, b) >= drop_sq
+        a2, b2 = float_step(a, b, np.float64(cr), np.float64(ci))
+        if math.isfinite(a2) and math.isfinite(b2):
+            assert squared(a2, b2) >= max(drop_sq, 1.5 * squared(a, b)), (cr, ci, a, b)
+
+
+@st.composite
+def escaped_states(draw):
+    """(drop_sq, cr, ci, a, b): c a cell of a drawn tile, z = a + ib with aa + bb >= drop_sq.
+
+    The axes reach |c| from 0 to near the double range; z lies on the drop
+    radius or beyond it, up to past the overflow of aa + bb.
+    """
+    reach = draw(st.sampled_from([1.0, 2.5, 1e3, 1e20, 1e150, 1e300, DBL_MAX / 2]))
+    axis = st.lists(st.floats(-reach, reach), min_size=1, max_size=4).map(np.array)
+    xs, ys = draw(axis), draw(axis)
+    drop_sq = max(draw(st.floats(1e-3, 1e300)), _kernels._escape_radius_sq(xs, ys))
+    assume(math.isfinite(drop_sq))  # inf: see test_an_overflowing_square_escapes_within_two_steps
+    if draw(st.booleans()):  # the cell of largest |c|
+        cr, ci = xs[np.abs(xs).argmax()], ys[np.abs(ys).argmax()]
+    else:
+        cr, ci = draw(st.sampled_from(list(xs))), draw(st.sampled_from(list(ys)))
+    angle = against(cr, ci) + draw(st.sampled_from([0.0, math.pi])) + draw(st.floats(-0.3, 0.3))
+    angle = draw(st.sampled_from([angle, draw(st.floats(0.0, 2 * math.pi))]))
+    spread = draw(st.sampled_from([1.0, draw(st.floats(1.0, 10.0)), 10 ** draw(st.floats(0.0, 160.0))]))
+    a, b = on_the_ray(drop_sq, angle, spread)
+    assume(math.isfinite(a) and math.isfinite(b))
+    return drop_sq, cr, ci, a, b
+
+
+class TestEscapeRadius:
+    """Past the tile's escape radius a Mandelbrot step grows aa + bb by more than 1.5 or overflows.
+
+    So an orbit with aa + bb >= drop_sq = max(threshold, radius^2) stays
+    there, or goes non-finite, and fails every later test: the proof is
+    in the `_kernels` docstring.
+    """
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(state=escaped_states())
+    def test_a_step_past_the_radius_grows_the_squared_magnitude(self, state):
+        check_growth(*state)
+
+    # tiles from the workload's plane to near the double range, each at its largest |c|
+    @pytest.mark.parametrize("reach", [0.0, 0.5, 2.0, 2.5, 1e3, 1e20, 1e100, 1e150, 1e300])
+    @pytest.mark.parametrize("threshold", [1.0, 10.0, 1e6])
+    def test_the_least_growth_lies_on_the_radius(self, reach, threshold):
+        xs, ys = np.array([-reach, reach / 2]), np.array([0.0, reach])
+        drop_sq = max(threshold, _kernels._escape_radius_sq(xs, ys))
+        for cr, ci in [(-reach, reach), (reach / 2, 0.0), (-reach, 0.0), (0.0, reach)]:
+            for turn in np.linspace(-0.05, 0.05, 41):
+                check_growth(drop_sq, cr, ci, *on_the_ray(drop_sq, against(cr, ci) + turn))
+
+    def test_no_per_step_test_at_the_default_threshold(self):
+        # every tile of the plane [-2.5, 2.5]^2 has radius^2 < 6.8, so at
+        # threshold 10 an orbit that fails the threshold fails every later test
+        assert _kernels._escape_radius_sq(np.array([-2.5, 2.5]), np.array([-2.5, 2.5])) < 6.8
+        assert EscapeParams().threshold_sq > 6.8
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([math.inf], [0.0]), ([0.0], [-math.inf]), ([math.nan, 1.0], [0.0]), ([DBL_MAX], [DBL_MAX]), ([1.0], [DBL_MAX])],
+    )
+    def test_a_bound_past_the_double_range_gives_inf(self, xs, ys):
+        assert _kernels._escape_radius_sq(np.array(xs), np.array(ys)) == math.inf
+
+    @pytest.mark.parametrize("cr", [0.0, -2.0, 1e300, -DBL_MAX, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "a, b", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf), (-math.inf, 2.0)]
+    )
+    def test_a_non_finite_iterate_is_absorbing(self, a, b, cr):
+        # and fails `<` against any drop_sq, inf included
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = np.float64(a), np.float64(b)
+            for _ in range(3):
+                assert not squared(a, b) < math.inf
+                a, b = float_step(a, b, np.float64(cr), np.float64(0.5))
+                assert not math.isfinite(a)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        angle=st.floats(0.0, 2 * math.pi),
+        spread=st.floats(1.0, 2.0),
+        c=st.complex_numbers(max_magnitude=DBL_MAX / 4),
+    )
+    def test_an_overflowing_square_escapes_within_two_steps(self, angle, spread, c):
+        # where the bound on |c| is not finite, drop_sq is inf and the
+        # drop takes a finite z with aa + bb = inf: with |c| <= DBL_MAX/4
+        # its next iterate has aa + bb = inf and the one after is non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = on_the_ray(math.inf, angle, spread)
+            assume(math.isfinite(a) and math.isfinite(b))
+            assert squared(a, b) == math.inf
+            a2, b2 = float_step(a, b, np.float64(c.real), np.float64(c.imag))
+            assert squared(a2, b2) == math.inf or not (math.isfinite(a2) and math.isfinite(b2))
+            a3, _ = float_step(a2, b2, np.float64(c.real), np.float64(c.imag))
+            assert not math.isfinite(a3)
+
+    @pytest.mark.parametrize("c", [complex(DBL_MAX / 3, 0.0), complex(0.0, -DBL_MAX / 4), complex(DBL_MAX / 5, DBL_MAX / 5)])
+    def test_a_parameter_past_a_quarter_of_the_range_is_non_finite_from_z2(self, c):
+        # so only z_1 = c can be a finite iterate with aa + bb = inf, and no compaction tests z_1
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, _ = float_step(np.float64(c.real), np.float64(c.imag), np.float64(c.real), np.float64(c.imag))
+            assert not math.isfinite(a)
 
 
 # Imaginary parts at the overflow drop, one double either side, where

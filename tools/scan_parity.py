@@ -10,10 +10,13 @@ the cases whose digests differ and exits 1 if there are any.
 Scans: the script draws seeded random scans: cos, sin and Mandelbrot,
 early exit on and off, iteration counts on both sides of the Mandelbrot
 compaction points, thresholds on both sides of each kernel trap's
-enable bound and above 711^2 (where an early-exit orbit can pass the
-threshold test at |Im z| >= 711), 1-4 workers, default, ragged and
-one-row tiles, and corners that are signed zeros, subnormal, near the
-double range, near the overflow of cosh and sinh, infinite or nan.  It
+enable bound, on both sides of the Mandelbrot escape radius^2 for
+corners of magnitude 2.5, 1e3 and 1e150 (below it early exit tests
+every step, its values fixed in ESCAPE_RADII_SQ) and above 711^2
+(where an early-exit orbit can pass the threshold test at
+|Im z| >= 711), 1-4 workers, default, ragged and one-row tiles, and
+corners that are signed zeros, subnormal, near the double range, near
+the overflow of cosh and sinh, infinite or nan.  It
 digests the mask and both output layouts.  It also runs the scan
 through `trigiter.cli.main` (`julia --f NAME` or `mandelbrot`, gnuplot
 and plain layouts in turn, `--region=A` and `--region A` in turn, so
@@ -62,14 +65,25 @@ CORNERS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1
            710.5, -710.5, 711.0, -711.0, 712.0, -712.0)
 
 
+# (m, r^2): the Mandelbrot kernel's escape radius^2 for a tile whose
+# largest |Re c| and |Im c| are both m, as `_kernels._escape_radius_sq`
+# gave it when this table was written.  Fixed here, so that the drawn
+# cases depend on the seed alone.
+ESCAPE_RADII_SQ = ((2.5, 6.793601075319986), (1e3, 1462.0088426514965), (1e150, 1.4142135623756672e150))
+
+
+def near(bound: float, unit: float = 1.0) -> list[float]:
+    """bound, and bound -+ 2^-40 and -+ 1e-2 units."""
+    return [bound + d * unit for d in (-1e-2, -(2**-40), 0.0, 2**-40, 1e-2)]
+
+
 def draw_cases(count: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
     cases = []
     for k in range(count):
         name = MAPS[k % len(MAPS)]
-        bound = rng.choice(TRAP_BOUNDS[name])
         threshold = rng.choice(
-            [bound - 1e-2, bound - 2**-40, bound, bound + 2**-40, bound + 1e-2]
+            near(rng.choice(TRAP_BOUNDS[name]))
             + [10 ** rng.uniform(-2.0, 0.5), rng.uniform(0.5, 100.0)]
             + [1e6, 1e300]  # above 711**2, where early exit can keep an orbit at |Im z| >= 711
         )
@@ -79,6 +93,13 @@ def draw_cases(count: int, seed: int) -> list[dict]:
         if rng.random() < 0.3:
             for i in rng.sample(range(4), rng.randint(1, 2)):
                 corners[i] = rng.choice(CORNERS)
+        if name == "mandelbrot" and rng.random() < 0.5:
+            # the tile holding the row at Re c = -+m has the table's r^2:
+            # thresholds on both sides of the radius below which early exit
+            # tests every step
+            m, radius_sq = rng.choice(ESCAPE_RADII_SQ)
+            corners = [rng.choice((-m, m)), rng.choice((-m, m)), rng.uniform(-m, m), rng.uniform(-m, m)]
+            threshold = rng.choice(near(radius_sq, radius_sq))
         if rng.random() < 0.5:
             corners = [corners[2], corners[3], corners[0], corners[1]]  # descending
         tile = rng.choice(["default", "rows", "ragged"])
