@@ -194,20 +194,21 @@ def _cmd_extrema(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_blocks(result, padded: bool = True) -> None:
-    # One block of text at a time, so a scan holds its mask and one
-    # block's lines rather than the whole output.
-    for block in result.row_blocks():
+def _scan(region, grid: int, mapping, params=EscapeParams(), workers=None, padded: bool = True) -> int:
+    """Scan and write the survivors: the one scan path of `legacy`, `julia` and `mandelbrot`.
+
+    The text goes out one row block at a time, so a scan holds its mask
+    and one block's lines rather than the whole output.
+    """
+    for block in scan_raw(*region, grid, mapping, params, workers=workers).row_blocks():
         sys.stdout.write(format_points(block, padded=padded))
+    return 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    cap = _max_iterations(args.grid)
-    _check_count(args.iterations, f"--iterations at --grid {args.grid}", 0, cap)
+    _check_count(args.iterations, f"--iterations at --grid {args.grid}", 0, _max_iterations(args.grid))
     params = EscapeParams(args.iterations, args.threshold, args.early_exit)
-    result = scan_raw(*args.region, args.grid, args.f, params, workers=args.workers)
-    _write_blocks(result, padded=(args.format == "gnuplot"))
-    return 0
+    return _scan(args.region, args.grid, args.f, params, args.workers, padded=(args.format == "gnuplot"))
 
 
 def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
@@ -342,9 +343,7 @@ def _run_legacy(args: list[str]) -> int:
     except ValueError:
         print(f"Type sin or cos but not {name}", file=sys.stderr)
         return 1
-    result = scan_raw(x1, y1, x2, y2, grid, kind)
-    _write_blocks(result)
-    return 0
+    return _scan((x1, y1, x2, y2), grid, kind)
 
 
 # argparse reads a value that begins with a dash as an option string
@@ -400,7 +399,3 @@ def entry() -> None:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    entry()

@@ -40,7 +40,8 @@ class EscapeParams:
     `threshold_sq` bounds the squared magnitude, so the default 10
     corresponds to |z| < sqrt(10).  With `early_exit` a point counts as
     escaped as soon as its orbit reaches the bound, so points whose
-    orbits would have returned below it are dropped.
+    orbits would have returned below it are dropped.  `early_exit` is
+    True or False; anything else, 0, 1 or "no" included, is a TypeError.
     """
 
     iterations: int = 50
@@ -50,6 +51,8 @@ class EscapeParams:
     def __post_init__(self) -> None:
         _check_count(self.iterations, "iterations")
         object.__setattr__(self, "threshold_sq", _check_real(self.threshold_sq, "threshold_sq", True))
+        if not isinstance(self.early_exit, bool):
+            raise TypeError(f"early_exit must be True or False, got {self.early_exit!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,11 +109,6 @@ class PointSet:
         for lo in range(0, self.mask.shape[0], rows):
             hi = lo + rows
             yield PointSet(self.mask[lo:hi], self.xs[lo:hi], self.ys)
-
-
-def _check_map(mapping) -> None:
-    if not any(mapping is m for m in _kernels.MAPS):
-        raise TypeError(f"mapping must be TrigKind.COSINE, TrigKind.SINE or MANDELBROT, got {mapping!r}")
 
 
 # Worst-case memory of a scan's whole output as one string, as
@@ -198,7 +196,9 @@ def scan_raw(
     takes xs as they are: a -0.0 in row 0 flips only the sign of zero
     components of its orbits, which no trap or magnitude test reads.
     The corners may be any real numbers, ±inf and nan included; anything
-    else is a ValueError.
+    else is a ValueError.  `params` must be an EscapeParams and `mapping`
+    TrigKind.COSINE, TrigKind.SINE or MANDELBROT; anything else is a
+    TypeError.
 
     Rows are scanned in tiles of about 32k cells by a pool of at most
     `workers` threads (default: the usable CPUs), and never more threads
@@ -207,12 +207,14 @@ def scan_raw(
     compactions, which hold the GIL for most of their time, and one
     thread scanned the benchmark's Mandelbrot requests faster than two.
     The iteration count is capped by a work budget that shrinks with
-    the grid: 52 iterations at MAX_GRID,
-    MAX_ITERATIONS at grid 2.
+    the grid: 52 iterations at MAX_GRID, MAX_ITERATIONS at grid 2.
     """
     _check_count(grid, "grid", 2, MAX_GRID)
+    if not isinstance(params, EscapeParams):
+        raise TypeError(f"params must be an EscapeParams, got {params!r}")
     _check_count(params.iterations, f"iterations at grid {grid}", 0, _max_iterations(grid))
-    _check_map(mapping)
+    if not any(mapping is m for m in _kernels.MAPS):
+        raise TypeError(f"mapping must be TrigKind.COSINE, TrigKind.SINE or MANDELBROT, got {mapping!r}")
     x1, y1, x2, y2 = (_real(v, name) for v, name in zip((x1, y1, x2, y2), ("x1", "y1", "x2", "y2")))
     step_re = (x2 - x1) / (grid - 1)
     step_im = (y2 - y1) / (grid - 1)
@@ -246,7 +248,8 @@ def scan_raw(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run_tile, tiles))
 
-    mask.setflags(write=False)
+    for array in (mask, xs, ys):  # read-only, so PointSet keeps them without a copy
+        array.setflags(write=False)
     return PointSet(mask, xs, ys)
 
 
@@ -260,7 +263,7 @@ def format_points(points: PointSet, padded: bool = True) -> str:
     row's first cell prints `xs[r]` as given, its later cells print
     `xs[r] + 0.0`, the column step it adds, so a -0.0 prints as "-0" in
     column 0 only.  An empty set gives an empty string; anything but a
-    PointSet is a TypeError.
+    PointSet, or a `padded` other than True or False, is a TypeError.
 
     The lines come from two tables, one line start per grid row and one
     line end per column, so each coordinate is formatted once per axis
@@ -274,6 +277,8 @@ def format_points(points: PointSet, padded: bool = True) -> str:
     """
     if not isinstance(points, PointSet):
         raise TypeError(f"format_points takes a PointSet, got {type(points).__name__}")
+    if not isinstance(padded, bool):
+        raise TypeError(f"padded must be True or False, got {padded!r}")
     text = ""
     for block in points.row_blocks():
         # CPython grows a str that nothing else references in place, so

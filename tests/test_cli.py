@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import math
 import os
 import pathlib
@@ -10,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigiter
 from trigiter import (
@@ -255,6 +258,32 @@ class TestComputeCommands:
 )
 def test_shortest_text_edges(x, text):
     assert _fmt(x) == text
+
+
+def printed(argv):
+    """Exit code and stdout of one in-process run of main()."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+# finite corners, signed zeros and subnormals among them
+CORNER = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.5, 2.5)
+)
+ASCENDING = st.tuples(CORNER, CORNER).filter(lambda ends: ends[0] < ends[1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(("cos", "sin")), grid=st.integers(2, 40), xs=ASCENDING, ys=ASCENDING)
+def test_legacy_and_julia_print_the_same_bytes(kind, grid, xs, ys):
+    # both reach one scan path; only their parsing differs
+    (x1, x2), (y1, y2) = xs, ys
+    legacy = printed(["legacy", repr(x1), repr(y1), repr(x2), repr(y2), str(grid), kind])
+    julia = printed(["julia", "--f", kind, "--grid", str(grid), f"--region={x1!r},{y1!r},{x2!r},{y2!r}"])
+    assert legacy[0] == 0
+    assert legacy == julia
 
 
 class TestScanCommands:

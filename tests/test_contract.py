@@ -6,9 +6,14 @@ all of them refuse: bools, nan, ±inf and 1e308, complex values, strings,
 None, the three maps, and (as reals only) ints beyond the double range.
 So are a series' tail bound, the point a series is evaluated at and the
 scan corners.  Structured arguments (series, derivative tables, point
-sets and escape parameters) are drawn valid.  A call must return, or
-raise ValueError (TailBoundError is one), TypeError or ConvergenceError:
+sets and escape parameters) are drawn valid, except `scan_raw`'s
+`params`, which is also drawn from that pool.  The flags `early_exit`
+and `padded` are drawn from True, False and values that are neither,
+such as 0, 1, "no" and numpy bools.  A call must return, or raise
+ValueError (TailBoundError is one), TypeError or ConvergenceError:
 never OverflowError, IndexError, or an error from inside a computation.
+A flag that is not True or False, and a `params` that is not an
+EscapeParams, must raise TypeError naming the argument.
 
 Counts are drawn from small ranges: library counts are not capped, so
 iterate(TrigKind.COSINE, 10**12, x) would run for hours.  The command
@@ -18,6 +23,7 @@ line caps them (README, *Input limits*).
 import inspect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +45,8 @@ ODD = (True, False, None, "0.5", "3", "cos", 1 + 2j, 0.5 + 0j, math.nan, math.in
        1e308, -1e308, -(10**400), *MAPS)
 # drawn for reals only: as a count, an int this large is valid and would run for ever
 HUGE = (10**400, 2**1024)
+# drawn besides True and False for the flags `early_exit` and `padded`: truthy or falsy, yet not bools
+NOT_BOOLS = tuple(v for v in ODD if not isinstance(v, bool)) + (0, 1, 0.0, "no", "", np.True_, np.False_)
 
 
 def count(low, high):
@@ -57,6 +65,7 @@ series = st.builds(
     st.sampled_from((0.0, 1e-3, math.inf)),
 ) | st.builds(trigiter.cos_series, st.integers(0, 20)) | st.builds(trigiter.sin_series, st.integers(0, 20))
 tables = st.lists(st.lists(st.integers(-5, 5) | st.floats(-2.0, 2.0), max_size=8), max_size=4)
+flag = st.booleans() | st.sampled_from(NOT_BOOLS)
 params = st.builds(EscapeParams, st.integers(0, 20), st.sampled_from((1.0, 10.0, 1e6)), st.booleans())
 points = st.builds(
     lambda grid, kind, p: trigiter.scan_raw(-2.0, -2.0, 2.0, 2.0, grid, kind, p),
@@ -89,12 +98,13 @@ CALLS = {
     "cauchy_product": (trigiter.cauchy_product, st.tuples(series, series)),
     "compose": (trigiter.compose, st.tuples(mapping, series)),
     "iterated_series": (trigiter.iterated_series, st.tuples(mapping, count(0, 3), count(0, 30))),
-    "EscapeParams": (EscapeParams, st.tuples(count(0, 20), real(st.floats(1e-3, 1e6)), st.booleans())),
+    "EscapeParams": (EscapeParams, st.tuples(count(0, 20), real(st.floats(1e-3, 1e6)), flag)),
     "PointSet": (lambda p: PointSet(p.mask, p.xs, p.ys), st.tuples(points)),
     "scan_raw": (
-        trigiter.scan_raw, st.tuples(*[real(st.floats(-3.0, 3.0))] * 4, count(2, 8), mapping, params, count(1, 3))
+        trigiter.scan_raw,
+        st.tuples(*[real(st.floats(-3.0, 3.0))] * 4, count(2, 8), mapping, params | st.sampled_from(ODD), count(1, 3)),
     ),
-    "format_points": (trigiter.format_points, st.tuples(points, st.booleans())),
+    "format_points": (trigiter.format_points, st.tuples(points, flag)),
 }
 
 
@@ -113,3 +123,28 @@ def test_every_call_returns_or_raises_a_documented_error(name, data):
         function(*args)
     except (ValueError, TypeError, ConvergenceError):  # TailBoundError is a ValueError
         pass
+
+
+# A flag that is not True or False used to be read by its truth value, and
+# a `params` that is not an EscapeParams raised AttributeError.
+REFUSED_TYPES = {
+    "early_exit": (lambda value: EscapeParams(10, 10.0, value), st.sampled_from(NOT_BOOLS)),
+    "padded": (
+        lambda value: trigiter.format_points(trigiter.scan_raw(-2.0, -2.0, 2.0, 2.0, 3, MANDELBROT), value),
+        st.sampled_from(NOT_BOOLS),
+    ),
+    "params": (
+        lambda value: trigiter.scan_raw(-2.0, -2.0, 2.0, 2.0, 3, TrigKind.COSINE, value),
+        st.sampled_from((True, False, (10, 10.0, False)) + NOT_BOOLS),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_TYPES)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_flags_and_params_refuse_other_types_naming_the_argument(name, data):
+    call, values = REFUSED_TYPES[name]
+    value = data.draw(values, label=name)
+    with pytest.raises(TypeError, match=rf"^{name} must be"):
+        call(value)

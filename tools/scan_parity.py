@@ -32,7 +32,10 @@ threshold; and a str, a bool and an int beyond the double range among
 the reals and real starts of `iterate`, `iterated_derivative` and
 series evaluation, each also passed on every seed to those three,
 `dottie`, `EscapeParams`, a `PowerSeries` coefficient and tail bound,
-and each corner of `scan_raw`.  It digests each result's exact floats
+and each corner of `scan_raw`; and on every seed values other than
+True and False as `EscapeParams`' `early_exit` and `format_points`'
+`padded`, and values other than an EscapeParams as `scan_raw`'s
+`params`.  It digests each result's exact floats
 (a scan's mask and axes) or the type of the exception it raises; and
 command lines of `dottie`, `iterate`, `derivative`, `series`, `bounds`
 and `extrema`, refused and dash-led values included.  A seed's calculus section runs
@@ -176,6 +179,11 @@ REFUSED_KINDS = ("cos", None, {"kind": "mandelbrot"})
 REFUSED_COUNTS = (-1, 2.5, 30.0, "3", None, [8], True, False)
 # every value a positive-and-finite real refuses; the text "1e-400" reads as 0.0
 REFUSED_POSITIVE = (0.0, -0.0, "1e-400", -1.0, math.nan, math.inf)
+# flags that are not True or False, and params that are not an EscapeParams:
+# a flag used to be read by its truth value, and such a params to raise AttributeError
+REFUSED_FLAGS = (None, 0, 1, 0.0, "no", "")
+REFUSED_PARAMS = (None, "x", 50, [50, 10.0, False])
+SMALL_SCAN = {"call": ["scan_raw", -2.0, -2.0, 2.0, 2.0, 3, {"kind": "cos"}]}
 CALLS_PER_FUNCTION = 30
 
 
@@ -253,6 +261,9 @@ def draw_calls(seed: int) -> list[list]:
             corners = [0.0, 0.0, 1.0, 1.0]
             corners[k] = value
             calls.append(["scan_raw", *corners, 2, {"kind": "cos"}])
+    for value in REFUSED_FLAGS:
+        calls += [["EscapeParams", 50, 10.0, value], ["format_points", SMALL_SCAN, value]]
+    calls += [["scan_raw", 0.0, 0.0, 1.0, 1.0, 2, {"kind": "cos"}, value] for value in REFUSED_PARAMS]
     return calls
 
 
@@ -283,6 +294,8 @@ def canon(value):
         return value.hex()
     if isinstance(value, complex):
         return [value.real.hex(), value.imag.hex()]
+    if isinstance(value, (int, str)):  # before the attribute tests: a str has `lower`
+        return value
     if isinstance(value, (list, tuple)):
         return [canon(v) for v in value]
     if hasattr(value, "coefficients"):  # PowerSeries
@@ -295,8 +308,6 @@ def canon(value):
         return [value.iterations, canon(value.threshold_sq), value.early_exit]
     if hasattr(value, "mask"):  # PointSet
         return [value.mask.tolist(), canon(value.xs.tolist()), canon(value.ys.tolist())]
-    if isinstance(value, (int, str)):
-        return value
     raise TypeError(f"no canonical form for {type(value).__name__}")
 
 
