@@ -139,15 +139,28 @@ exceeds the squared magnitude of every point of it:
   any permitted iteration count; every point has |z|^2 <=
   1.5^2 (1 + 0.49^2) < 2.8.
 
-For the Mandelbrot family the parameters c in the main cardioid or the
-period-2 bulb, with a margin of 1e-3 on the multiplier of the attracting
+For the Mandelbrot family the parameters c in a hyperbolic component of
+period <= 3, with a margin of 1e-3 on the multiplier of the attracting
 cycle, are marked as surviving before the tile is iterated, for
 threshold > 4: the orbit of 0 of a parameter in the set stays within
-|z| <= 2.  A tile whose axes miss the box [-1.25, 0.375] x [-0.65, 0.65]
-around both components skips the test.  That test is about the exact
-orbit, not the float one; the margin keeps the cycle attracting under
-rounding, and tests compare it cell by cell with scalar iteration next
-to both boundaries.
+|z| <= 2.  The components are the main cardioid, the period-2 bulb, the
+period-3 bulbs at -0.1226 -+ 0.7449i and the minibrot at -1.7549, and
+each multiplier has a closed form: 1 - sqrt(1 - 4c) for the fixed point,
+4(c + 1) for the 2-cycle, and for the two 3-cycles the roots of
+
+    lambda^2 - (8c + 16) lambda + 64 (c^3 + 2c^2 + c + 1) = 0,
+
+whose discriminant is -64 c^2 (4c + 7): lambda = 4 [(c + 2) -+ c w]
+with w = sqrt(-4c - 7).  Each test runs only on the cells in a box that
+holds its components, the rows and columns of the tile's axes inside
+it: [-1.25, 0.375] x [-0.65, 0.65] for periods 1 and 2,
+[-0.23, -0.02] x [0.64, 0.85], its mirror image and
+[-1.77, -1.74] x [-0.013, 0.013] for period 3.  A test is valid for
+every c, so the boxes gate only its cost, never an outcome: a cell
+outside them is iterated like any other.  The tests are
+about the exact orbit, not the float one; the margin keeps the cycle
+attracting under rounding, and tests compare them cell by cell with
+scalar iteration next to every boundary.
 """
 
 from __future__ import annotations
@@ -215,8 +228,8 @@ def _in_sine_petal(a, b):
     return inside
 
 
-def _in_mandelbrot_interior(cr, ci):
-    """Parameters whose attracting fixed point or 2-cycle has |multiplier| <= 1 - 1e-3."""
+def _in_period1_or_2(cr, ci):
+    """Parameters whose fixed point or 2-cycle has |multiplier| <= _MULTIPLIER_BOUND."""
     # Main cardioid: the fixed point's multiplier is 1 - s with
     # s = sqrt(u), u = 1 - 4c.  |1 - s|^2 = 1 - 2 Re s + |u| and
     # Re s = sqrt((|u| + Re u) / 2), so |1 - s| <= r is
@@ -231,10 +244,42 @@ def _in_mandelbrot_interior(cr, ci):
     return inside
 
 
-def _meets_interior_box(xs, ys):
-    """Whether the tile's axes meet [-1.25, 0.375] x [-0.65, 0.65], which holds both components."""
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    return bool(((xs >= -1.25) & (xs <= 0.375)).any() and (np.abs(ys) <= 0.65).any())
+def _in_period3(cr, ci):
+    """Parameters with a 3-cycle whose |multiplier| <= _MULTIPLIER_BOUND."""
+    # The two 3-cycles' multipliers are 4 [(c + 2) -+ c w] with w = sqrt(u),
+    # u = -4c - 7: Re w = sqrt((|u| + Re u) / 2) and Im w has the sign of
+    # Im u and the size sqrt((|u| - Re u) / 2).  |4 v| <= r is |v|^2 <= (r / 4)^2.
+    ur, ui = -4.0 * cr - 7.0, -4.0 * ci
+    m = np.hypot(ur, ui)
+    wr = np.sqrt((m + ur) / 2.0)
+    wi = np.copysign(np.sqrt((m - ur) / 2.0), ui)
+    pr, pi = cr * wr - ci * wi, cr * wi + ci * wr  # c w
+    bound_sq = (_MULTIPLIER_BOUND / 4.0) ** 2
+    inside = (cr + 2.0 + pr) ** 2 + (ci + pi) ** 2 <= bound_sq
+    inside |= (cr + 2.0 - pr) ** 2 + (ci - pi) ** 2 <= bound_sq
+    return inside
+
+
+# Each Mandelbrot interior test, with a box [left, right] x [low, high]
+# that holds its components whole: the test runs only on the box's cells.
+_INTERIOR_COMPONENTS = (
+    (_in_period1_or_2, (-1.25, 0.375, -0.65, 0.65)),  # the main cardioid and the period-2 bulb
+    (_in_period3, (-0.23, -0.02, 0.64, 0.85)),  # the bulbs at -0.1226 -+ 0.7449i
+    (_in_period3, (-0.23, -0.02, -0.85, -0.64)),
+    (_in_period3, (-1.77, -1.74, -0.013, 0.013)),  # the minibrot at -1.7549
+)
+
+
+def _in_mandelbrot_interior(xs, ys, cr, ci):
+    """Of the cells cr, ci of the grid over the axes xs, ys, those inside a component of period <= 3, flat."""
+    shape = (len(xs), len(ys))
+    cr, ci = cr.reshape(shape), ci.reshape(shape)
+    inside = np.zeros(shape, dtype=bool)
+    for test, (left, right, low, high) in _INTERIOR_COMPONENTS:
+        box = np.ix_(np.flatnonzero((xs >= left) & (xs <= right)), np.flatnonzero((ys >= low) & (ys <= high)))
+        if box[0].size and box[1].size:
+            inside[box] |= test(cr[box], ci[box])
+    return inside.ravel()
 
 
 def _trap(mapping, threshold):
@@ -314,13 +359,14 @@ def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
         return
     cr, ci = (c.ravel() for c in np.meshgrid(xs, ys, indexing="ij"))
     cells = np.arange(cr.size)
-    if threshold > MANDELBROT_INTERIOR_THRESHOLD and _meets_interior_box(xs, ys):
-        inside = _in_mandelbrot_interior(cr, ci)
-        alive[inside] = True
-        outside = ~inside
-        cr, ci, cells = cr[outside], ci[outside], cells[outside]
-        if not cells.size:
-            return
+    if threshold > MANDELBROT_INTERIOR_THRESHOLD:
+        inside = _in_mandelbrot_interior(xs, ys, cr, ci)
+        if inside.any():
+            alive[inside] = True
+            outside = ~inside
+            cr, ci, cells = cr[outside], ci[outside], cells[outside]
+            if not cells.size:
+                return
     drop_sq = max(threshold, _escape_radius_sq(xs, ys))
     # past drop_sq an orbit fails every later test, so only a threshold
     # below it needs early exit's own test, on every step

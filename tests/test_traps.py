@@ -213,7 +213,9 @@ def no_traps(monkeypatch):
 
 
 class TestTrapsKeepTheFullIteration:
-    REGIONS = [(-2.5, -2.5, 2.5, 2.5, 61), (0.2, -0.6, 1.4, 0.6, 40), (-2.1, -1.3, 0.7, 1.3, 53)]
+    # the plane, around the Dottie number, the cardioid and period-2 bulb, an upper period-3 bulb, the minibrot
+    REGIONS = [(-2.5, -2.5, 2.5, 2.5, 61), (0.2, -0.6, 1.4, 0.6, 40), (-2.1, -1.3, 0.7, 1.3, 53),
+               (-0.24, 0.62, -0.01, 0.87, 47), (-1.78, -0.02, -1.73, 0.02, 41)]
     MAPS = {
         "cos": (COS, (1.16, 1.1700000000000002, 1.8, 1.8100000000000003, 10.0)),
         "sin": (SIN, (2.79, 2.8000000000000003, 10.0)),
@@ -247,18 +249,55 @@ class TestStepFactors:
         np.testing.assert_allclose(q * np.sinh(y), z.imag, rtol=1e-13, atol=1e-15)
 
 
-def interior_edge(multiplier_radius, component):
+def period3_parameters(lam):
+    """The three c, one per period-3 component, with a 3-cycle of multiplier lam.
+
+    The roots in c of 64c^3 + 128c^2 + (64 - 8 lam)c + (lam^2 - 16 lam + 64),
+    the multipliers' quadratic solved for c, polished by two Newton steps.
+    """
+    coeffs = [64, 128, 64 - 8 * lam, lam * lam - 16 * lam + 64]
+    roots = np.roots(coeffs)
+    for _ in range(2):
+        roots = roots - np.polyval(coeffs, roots) / np.polyval(np.polyder(coeffs), roots)
+    return [complex(c) for c in roots]
+
+
+def interior_edge(multiplier_radius, component, count=10):
     """Parameters whose cycle multiplier has the given modulus, around a component."""
     points = []
-    for k in range(10):
-        lam = multiplier_radius * cmath.exp(2j * math.pi * (k + 0.5) / 10)
-        points.append(lam / 2 - lam * lam / 4 if component == "cardioid" else lam / 4 - 1)
+    for k in range(count):
+        lam = multiplier_radius * cmath.exp(2j * math.pi * (k + 0.5) / count)
+        if component == "cardioid":
+            points.append(lam / 2 - lam * lam / 4)
+        elif component == "bulb":
+            points.append(lam / 4 - 1)
+        else:
+            points.extend(period3_parameters(lam))
     return points
+
+
+# The interior test of each component's period.
+PERIOD_TESTS = {"cardioid": _kernels._in_period1_or_2, "bulb": _kernels._in_period1_or_2, "period3": _kernels._in_period3}
+
+
+def period3_multipliers(c):
+    """8 z f(z) f(f(z)) at each root z of (f^3(z) - z) / (f(z) - z), f(z) = z^2 + c, by np.roots."""
+    P = np.polynomial.polynomial
+    f = np.array([c, 0, 1], dtype=complex)  # ascending coefficients
+    f2 = P.polyadd(P.polymul(f, f), [c])  # f(f(z)) = f(z)^2 + c
+    f3 = P.polyadd(P.polymul(f2, f2), [c])
+    quotient, remainder = P.polydiv(P.polysub(f3, [0, 1]), P.polysub(f, [0, 1]))
+    assert np.abs(remainder).max() < 1e-9
+    lams = []
+    for z in P.polyroots(quotient):
+        fz = z * z + c
+        lams.append(8 * z * fz * (fz * fz + c))
+    return lams
 
 
 class TestMandelbrotInterior:
     @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
-    @pytest.mark.parametrize("component", ["cardioid", "bulb"])
+    @pytest.mark.parametrize("component", ["cardioid", "bulb", "period3"])
     @pytest.mark.parametrize(
         "radius, iterations",
         [
@@ -281,22 +320,57 @@ class TestMandelbrotInterior:
         want = [oracles.quadratic_survives(0j, c, iterations, 10.0, early_exit) for c in cells]
         assert got == want
 
-    def test_margin_on_the_multiplier(self):
-        inside = interior_edge(1 - 1e-3 - 1e-9, "cardioid") + interior_edge(1 - 1e-3 - 1e-9, "bulb")
-        outside = interior_edge(1 - 1e-3 + 1e-9, "cardioid") + interior_edge(1 - 1e-3 + 1e-9, "bulb")
-        test = _kernels._in_mandelbrot_interior
+    @pytest.mark.parametrize("component", PERIOD_TESTS)
+    def test_margin_on_the_multiplier(self, component):
+        inside = interior_edge(1 - 1e-3 - 1e-9, component)
+        outside = interior_edge(1 - 1e-3 + 1e-9, component)
+        test = PERIOD_TESTS[component]
         assert test(np.real(inside), np.imag(inside)).all()
         assert not test(np.real(outside), np.imag(outside)).any()
-        # the box that gates the test holds both components whole
-        ring = [cmath.exp(2j * math.pi * k / 4096) for k in range(4096)]
-        edge = [lam / 2 - lam * lam / 4 for lam in ring] + [lam / 4 - 1 for lam in ring]
-        for c in edge:
-            assert _kernels._meets_interior_box([c.real], [c.imag]), c
-        assert not _kernels._meets_interior_box([0.3751, -1.2501], [0.0])
-        assert not _kernels._meets_interior_box([0.0], [0.6501, -0.6501, math.nan])
+        # and the pre-pass, which tests each cell in the boxes that hold it
+        for cells, want in ((inside, True), (outside, False)):
+            for c in cells:
+                xs, ys = np.array([c.real]), np.array([c.imag])
+                assert _kernels._in_mandelbrot_interior(xs, ys, xs, ys).tolist() == [want], c
+
+    def test_period3_multipliers_match_the_cycles_of_the_map(self):
+        rng = np.random.default_rng(3)
+        cs = [complex(*rng.uniform(-2.0, 1.0, 2)) for _ in range(150)]
+        cs += [c + complex(*rng.normal(0.0, 0.05, 2)) for c in (-0.1226 + 0.7449j, -0.1226 - 0.7449j, -1.7549)
+               for _ in range(50)]
+        checked = 0
+        for c in cs:
+            cycles = period3_multipliers(c)
+            w = cmath.sqrt(-4 * c - 7)
+            closed = [4 * ((c + 2) - c * w), 4 * ((c + 2) + c * w)]
+            # each of the six period-3 points has one of the two multipliers
+            for lam in cycles:
+                assert min(abs(lam - want) for want in closed) < 1e-6 * max(1.0, abs(lam)), (c, lam, closed)
+            least = min(abs(lam) for lam in closed)
+            if abs(least - _kernels._MULTIPLIER_BOUND) > 1e-9:
+                checked += 1
+                got = _kernels._in_period3(np.array([c.real]), np.array([c.imag]))[0]
+                assert got == (least < _kernels._MULTIPLIER_BOUND), c
+        assert checked >= 290
+
+    def test_each_box_holds_its_components_whole(self):
+        # every point of a component's edge, |multiplier| = 1, lies in a box of its period's test
+        for component, test in PERIOD_TESTS.items():
+            for c in interior_edge(1.0, component, count=4096):
+                boxes = [box for t, box in _kernels._INTERIOR_COMPONENTS if t is test]
+                assert any(left <= c.real <= right and low <= c.imag <= high for left, right, low, high in boxes), c
+        # one period-3 component to each of its three boxes
+        boxes = [box for t, box in _kernels._INTERIOR_COMPONENTS if t is _kernels._in_period3]
+        for c in period3_parameters(1.0):
+            assert sum(left <= c.real <= right and low <= c.imag <= high for left, right, low, high in boxes) == 1
+
+    def test_non_finite_and_huge_parameters_are_outside(self):
         corners = np.array([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0])
+        cr, ci = (c.ravel() for c in np.meshgrid(corners, corners, indexing="ij"))
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not test(corners, corners[::-1]).any()
+            assert not _kernels._in_period3(cr, ci).any()
+            # c = 0, the centre of the main cardioid, is the one inside
+            assert _kernels._in_period1_or_2(cr, ci).tolist() == ((cr == 0.0) & (ci == 0.0)).tolist()
 
 
 DBL_MAX = sys.float_info.max

@@ -12,7 +12,11 @@ early exit on and off, iteration counts on both sides of the Mandelbrot
 compaction points, thresholds on both sides of each kernel trap's
 enable bound, on both sides of the Mandelbrot escape radius^2 for
 corners of magnitude 2.5, 1e3 and 1e150 (below it early exit tests
-every step, its values fixed in ESCAPE_RADII_SQ) and above 711^2
+every step, its values fixed in ESCAPE_RADII_SQ), Mandelbrot windows
+of half-width 1e-3 to 0.15 around the period-3 components, whose
+interior the kernel marks without iterating (drawn from a second
+generator, so the other cases are those the seed drew before these
+windows were added), and above 711^2
 (where an early-exit orbit can pass the threshold test at
 |Im z| >= 711), 1-4 workers, default, ragged and one-row tiles, and
 corners that are signed zeros, subnormal, near the double range, near
@@ -75,6 +79,12 @@ CORNERS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1
 ESCAPE_RADII_SQ = ((2.5, 6.793601075319986), (1e3, 1462.0088426514965), (1e150, 1.4142135623756672e150))
 
 
+# The roots of c^3 + 2c^2 + c + 1: the centres of the three period-3
+# components of the Mandelbrot set, where z = 0 is a 3-cycle.
+PERIOD3_CENTRES = (complex(-1.7548776662466927, 0.0), complex(-0.12256116687665362, 0.7448617666197442),
+                   complex(-0.12256116687665362, -0.7448617666197442))
+
+
 def near(bound: float, unit: float = 1.0) -> list[float]:
     """bound, and bound -+ 2^-40 and -+ 1e-2 units."""
     return [bound + d * unit for d in (-1e-2, -(2**-40), 0.0, 2**-40, 1e-2)]
@@ -82,6 +92,7 @@ def near(bound: float, unit: float = 1.0) -> list[float]:
 
 def draw_cases(count: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
+    windows = random.Random(f"period3-{seed}")
     cases = []
     for k in range(count):
         name = MAPS[k % len(MAPS)]
@@ -103,6 +114,12 @@ def draw_cases(count: int, seed: int) -> list[dict]:
             m, radius_sq = rng.choice(ESCAPE_RADII_SQ)
             corners = [rng.choice((-m, m)), rng.choice((-m, m)), rng.uniform(-m, m), rng.uniform(-m, m)]
             threshold = rng.choice(near(radius_sq, radius_sq))
+        elif name == "mandelbrot" and windows.random() < 0.6:
+            # a window on a period-3 component, with thresholds on both sides
+            # of the bound above which the kernel marks its interior
+            centre, half = windows.choice(PERIOD3_CENTRES), 10 ** windows.uniform(-3.0, math.log10(0.15))
+            corners = [centre.real - half, centre.imag - half, centre.real + half, centre.imag + half]
+            threshold = windows.choice(near(TRAP_BOUNDS["mandelbrot"][0]) + [10.0])
         if rng.random() < 0.5:
             corners = [corners[2], corners[3], corners[0], corners[1]]  # descending
         tile = rng.choice(["default", "rows", "ragged"])
