@@ -10,8 +10,8 @@ still survive, carrying their cell indices along.  With early exit an
 orbit is dropped once it reaches the threshold, which already fails it.
 The orbits that are kept run the same ufuncs on the same values as on
 the full grid, so a cell's outcome does not depend on which other cells
-share its tile, and the output bytes do not depend on how rows are
-split into tiles.
+share its tile or its set of orbits, and the output bytes do not depend
+on how rows are split into tiles.
 
 A cos or sin step costs libm calls, so those orbits are compacted on
 every step.  A Mandelbrot step is a few multiplications and additions,
@@ -19,11 +19,31 @@ so there the fixed cost of the array calls dominates, and the live
 orbits are compacted only every COMPACTION_STRIDE = 8 steps; in between
 the dropped orbits are still computed and their results ignored.
 
+The caller hands the kernel a cos or sin grid one tile of whole rows at
+a time, and a Mandelbrot grid whole.  The Mandelbrot kernel cuts the
+rows into tiles of _TILE_CELLS cells itself, and each tile runs the
+interior pre-pass (below) and steps 1 to COMPACTION_STRIDE, which ends
+on the first compaction.  Most orbits escape by then, so a tile leaves
+only a few live, and those of successive tiles are joined, with their c
+and cell indices, into one set while it holds at most _TILE_CELLS
+orbits; each set then runs the remaining steps to the last iteration,
+at once when it holds more than half a tile.  One set per tile would
+repeat every one of those steps on a few orbits, where the fixed cost of
+the array calls is the whole cost.  A set of more than one tile of
+orbits grows the working memory and ran slower, and so did a set of
+more than half a tile left waiting for the next tile's steps.
+A scan of at most COMPACTION_STRIDE + 1 iterations finishes inside
+each tile.  No outcome depends on the tiling: a joined orbit runs the
+same ufuncs on the same values, compactions still fall on the steps
+that are multiples of COMPACTION_STRIDE, and every tile and set uses
+the drop rule of the whole scan, below.
+
 A Mandelbrot compaction has one rule in every mode: it keeps the orbits
 with S = aa + bb < drop_sq, where aa = a*a and bb = b*b are the squares
 the step computes anyway, and drop_sq = max(threshold, r^2).  The escape
-radius r is taken once per tile from C, a bound on |c| over its cells,
-as the root of r^2 = g r + C with growth factor g = ESCAPE_GROWTH =
+radius r is taken once per scan from C, a bound on |c| over all its
+cells, so it holds for every orbit of every tile and joined set, as the
+root of r^2 = g r + C with growth factor g = ESCAPE_GROWTH =
 1.25; C and r^2 each carry a relative slack of 2^-40.  Past r every
 float step multiplies S by more than g^2 (1 - 12u) > 1.5, u = 2^-53 (the
 escape lemma, |z| > max(2, |c|) makes the orbit escape, with rounding
@@ -60,7 +80,7 @@ compactions, sticky, `live &= S < threshold`, but only where threshold
 after it has failed (below threshold 4, say), and a nan fails `<`.
 Where threshold = drop_sq an iterate that fails the threshold fails
 every later one, so the final test decides early exit too; at the
-default threshold 10 every tile of the plane [-2.5, 2.5]^2 has
+default threshold 10 every scan inside the plane [-2.5, 2.5]^2 has
 r^2 < 6.8, so its early-exit steps make 7 array calls rather than 10.
 The final test is `live & (S_N < threshold)`.  Each cell's iterates are
 the ones the full grid computes, up to the sign of a zero component (see
@@ -201,10 +221,25 @@ _MULTIPLIER_BOUND = 1.0 - 1e-3
 # Mandelbrot steps between two compactions of the live orbits.
 COMPACTION_STRIDE = 8
 
+# Cells per tile of whole rows.  Tiles bound the kernel's working memory
+# by the tile, not by the grid.  scan_raw hands each cos or sin tile to a
+# thread of its pool, which takes the next tile when it finishes one, so
+# a tile whose orbits escape early does not leave its thread idle.  The
+# Mandelbrot kernel cuts a scan's rows into tiles itself, and a set of
+# live orbits it joins holds at most this many.  PointSet.row_blocks
+# cuts output blocks of the same size, which bounds the text alive at
+# once.
+_TILE_CELLS = 1 << 15
+
 # Least factor by which a Mandelbrot step grows |z| past the escape radius,
 # and the relative slack on the bound on |c| and on the squared radius.
 ESCAPE_GROWTH = 1.25
 _BOUND_SLACK = 1.0 + 2.0**-40
+
+
+def _tile_rows(cols: int) -> int:
+    """Whole rows of `cols` cells in one tile: at least one."""
+    return max(1, _TILE_CELLS // max(1, cols))
 
 
 def _in_dottie_rectangle(a, b):
@@ -340,7 +375,7 @@ def survive(xs, ys, mapping, threshold, early_exit, iterations):
 
 
 def _escape_radius_sq(xs, ys):
-    """r^2 of the tile with axes xs, ys: past it a step multiplies aa + bb by more than 1.5.
+    """r^2 of the grid with axes xs, ys: past it a step multiplies aa + bb by more than 1.5.
 
     inf where the bound on |c| or r^2 is not finite.
     """
@@ -353,27 +388,79 @@ def _escape_radius_sq(xs, ys):
 
 
 def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
-    """Set `alive` for the parameters of the tile with axes xs, ys."""
+    """Set `alive` for the parameters of the grid with axes xs, ys.
+
+    Each tile of whole rows runs the interior pre-pass and the steps up
+    to the first compaction; the orbits it leaves live join a set of at
+    most _TILE_CELLS orbits, and each set runs the remaining steps.
+    """
     if iterations == 0:
         alive[:] = True
         return
-    cr, ci = (c.ravel() for c in np.meshgrid(xs, ys, indexing="ij"))
-    cells = np.arange(cr.size)
-    if threshold > MANDELBROT_INTERIOR_THRESHOLD:
-        inside = _in_mandelbrot_interior(xs, ys, cr, ci)
-        if inside.any():
-            alive[inside] = True
-            outside = ~inside
-            cr, ci, cells = cr[outside], ci[outside], cells[outside]
-            if not cells.size:
-                return
+    cols = len(ys)
     drop_sq = max(threshold, _escape_radius_sq(xs, ys))
     # past drop_sq an orbit fails every later test, so only a threshold
     # below it needs early exit's own test, on every step
     sticky = early_exit and threshold < drop_sq
-    a, b = cr, ci  # z_1; the steps below never write into cr and ci
+    rule = (threshold, drop_sq, sticky)
+    head = range(1, min(iterations, COMPACTION_STRIDE + 1))
+    tail = range(COMPACTION_STRIDE + 1, iterations)
+
+    def run(orbits, steps):
+        """The orbits after `steps`; sets the cells of those that reach the last iteration."""
+        *orbits, live = _mandelbrot_steps(*orbits, steps, *rule)
+        if steps.stop == iterations:
+            a, b, cr, ci, cells = orbits
+            alive[cells] = live & (a * a + b * b < threshold)
+        return orbits  # a head followed by a tail ends on a compaction, so each orbit it keeps is live
+
+    pending = []  # the live orbits of the tiles not yet run to the end
+
+    def run_pending():
+        run(_joined(pending), tail)
+        pending.clear()
+
+    rows = _tile_rows(cols)
+    for lo in range(0, len(xs), rows):
+        tile = xs[lo : lo + rows]
+        cr, ci = (c.ravel() for c in np.meshgrid(tile, ys, indexing="ij"))
+        cells = np.arange(lo * cols, lo * cols + cr.size)
+        if threshold > MANDELBROT_INTERIOR_THRESHOLD:
+            inside = _in_mandelbrot_interior(tile, ys, cr, ci)
+            if inside.any():
+                alive[cells[inside]] = True
+                outside = ~inside
+                cr, ci, cells = cr[outside], ci[outside], cells[outside]
+                if not cells.size:
+                    continue
+        orbits = run((cr, ci, cr, ci, cells), head)  # z_1 = c; the steps never write into cr and ci
+        if not tail or not orbits[-1].size:
+            continue
+        if pending and sum(o[-1].size for o in pending) + orbits[-1].size > _TILE_CELLS:
+            run_pending()
+        pending.append(orbits)
+        # past half a tile the set runs at once, while its arrays are still in cache
+        if 2 * sum(o[-1].size for o in pending) > _TILE_CELLS:
+            run_pending()
+    if pending:
+        run_pending()
+
+
+def _joined(sets):
+    """The orbit arrays of several sets, each joined in order."""
+    if len(sets) == 1:
+        return sets[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*sets))
+
+
+def _mandelbrot_steps(a, b, cr, ci, cells, steps, threshold, drop_sq, sticky):
+    """Run the orbits z = a + ib through `steps`, a range of step numbers.
+
+    Returns z, c and the cells of the orbits kept at the last
+    compaction, and which of them are still live.
+    """
     live = np.ones(cells.size, dtype=bool)
-    for step in range(1, iterations):
+    for step in steps:
         aa, bb = a * a, b * b
         if sticky:
             live &= aa + bb < threshold
@@ -381,9 +468,9 @@ def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
             live &= aa + bb < drop_sq
             if not live.all():
                 a, b, aa, bb, cr, ci, cells = (v[live] for v in (a, b, aa, bb, cr, ci, cells))
-                if not cells.size:
-                    return
                 live = np.ones(cells.size, dtype=bool)
+                if not cells.size:
+                    break
         # (aa - bb) + cr and 2.0 * a * b + ci, the same roundings with fewer temporaries
         b2 = 2.0 * a
         b2 *= b
@@ -391,4 +478,4 @@ def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
         aa -= bb
         aa += cr
         a, b = aa, b2
-    alive[cells] = live & (a * a + b * b < threshold)
+    return a, b, cr, ci, cells, live

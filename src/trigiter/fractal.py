@@ -105,7 +105,7 @@ class PointSet:
         a time and joining the text gives the bytes format_points gives
         for the whole set, with only one block's text alive at a time.
         """
-        rows = _tile_rows(self.mask.shape[1])
+        rows = _kernels._tile_rows(self.mask.shape[1])
         for lo in range(0, self.mask.shape[0], rows):
             hi = lo + rows
             yield PointSet(self.mask[lo:hi], self.xs[lo:hi], self.ys)
@@ -145,19 +145,6 @@ def _max_iterations(grid: int) -> int:
 
 MAX_ITERATIONS = _max_iterations(2)
 """Most iterations any scan may run: the cap at the smallest grid."""
-
-
-# Cells per kernel call.  Tiles of whole rows bound the kernel's working
-# memory by the tile, not by the grid, and a thread takes the next tile
-# when it finishes one, so a tile whose orbits escape early does not
-# leave its thread idle.  PointSet.row_blocks cuts output blocks of the
-# same size, which bounds the text alive at once.
-_TILE_CELLS = 1 << 15
-
-
-def _tile_rows(cols: int) -> int:
-    """Whole rows of `cols` cells in one tile: at least one."""
-    return max(1, _TILE_CELLS // max(1, cols))
 
 
 def _usable_cpus() -> int:
@@ -200,12 +187,15 @@ def scan_raw(
     TrigKind.COSINE, TrigKind.SINE or MANDELBROT; anything else is a
     TypeError.
 
-    Rows are scanned in tiles of about 32k cells by a pool of at most
-    `workers` threads (default: the usable CPUs), and never more threads
-    than tiles or usable CPUs.  Mandelbrot tiles run on one thread: its
-    step is a few numpy calls on arrays that shrink within a few
-    compactions, which hold the GIL for most of their time, and one
-    thread scanned the benchmark's Mandelbrot requests faster than two.
+    cos and sin rows are scanned in tiles of about 32k cells by a pool
+    of at most `workers` threads (default: the usable CPUs), and never
+    more threads than tiles or usable CPUs.  A Mandelbrot scan is one
+    kernel call on the calling thread, which cuts the rows into tiles
+    itself and joins the orbits the tiles leave live after the first
+    compaction; `workers` is still checked.  Its step is a few numpy
+    calls on arrays that shrink within a few compactions, which hold the
+    GIL for most of their time, and one thread scanned the benchmark's
+    Mandelbrot requests faster than two.
     The iteration count is capped by a work budget that shrinks with
     the grid: 52 iterations at MAX_GRID, MAX_ITERATIONS at grid 2.
     """
@@ -229,24 +219,20 @@ def scan_raw(
         workers = _usable_cpus()
     _check_count(workers, "workers", 1)
 
-    mask = np.empty((grid, grid), dtype=bool)
-    rows = _tile_rows(grid)
+    args = (mapping, params.threshold_sq, params.early_exit, params.iterations)
+    if mapping is MANDELBROT:
+        mask = _kernels.survive(xs, ys, *args)
+    else:
+        mask = np.empty((grid, grid), dtype=bool)
+        rows = _kernels._tile_rows(grid)
 
-    def run_tile(lo: int) -> None:
-        hi = lo + rows
-        mask[lo:hi] = _kernels.survive(
-            xs[lo:hi],
-            ys,
-            mapping,
-            params.threshold_sq,
-            params.early_exit,
-            params.iterations,
-        )
+        def run_tile(lo: int) -> None:
+            hi = lo + rows
+            mask[lo:hi] = _kernels.survive(xs[lo:hi], ys, *args)
 
-    tiles = range(0, grid, rows)
-    threads = 1 if mapping is MANDELBROT else min(workers, len(tiles), _usable_cpus())
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_tile, tiles))
+        tiles = range(0, grid, rows)
+        with ThreadPoolExecutor(max_workers=min(workers, len(tiles), _usable_cpus())) as pool:
+            list(pool.map(run_tile, tiles))
 
     for array in (mask, xs, ys):  # read-only, so PointSet keeps them without a copy
         array.setflags(write=False)

@@ -444,7 +444,7 @@ class TestStreamedOutput:
 
     @pytest.mark.parametrize("argv, grid", SCANS.values(), ids=SCANS.keys())
     def test_write_only_stdout_gets_the_same_bytes_in_blocks(self, capsys, monkeypatch, argv, grid):
-        from trigiter import fractal
+        from trigiter import _kernels
 
         _, expected, _ = run_cli(capsys, argv)
         stream = WriteOnlyStream()
@@ -452,8 +452,8 @@ class TestStreamedOutput:
         assert main(argv) == 0
         assert "".join(stream.chunks) == expected
         # one write per block of whole rows, never the whole output at once
-        assert len(stream.chunks) == -(-grid // fractal._tile_rows(grid))
-        assert max(map(len, stream.chunks)) <= 52 * grid * fractal._tile_rows(grid)
+        assert len(stream.chunks) == -(-grid // _kernels._tile_rows(grid))
+        assert max(map(len, stream.chunks)) <= 52 * grid * _kernels._tile_rows(grid)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
     def test_headline_scan_peak_memory(self):
@@ -515,13 +515,19 @@ class TestBenchmarkPatchPoints:
             (cli, "scan_raw"), (cli, "format_points"), (fractal, "_cumulative_axis"), (_kernels, "survive"),
         ):
             record(module, attr)
-        # 7-row tiles and blocks: several kernel calls and blocks per scan
-        monkeypatch.setattr(fractal, "_TILE_CELLS", 7 * grid)
+        # 7-row tiles and blocks: several blocks per scan, and several kernel
+        # calls for cos and sin; a Mandelbrot scan is one kernel call over the whole grid
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", 7 * grid)
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out
         assert all(calls.values()), {attr: len(seen) for attr, seen in calls.items()}
-        assert len(calls["survive"]) > 1 and len(calls["format_points"]) > 1
+        assert len(calls["format_points"]) > 1
+        if argv[0] == "mandelbrot":
+            [(args, _)] = calls["survive"]
+            assert len(args[0]) == len(args[1]) == grid
+        else:
+            assert len(calls["survive"]) > 1
         assert [args[5] for args, _ in calls["survive"]] == [iterations] * len(calls["survive"])
         for (block, *_), text in calls["format_points"]:
             assert len(block) == text.count("\n")

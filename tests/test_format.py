@@ -30,7 +30,7 @@ from trigiter import (
     format_points,
     scan_raw,
 )
-from trigiter import fractal
+from trigiter import _kernels, fractal
 
 MAPS = {
     "cos": TrigKind.COSINE,
@@ -146,7 +146,7 @@ def joined_blocks(ps, padded=True):
 
 def tile_of_rows(rows, cols):
     """Patch the tile size so that blocks (and scan tiles) hold `rows` rows of `cols` cells."""
-    return mock.patch.object(fractal, "_TILE_CELLS", rows * cols)
+    return mock.patch.object(_kernels, "_TILE_CELLS", rows * cols)
 
 
 def assert_blocks_join_to_whole(ps, rows):
@@ -180,7 +180,7 @@ class TestRowBlocks:
     def test_default_blocks_are_about_one_tile(self):
         ps = scan_raw(-2.5, -2.5, 2.5, 2.5, 300, TrigKind.COSINE)
         blocks = list(ps.row_blocks())
-        rows = fractal._TILE_CELLS // 300
+        rows = _kernels._TILE_CELLS // 300
         assert [block.scanned for block in blocks] == [rows * 300] * 2 + [(300 - 2 * rows) * 300]
         assert_blocks_join_to_whole(ps, rows)
 
@@ -275,7 +275,7 @@ def point_sets(draw):
 @given(ps=point_sets(), tile=st.integers(min_value=1, max_value=12))
 def test_any_point_set_formats_like_the_line_formula(ps, tile):
     # Grid scans never mix such widths in one block; the tables must not care.
-    with mock.patch.object(fractal, "_TILE_CELLS", tile):
+    with mock.patch.object(_kernels, "_TILE_CELLS", tile):
         for padded in (True, False):
             assert_formats_like_reference(ps, padded)
             assert joined_blocks(ps, padded) == format_points(ps, padded)

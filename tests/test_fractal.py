@@ -145,6 +145,28 @@ def record_tiles(monkeypatch):
     return rows
 
 
+def record_orbit_sets(monkeypatch):
+    """(first step, cells) of every orbit set the Mandelbrot kernel runs from now on.
+
+    A tile's set starts at step 1 and holds only its own cells; a joined
+    set starts after the first compaction, at COMPACTION_STRIDE + 1.
+    """
+    sets = []
+    steps = _kernels._mandelbrot_steps
+
+    def recording(a, b, cr, ci, cells, *args):
+        sets.append((args[0].start, cells.copy()))
+        return steps(a, b, cr, ci, cells, *args)
+
+    monkeypatch.setattr(_kernels, "_mandelbrot_steps", recording)
+    return sets
+
+
+def tile_spans(sets, cols):
+    """The rows [first, last] of the cells of each tile's set."""
+    return [(cells.min() // cols, cells.max() // cols) for start, cells in sets if start == 1 and cells.size]
+
+
 class TestActiveSetKernel:
     REGIONS = [
         (-2.2, -1.7, 1.3, 2.9, 23),
@@ -164,18 +186,69 @@ class TestActiveSetKernel:
     def test_mandelbrot_scans_match_scalar_oracle(self, monkeypatch, iterations, threshold, early_exit, tile_cells):
         params = EscapeParams(iterations=iterations, threshold_sq=threshold, early_exit=early_exit)
         whole = {r: scan_raw(*r, MANDELBROT, params) for r in self.REGIONS}
-        monkeypatch.setattr(fractal, "_TILE_CELLS", tile_cells)
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", tile_cells)
         rows = record_tiles(monkeypatch)
+        sets = record_orbit_sets(monkeypatch)
+        spans = []
         for region in self.REGIONS:
+            del sets[:]
             ps = scan_raw(*region, MANDELBROT, params)
             expected = oracles.quadratic_scan(*region, None, iterations, threshold, early_exit)
             assert format_points(ps) == expected, region
             assert np.array_equal(ps.mask, whole[region].mask)
             assert format_points(ps, padded=False) == format_points(whole[region], padded=False)
-        if tile_cells == 5 * 23:
-            assert rows[:5] == [5, 5, 5, 5, 3]
-        if tile_cells == 1:
-            assert rows == [1] * sum(r[-1] for r in self.REGIONS)
+            spans.append(tile_spans(sets, region[-1]))
+        # one kernel call per scan, over the whole grid, which the kernel cuts into tiles
+        assert rows == [r[-1] for r in self.REGIONS]
+        if iterations and threshold == 1.0:  # below 4 no cell is marked interior, so every tile runs
+            if tile_cells == 5 * 23:
+                assert spans[0] == [(0, 4), (5, 9), (10, 14), (15, 19), (20, 22)]
+            if tile_cells == 1:
+                assert spans == [[(r, r) for r in range(region[-1])] for region in self.REGIONS]
+
+    # Tiles of 2, 3 and 7 rows over a 40-row grid whose live orbits after the
+    # first compaction fill a joined set within a few tiles, so sets are run
+    # in the middle of the scan as well as at its end.
+    FLUSHED = [
+        (-0.8, 0.05, -0.7, 0.15, 40),  # boundary windows: many orbits live on after step 8
+        (-1.8, -0.1, -1.7, 0.0, 40),
+    ]
+
+    @pytest.mark.parametrize("tile_rows", [2, 3, 7])
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    @pytest.mark.parametrize("iterations", [1, 7, 8, 9, 16, 17], ids=lambda n: f"n{n}")
+    def test_joined_sets_run_mid_scan_match_scalar_oracle(self, monkeypatch, iterations, early_exit, tile_rows):
+        params = EscapeParams(iterations=iterations, early_exit=early_exit)
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", tile_rows * 40)
+        sets = record_orbit_sets(monkeypatch)
+        for region in self.FLUSHED:
+            del sets[:]
+            ps = scan_raw(*region, MANDELBROT, params)
+            assert format_points(ps) == oracles.quadratic_scan(*region, None, iterations, 10.0, early_exit), region
+            joined = [cells for start, cells in sets if start > 1]
+            if iterations <= _kernels.COMPACTION_STRIDE + 1:
+                assert not joined  # the scan ends inside each tile
+                continue
+            assert len(joined) > 1, "no set ran before the end of the scan"
+            assert max(len(np.unique(cells // 40)) for cells in joined) > tile_rows, "no set joined two tiles"
+            # each set holds at most one tile of orbits, every live cell once, in scan order
+            assert max(cells.size for cells in joined) <= tile_rows * 40
+            order = np.concatenate(joined)
+            assert np.array_equal(order, np.unique(order))
+
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    def test_all_survive_window_runs_one_tile_per_set(self, monkeypatch, early_exit):
+        # inside the period-4 bulb, which the interior pre-pass leaves to the
+        # steps: every orbit lives to the end, so each set is one full tile
+        region = (-1.315, -0.005, -1.305, 0.005, 30)
+        params = EscapeParams(iterations=40, early_exit=early_exit)
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", 4 * 30)
+        sets = record_orbit_sets(monkeypatch)
+        ps = scan_raw(*region, MANDELBROT, params)
+        assert ps.mask.all()
+        assert format_points(ps) == oracles.quadratic_scan(*region, None, 40, 10.0, early_exit)
+        joined = [cells for start, cells in sets if start > 1]
+        assert [cells.size for cells in joined] == [4 * 30] * 7 + [2 * 30]
 
     @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
     def test_an_escaped_orbit_that_returns_stays_escaped(self, early_exit):
@@ -191,7 +264,7 @@ class TestDeterminism:
         # 5-row tiles give 13 tiles over 64 rows, and claiming 8 CPUs lets
         # every worker count above 1 start several threads; a short switch
         # interval interleaves them often
-        monkeypatch.setattr(fractal, "_TILE_CELLS", 5 * 64)
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", 5 * 64)
         monkeypatch.setattr(fractal, "_usable_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -265,18 +338,18 @@ class TestThreadPool:
     def test_pool_is_bounded_by_workers_and_usable_cpus(
         self, monkeypatch, pool_sizes, workers, expected
     ):
-        monkeypatch.setattr(fractal, "_TILE_CELLS", 40)  # one row per tile: 40 tiles
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", 40)  # one row per tile: 40 tiles
         scan_raw(-1.0, -1.0, 1.0, 1.0, 40, COS, workers=workers)
         assert pool_sizes == [expected]
 
     def test_pool_is_bounded_by_tiles(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(fractal, "_TILE_CELLS", 2 * 9)  # rows 0-1, ..., 8: 5 tiles
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", 2 * 9)  # rows 0-1, ..., 8: 5 tiles
         scan_raw(-1.0, -1.0, 1.0, 1.0, 9, COS, workers=5000)
         scan_raw(-1.0, -1.0, 1.0, 1.0, 2, COS, workers=5000)
         assert pool_sizes == [3, 1]
 
     def test_default_falls_back_to_cpu_count(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(fractal, "_TILE_CELLS", 40)
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", 40)
         monkeypatch.delattr(fractal.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(fractal.os, "cpu_count", lambda: 4)
         scan_raw(-1.0, -1.0, 1.0, 1.0, 40, COS)
@@ -286,26 +359,28 @@ class TestThreadPool:
 
     @pytest.mark.parametrize("workers", [None, 1, 2, 5000], ids=["default", "1", "2", "5000"])
     def test_mandelbrot_uses_one_thread(self, monkeypatch, pool_sizes, workers):
-        monkeypatch.setattr(fractal, "_TILE_CELLS", 40)
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", 40)
         rows = record_tiles(monkeypatch)
         scan_raw(-1.0, -1.0, 1.0, 1.0, 40, MANDELBROT, workers=workers)
-        assert pool_sizes == [1]
-        assert rows == [1] * 40
+        # no pool: one kernel call over the whole grid, on the calling thread
+        assert pool_sizes == []
+        assert rows == [40]
 
     def test_cli_workers_flag_is_capped(self, monkeypatch, capsys, pool_sizes):
         from trigiter.cli import main
 
-        monkeypatch.setattr(fractal, "_TILE_CELLS", 40)
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", 40)
         assert main(["julia", "--f", "cos", "--grid", "40", "--workers", "5000"]) == 0
         assert capsys.readouterr().out
         assert main(["mandelbrot", "--grid", "40", "--workers", "5000"]) == 0
         assert capsys.readouterr().out
-        assert pool_sizes == [3, 1]
+        assert pool_sizes == [3]
 
+    @pytest.mark.parametrize("mapping", [COS, MANDELBROT], ids=["cos", "mandelbrot"])
     @pytest.mark.parametrize("workers", [0, -2])
-    def test_workers_below_one_rejected(self, workers):
+    def test_workers_below_one_rejected(self, workers, mapping):
         with pytest.raises(ValueError, match="workers"):
-            scan_raw(-1.0, -1.0, 1.0, 1.0, 4, COS, workers=workers)
+            scan_raw(-1.0, -1.0, 1.0, 1.0, 4, mapping, workers=workers)
 
 
 class TestEscapeParams:
@@ -354,7 +429,7 @@ class TestStartPoint:
     @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
     def test_early_exit_tests_the_start_point(self, monkeypatch, early_exit, iterations, tile_cells):
         if tile_cells is not None:
-            monkeypatch.setattr(fractal, "_TILE_CELLS", tile_cells)
+            monkeypatch.setattr(_kernels, "_TILE_CELLS", tile_cells)
         params = EscapeParams(iterations, 5.0, early_exit)
         want = not early_exit
         assert oracles.orbit_survives(3.0 + 0j, "cos", iterations, 5.0, early_exit) is want

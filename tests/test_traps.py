@@ -6,7 +6,7 @@ rests on in interval arithmetic, compare cells placed just inside and
 just outside each trap with the scalar oracles, compare whole grids with
 the kernel run with its traps turned off, and fail if the traps stop
 firing.  They also check the escape lemma behind the Mandelbrot drop:
-past the tile's escape radius every float step grows |z|^2.
+past the scan's escape radius every float step grows |z|^2.
 """
 
 import cmath
@@ -372,6 +372,18 @@ class TestMandelbrotInterior:
             # c = 0, the centre of the main cardioid, is the one inside
             assert _kernels._in_period1_or_2(cr, ci).tolist() == ((cr == 0.0) & (ci == 0.0)).tolist()
 
+    # 3-row tiles: the pre-pass marks each tile's interior cells by their
+    # place in the whole grid, and the orbits left live join sets of tiles
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    @pytest.mark.parametrize("iterations", [9, 50, 300])
+    def test_tiles_cut_by_the_kernel_equal_the_untrapped_kernel(self, monkeypatch, no_traps, iterations, early_exit):
+        regions = TestTrapsKeepTheFullIteration.REGIONS[2:]
+        params = EscapeParams(iterations, 10.0, early_exit)
+        full = [no_traps(scan_raw, *region, MANDELBROT, params).mask for region in regions]
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", 3 * 53)
+        for region, want in zip(regions, full):
+            assert np.array_equal(scan_raw(*region, MANDELBROT, params).mask, want), region
+
 
 DBL_MAX = sys.float_info.max
 
@@ -412,7 +424,7 @@ def check_growth(drop_sq, cr, ci, a, b):
 
 @st.composite
 def escaped_states(draw):
-    """(drop_sq, cr, ci, a, b): c a cell of a drawn tile, z = a + ib with aa + bb >= drop_sq.
+    """(drop_sq, cr, ci, a, b): c a cell of a drawn grid, z = a + ib with aa + bb >= drop_sq.
 
     The axes reach |c| from 0 to near the double range; z lies on the drop
     radius or beyond it, up to past the overflow of aa + bb.
@@ -435,7 +447,7 @@ def escaped_states(draw):
 
 
 class TestEscapeRadius:
-    """Past the tile's escape radius a Mandelbrot step grows aa + bb by more than 1.5 or overflows.
+    """Past the scan's escape radius a Mandelbrot step grows aa + bb by more than 1.5 or overflows.
 
     So an orbit with aa + bb >= drop_sq = max(threshold, radius^2) stays
     there, or goes non-finite, and fails every later test: the proof is
@@ -447,7 +459,7 @@ class TestEscapeRadius:
     def test_a_step_past_the_radius_grows_the_squared_magnitude(self, state):
         check_growth(*state)
 
-    # tiles from the workload's plane to near the double range, each at its largest |c|
+    # grids from the workload's plane to near the double range, each at its largest |c|
     @pytest.mark.parametrize("reach", [0.0, 0.5, 2.0, 2.5, 1e3, 1e20, 1e100, 1e150, 1e300])
     @pytest.mark.parametrize("threshold", [1.0, 10.0, 1e6])
     def test_the_least_growth_lies_on_the_radius(self, reach, threshold):
@@ -458,7 +470,7 @@ class TestEscapeRadius:
                 check_growth(drop_sq, cr, ci, *on_the_ray(drop_sq, against(cr, ci) + turn))
 
     def test_no_per_step_test_at_the_default_threshold(self):
-        # every tile of the plane [-2.5, 2.5]^2 has radius^2 < 6.8, so at
+        # every scan inside the plane [-2.5, 2.5]^2 has radius^2 < 6.8, so at
         # threshold 10 an orbit that fails the threshold fails every later test
         assert _kernels._escape_radius_sq(np.array([-2.5, 2.5]), np.array([-2.5, 2.5])) < 6.8
         assert EscapeParams().threshold_sq > 6.8

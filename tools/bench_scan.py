@@ -14,8 +14,8 @@ off and on; and the Mandelbrot boundary window of centre -0.1 + 1.0i
 and half-width 0.3 (300 iterations, early exit, grid 250), where most
 orbits neither escape early nor enter a trap.  cos and sin run with 1
 and 2 workers, Mandelbrot with 1: `scan_raw` runs a Mandelbrot scan on
-one thread for any worker count, so a 2-worker row would time the same
-path again.
+the calling thread for any worker count, so a 2-worker row would time
+the same path again.
 
 The calculus section times `dottie_digits` at 5 and 64 digits, once as
 the first call of a fresh process (its lazy imports and any one-time

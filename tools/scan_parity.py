@@ -167,14 +167,17 @@ def run_cli(argv: list[str]) -> bytes:
 
 def run_cases(cases: list[dict]) -> list[list[str]]:
     """Digests of the mask, both layouts and the CLI runs of each scan, in this process."""
-    from trigiter import MANDELBROT, EscapeParams, TrigKind, fractal
+    from trigiter import MANDELBROT, EscapeParams, TrigKind, _kernels, fractal
 
     fractal._usable_cpus = lambda: 4  # let 1-4 workers start as many threads
-    default_tile = fractal._TILE_CELLS
+    # the module whose tile size the kernels and the row blocks read: a
+    # checkout from before the Mandelbrot kernel cut its own tiles kept it in fractal
+    tiles = _kernels if hasattr(_kernels, "_TILE_CELLS") else fractal
+    default_tile = tiles._TILE_CELLS
     digests = []
     for k, case in enumerate(cases):
         grid = case["grid"]
-        fractal._TILE_CELLS = {"default": default_tile, "rows": 1, "ragged": 3 * grid + 1}[case["tile"]]
+        tiles._TILE_CELLS = {"default": default_tile, "rows": 1, "ragged": 3 * grid + 1}[case["tile"]]
         mapping = {"cos": TrigKind.COSINE, "sin": TrigKind.SINE, "mandelbrot": MANDELBROT}[case["name"]]
         params = EscapeParams(case["iterations"], case["threshold"], case["early_exit"])
         ps = fractal.scan_raw(*case["corners"], grid, mapping, params, workers=case["workers"])
