@@ -171,16 +171,23 @@ each multiplier has a closed form: 1 - sqrt(1 - 4c) for the fixed point,
     lambda^2 - (8c + 16) lambda + 64 (c^3 + 2c^2 + c + 1) = 0,
 
 whose discriminant is -64 c^2 (4c + 7): lambda = 4 [(c + 2) -+ c w]
-with w = sqrt(-4c - 7).  Each test runs only on the cells in a box that
-holds its components, the rows and columns of the tile's axes inside
-it: [-1.25, 0.375] x [-0.65, 0.65] for periods 1 and 2,
+with w = sqrt(-4c - 7).  Each multiplier is evaluated as written, in
+numpy's complex arithmetic (sqrt and abs), and compared with
+1 - 1e-3.  Each test runs only on a box that holds its components, on
+the rows of the tile's real axis inside it against the columns of the
+imaginary axis inside it, broadcast, so c is formed only for those
+cells: [-1.25, 0.375] x [-0.65, 0.65] for periods 1 and 2,
 [-0.23, -0.02] x [0.64, 0.85], its mirror image and
 [-1.77, -1.74] x [-0.013, 0.013] for period 3.  A test is valid for
 every c, so the boxes gate only its cost, never an outcome: a cell
-outside them is iterated like any other.  The tests are
-about the exact orbit, not the float one; the margin keeps the cycle
-attracting under rounding, and tests compare them cell by cell with
-scalar iteration next to every boundary.
+outside them is iterated like any other.  The tests are about the exact
+orbit, not the float one; the margin keeps the cycle attracting under
+rounding, and tests compare them cell by cell with scalar iteration next
+to every boundary.  Rounding in the complex arithmetic cannot change an
+outcome either: a cell whose computed |lambda| lies on the other side of
+1 - 1e-3 than the exact one has |lambda| within a few ulps of 1 - 1e-3,
+so an attracting cycle, and it survives whether it is marked or
+iterated.
 """
 
 from __future__ import annotations
@@ -265,34 +272,17 @@ def _in_sine_petal(a, b):
 
 def _in_period1_or_2(cr, ci):
     """Parameters whose fixed point or 2-cycle has |multiplier| <= _MULTIPLIER_BOUND."""
-    # Main cardioid: the fixed point's multiplier is 1 - s with
-    # s = sqrt(u), u = 1 - 4c.  |1 - s|^2 = 1 - 2 Re s + |u| and
-    # Re s = sqrt((|u| + Re u) / 2), so |1 - s| <= r is
-    # 2 (|u| + Re u) >= (1 + |u| - r^2)^2; the cardioid has |u| <= 4,
-    # which also keeps an infinite u out.
-    ur = 1.0 - 4.0 * cr
-    m = np.hypot(ur, 4.0 * ci)
-    inside = m <= 4.0
-    inside &= 2.0 * (m + ur) >= (1.0 + m - _MULTIPLIER_BOUND**2) ** 2
-    # period-2 bulb: the 2-cycle's multiplier is 4(c + 1)
-    inside |= (cr + 1.0) ** 2 + ci**2 <= (_MULTIPLIER_BOUND / 4.0) ** 2
-    return inside
+    c = cr + 1j * ci
+    inside = np.abs(1.0 - np.sqrt(1.0 - 4.0 * c)) <= _MULTIPLIER_BOUND  # the main cardioid
+    return inside | (np.abs(4.0 * (c + 1.0)) <= _MULTIPLIER_BOUND)  # the period-2 bulb
 
 
 def _in_period3(cr, ci):
     """Parameters with a 3-cycle whose |multiplier| <= _MULTIPLIER_BOUND."""
-    # The two 3-cycles' multipliers are 4 [(c + 2) -+ c w] with w = sqrt(u),
-    # u = -4c - 7: Re w = sqrt((|u| + Re u) / 2) and Im w has the sign of
-    # Im u and the size sqrt((|u| - Re u) / 2).  |4 v| <= r is |v|^2 <= (r / 4)^2.
-    ur, ui = -4.0 * cr - 7.0, -4.0 * ci
-    m = np.hypot(ur, ui)
-    wr = np.sqrt((m + ur) / 2.0)
-    wi = np.copysign(np.sqrt((m - ur) / 2.0), ui)
-    pr, pi = cr * wr - ci * wi, cr * wi + ci * wr  # c w
-    bound_sq = (_MULTIPLIER_BOUND / 4.0) ** 2
-    inside = (cr + 2.0 + pr) ** 2 + (ci + pi) ** 2 <= bound_sq
-    inside |= (cr + 2.0 - pr) ** 2 + (ci - pi) ** 2 <= bound_sq
-    return inside
+    c = cr + 1j * ci
+    cw = c * np.sqrt(-4.0 * c - 7.0)
+    inside = np.abs(4.0 * (c + 2.0 - cw)) <= _MULTIPLIER_BOUND
+    return inside | (np.abs(4.0 * (c + 2.0 + cw)) <= _MULTIPLIER_BOUND)
 
 
 # Each Mandelbrot interior test, with a box [left, right] x [low, high]
@@ -305,15 +295,13 @@ _INTERIOR_COMPONENTS = (
 )
 
 
-def _in_mandelbrot_interior(xs, ys, cr, ci):
-    """Of the cells cr, ci of the grid over the axes xs, ys, those inside a component of period <= 3, flat."""
-    shape = (len(xs), len(ys))
-    cr, ci = cr.reshape(shape), ci.reshape(shape)
-    inside = np.zeros(shape, dtype=bool)
+def _in_mandelbrot_interior(xs, ys):
+    """Of the grid over the axes xs, ys, the cells inside a component of period <= 3, flat."""
+    inside = np.zeros((len(xs), len(ys)), dtype=bool)
     for test, (left, right, low, high) in _INTERIOR_COMPONENTS:
-        box = np.ix_(np.flatnonzero((xs >= left) & (xs <= right)), np.flatnonzero((ys >= low) & (ys <= high)))
-        if box[0].size and box[1].size:
-            inside[box] |= test(cr[box], ci[box])
+        rows, cols = np.flatnonzero((xs >= left) & (xs <= right)), np.flatnonzero((ys >= low) & (ys <= high))
+        if rows.size and cols.size:
+            inside[np.ix_(rows, cols)] |= test(xs[rows, None], ys[cols])
     return inside.ravel()
 
 
@@ -426,13 +414,11 @@ def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
         cr, ci = (c.ravel() for c in np.meshgrid(tile, ys, indexing="ij"))
         cells = np.arange(lo * cols, lo * cols + cr.size)
         if threshold > MANDELBROT_INTERIOR_THRESHOLD:
-            inside = _in_mandelbrot_interior(tile, ys, cr, ci)
+            inside = _in_mandelbrot_interior(tile, ys)
             if inside.any():
                 alive[cells[inside]] = True
                 outside = ~inside
                 cr, ci, cells = cr[outside], ci[outside], cells[outside]
-                if not cells.size:
-                    continue
         orbits = run((cr, ci, cr, ci, cells), head)  # z_1 = c; the steps never write into cr and ci
         if not tail or not orbits[-1].size:
             continue

@@ -5,9 +5,11 @@ expected behavior (scalar loops, stdlib only) rather than calling into
 the package, so agreement is meaningful.
 """
 
+import functools
 import itertools
 import math
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 
 def _cosh(x: float) -> float:
@@ -186,3 +188,66 @@ def multinomial_product_derivative(tables, order):
             term = term * table[k]
         total = total + term
     return total
+
+
+def _truncated_product(a, b, order):
+    """Coefficients of a(x) b(x) up to x^order, skipping zero terms."""
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(order + 1 - i):
+                if b[j]:
+                    out[i + j] += ai * b[j]
+    return out
+
+
+def _sine_of(inner, order):
+    """Coefficients of sin(inner(x)) up to x^order; inner has no constant term."""
+    square = _truncated_product(inner, inner, order)
+    out = [Fraction(0)] * (order + 1)
+    power = inner  # inner^j for odd j
+    for j in range(1, order + 1, 2):
+        term = Fraction((-1) ** (j // 2), math.factorial(j))
+        for k in range(j, order + 1):
+            out[k] += term * power[k]
+        power = _truncated_product(power, square, order)
+    return out
+
+
+def sine_compositions(n, order):
+    """Coefficients c_0..c_order of sin^0 .. sin^n, each by exact composition on the one before."""
+    identity = [Fraction(0)] * (order + 1)
+    if order >= 1:
+        identity[1] = Fraction(1)
+    iterates = [identity]
+    for _ in range(n):
+        iterates.append(_sine_of(iterates[-1], order))
+    return iterates
+
+
+@functools.cache
+def _sine_nodes(order):
+    """sin^0 .. sin^d, d = (order - 1) // 2: the interpolation nodes of every coefficient up to x^order."""
+    return tuple(tuple(series) for series in sine_compositions(max(0, (order - 1) // 2), order))
+
+
+def sine_iterate_coefficients(n, order):
+    """Coefficients c_0..c_order of sin^n as exact Fractions, for any integer n (n < 0: arcsin^-n).
+
+    sin is tangent to the identity at 0, so the k-th Maclaurin coefficient
+    of sin^n is a polynomial in n of degree (k - 1) // 2 (E. Jabotinsky,
+    "Analytic iteration", Trans. AMS 108, 1963).  Each c_k is the Lagrange
+    interpolant through its values at n = 0 .. (k - 1) // 2, taken from
+    exact compositions, so any n costs at most (order - 1) // 2 of them.
+    """
+    nodes = _sine_nodes(order)
+    coefficients = [Fraction(0)] * (order + 1)
+    for k in range(1, order + 1, 2):
+        degree = (k - 1) // 2
+        for m in range(degree + 1):
+            weight = Fraction(1)
+            for j in range(degree + 1):
+                if j != m:
+                    weight *= Fraction(n - j, m - j)
+            coefficients[k] += weight * nodes[m][k]
+    return coefficients

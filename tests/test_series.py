@@ -1,8 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+import oracles
 from trigiter import (
     PowerSeries,
     TailBoundError,
@@ -225,8 +227,22 @@ class TestIteratedSeries:
 
     def test_triple_sine_known_coefficients(self):
         s = iterated_series(SIN, 3, 5)
-        assert s.coefficients[3] == pytest.approx(-0.5, abs=1e-14)
-        assert s.coefficients[5] == pytest.approx(11.0 / 40.0, abs=1e-14)
+        exact = oracles.sine_iterate_coefficients(3, 5)
+        assert s.coefficients[3] == pytest.approx(float(exact[3]), abs=1e-14)
+        assert s.coefficients[5] == pytest.approx(float(exact[5]), abs=1e-14)
+
+    # Measured: at most 4.6 ulp (n = 5, x^27, truncation 30); every even
+    # coefficient is exactly 0.
+    SINE_ULP_BUDGET = 8
+
+    @pytest.mark.parametrize("truncation", [2, 16, 30])
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_sine_coefficients_within_ulps_of_the_exact_ones(self, order, truncation):
+        got = iterated_series(SIN, order, truncation).coefficients
+        exact = oracles.sine_iterate_coefficients(order, truncation)
+        for k, (c, e) in enumerate(zip(got, exact)):
+            budget = self.SINE_ULP_BUDGET * Fraction(math.ulp(float(e))) if e else 0
+            assert abs(Fraction(c) - e) <= budget, k
 
     def test_constant_term_is_orbit_point(self):
         for order in (2, 5, 30):
@@ -287,3 +303,26 @@ class TestIteratedSeries:
         ):
             with pytest.raises(ValueError, match=f"<= {MAX_TRUNCATION}"):
                 call()
+
+
+class TestExactSineOracle:
+    """oracles.sine_iterate_coefficients: each coefficient of sin^n as a polynomial in n."""
+
+    def test_equals_direct_composition(self):
+        # nodes n = 0..(k - 1) // 2 for x^k, the other n up to 16 interpolated
+        direct = oracles.sine_compositions(16, 31)
+        for n, series in enumerate(direct):
+            assert oracles.sine_iterate_coefficients(n, 31) == series, n
+
+    def test_low_coefficients_in_closed_form(self):
+        for n in range(0, 40, 3):
+            c = oracles.sine_iterate_coefficients(n, 5)
+            assert c[:3] == [0, 1, 0] and c[4] == 0
+            assert c[3] == Fraction(-n, 6)
+            assert c[5] == Fraction(n * (5 * n - 4), 120)
+
+    def test_minus_one_is_arcsin(self):
+        # the polynomials hold for every integer n; sin^-1 = arcsin = sum (2m)! / (4^m m!^2 (2m + 1)) x^(2m+1)
+        c = oracles.sine_iterate_coefficients(-1, 21)
+        for m in range(11):
+            assert c[2 * m + 1] == Fraction(math.factorial(2 * m), 4**m * math.factorial(m) ** 2 * (2 * m + 1))

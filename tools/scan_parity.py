@@ -16,7 +16,13 @@ every step, its values fixed in ESCAPE_RADII_SQ), Mandelbrot windows
 of half-width 1e-3 to 0.15 around the period-3 components, whose
 interior the kernel marks without iterating (drawn from a second
 generator, so the other cases are those the seed drew before these
-windows were added), and above 711^2
+windows were added), Mandelbrot windows of half-width 1e-9 to 1e-3 on
+the main cardioid and the period-2 bulb, centred where the multiplier
+of the attracting cycle has modulus 1 - 1e-3 (the margin of the interior
+test, where rounding decides it), 1 - 1e-3 -+ 1e-9 or 1 (the boundary),
+with thresholds on both sides of 4 (drawn from a third generator, in
+place of half the Mandelbrot cases that drew neither an escape-radius
+case nor a period-3 window), and above 711^2
 (where an early-exit orbit can pass the threshold test at
 |Im z| >= 711), 1-4 workers, default, ragged and one-row tiles, and
 corners that are signed zeros, subnormal, near the double range, near
@@ -52,6 +58,7 @@ out, as are exception messages, so error wording may change.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import functools
 import hashlib
@@ -85,6 +92,12 @@ PERIOD3_CENTRES = (complex(-1.7548776662466927, 0.0), complex(-0.122561166876653
                    complex(-0.12256116687665362, -0.7448617666197442))
 
 
+# Moduli of the multiplier at the centres of the windows on the main
+# cardioid and the period-2 bulb: the interior test's margin, each side of
+# it, and the boundary of the component.
+MARGIN_RADII = (1 - 1e-3, 1 - 1e-3 - 1e-9, 1 - 1e-3 + 1e-9, 1.0)
+
+
 def near(bound: float, unit: float = 1.0) -> list[float]:
     """bound, and bound -+ 2^-40 and -+ 1e-2 units."""
     return [bound + d * unit for d in (-1e-2, -(2**-40), 0.0, 2**-40, 1e-2)]
@@ -93,6 +106,7 @@ def near(bound: float, unit: float = 1.0) -> list[float]:
 def draw_cases(count: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
     windows = random.Random(f"period3-{seed}")
+    margins = random.Random(f"period12-{seed}")
     cases = []
     for k in range(count):
         name = MAPS[k % len(MAPS)]
@@ -120,6 +134,14 @@ def draw_cases(count: int, seed: int) -> list[dict]:
             centre, half = windows.choice(PERIOD3_CENTRES), 10 ** windows.uniform(-3.0, math.log10(0.15))
             corners = [centre.real - half, centre.imag - half, centre.real + half, centre.imag + half]
             threshold = windows.choice(near(TRAP_BOUNDS["mandelbrot"][0]) + [10.0])
+        elif name == "mandelbrot" and margins.random() < 0.5:
+            # a window on the cardioid, c = lam/2 - lam^2/4, or on the period-2
+            # bulb, c = lam/4 - 1, where the cycle's multiplier is lam
+            lam = cmath.rect(margins.choice(MARGIN_RADII), margins.uniform(-math.pi, math.pi))
+            centre = margins.choice((lam / 2 - lam * lam / 4, lam / 4 - 1))
+            half = 10 ** margins.uniform(-9.0, -3.0)
+            corners = [centre.real - half, centre.imag - half, centre.real + half, centre.imag + half]
+            threshold = margins.choice(near(TRAP_BOUNDS["mandelbrot"][0]) + [10.0])
         if rng.random() < 0.5:
             corners = [corners[2], corners[3], corners[0], corners[1]]  # descending
         tile = rng.choice(["default", "rows", "ragged"])
