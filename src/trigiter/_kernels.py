@@ -21,22 +21,25 @@ the dropped orbits are still computed and their results ignored.
 
 The caller hands the kernel a cos or sin grid one tile of whole rows at
 a time, and a Mandelbrot grid whole.  The Mandelbrot kernel cuts the
-rows into tiles of _TILE_CELLS cells itself, and each tile runs the
-interior pre-pass (below) and steps 1 to COMPACTION_STRIDE, which ends
-on the first compaction.  Most orbits escape by then, so a tile leaves
-only a few live, and those of successive tiles are joined, with their c
-and cell indices, into one set while it holds at most _TILE_CELLS
-orbits; each set then runs the remaining steps to the last iteration,
-at once when it holds more than half a tile.  One set per tile would
-repeat every one of those steps on a few orbits, where the fixed cost of
-the array calls is the whole cost.  A set of more than one tile of
-orbits grows the working memory and ran slower, and so did a set of
-more than half a tile left waiting for the next tile's steps.
-A scan of at most COMPACTION_STRIDE + 1 iterations finishes inside
-each tile.  No outcome depends on the tiling: a joined orbit runs the
-same ufuncs on the same values, compactions still fall on the steps
-that are multiples of COMPACTION_STRIDE, and every tile and set uses
-the drop rule of the whole scan, below.
+rows into tiles of _TILE_CELLS cells itself.  Each tile's interior
+pre-pass (below) marks its interior cells in the survival mask, and the
+tile's other cells run steps 1 to COMPACTION_STRIDE, which ends on the
+first compaction.  Most orbits escape by then, so a tile leaves only a
+few live, and those of successive tiles are joined, with their c and
+cell indices, into one set while it holds at most _TILE_CELLS orbits;
+each set then runs the remaining steps to the last iteration, at once
+when it holds more than half a tile.  Whichever steps reach the last
+iteration, a tile's or a set's, set the cells of their orbits in the
+mask by the final test.  One set per tile would repeat every one of
+those steps on a few orbits, where the fixed cost of the array calls is
+the whole cost.  A set of more than one tile of orbits grows the
+working memory and ran slower, and so did a set of more than half a
+tile left waiting for the next tile's steps.  A scan of at most
+COMPACTION_STRIDE + 1 iterations finishes inside each tile.  No outcome
+depends on the tiling: a joined orbit runs the same ufuncs on the same
+values, compactions still fall on the steps that are multiples of
+COMPACTION_STRIDE, and every tile and set uses the drop rule of the
+whole scan, below.
 
 A Mandelbrot compaction has one rule in every mode: it keeps the orbits
 with S = aa + bb < drop_sq, where aa = a*a and bb = b*b are the squares
@@ -161,12 +164,13 @@ exceeds the squared magnitude of every point of it:
 
 For the Mandelbrot family the parameters c in a hyperbolic component of
 period <= 3, with a margin of 1e-3 on the multiplier of the attracting
-cycle, are marked as surviving before the tile is iterated, for
-threshold > 4: the orbit of 0 of a parameter in the set stays within
-|z| <= 2.  The components are the main cardioid, the period-2 bulb, the
-period-3 bulbs at -0.1226 -+ 0.7449i and the minibrot at -1.7549, and
-each multiplier has a closed form: 1 - sqrt(1 - 4c) for the fixed point,
-4(c + 1) for the 2-cycle, and for the two 3-cycles the roots of
+cycle, are marked in the survival mask before the tile is iterated,
+and are not iterated, for threshold > 4: the orbit of 0 of a parameter
+in the set stays within |z| <= 2.  The components are the main
+cardioid, the period-2 bulb, the period-3 bulbs at -0.1226 -+ 0.7449i
+and the minibrot at -1.7549, and each multiplier has a closed form:
+1 - sqrt(1 - 4c) for the fixed point, 4(c + 1) for the 2-cycle, and for
+the two 3-cycles the roots of
 
     lambda^2 - (8c + 16) lambda + 64 (c^3 + 2c^2 + c + 1) = 0,
 
@@ -295,14 +299,12 @@ _INTERIOR_COMPONENTS = (
 )
 
 
-def _in_mandelbrot_interior(xs, ys):
-    """Of the grid over the axes xs, ys, the cells inside a component of period <= 3, flat."""
-    inside = np.zeros((len(xs), len(ys)), dtype=bool)
+def _mark_mandelbrot_interior(xs, ys, alive):
+    """Set the cells of `alive`, the grid over the axes xs, ys, inside a component of period <= 3."""
     for test, (left, right, low, high) in _INTERIOR_COMPONENTS:
         rows, cols = np.flatnonzero((xs >= left) & (xs <= right)), np.flatnonzero((ys >= low) & (ys <= high))
         if rows.size and cols.size:
-            inside[np.ix_(rows, cols)] |= test(xs[rows, None], ys[cols])
-    return inside.ravel()
+            alive[np.ix_(rows, cols)] |= test(xs[rows, None], ys[cols])
 
 
 def _trap(mapping, threshold):
@@ -378,9 +380,10 @@ def _escape_radius_sq(xs, ys):
 def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
     """Set `alive` for the parameters of the grid with axes xs, ys.
 
-    Each tile of whole rows runs the interior pre-pass and the steps up
-    to the first compaction; the orbits it leaves live join a set of at
-    most _TILE_CELLS orbits, and each set runs the remaining steps.
+    Each tile of whole rows marks its interior cells in `alive` and runs
+    the others through the steps up to the first compaction; the orbits
+    it leaves live join a set of at most _TILE_CELLS orbits, and each
+    set runs the remaining steps, which set the cells of its orbits.
     """
     if iterations == 0:
         alive[:] = True
@@ -390,46 +393,37 @@ def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
     # past drop_sq an orbit fails every later test, so only a threshold
     # below it needs early exit's own test, on every step
     sticky = early_exit and threshold < drop_sq
-    rule = (threshold, drop_sq, sticky)
+    rule = (threshold, drop_sq, sticky, alive, iterations)
     head = range(1, min(iterations, COMPACTION_STRIDE + 1))
     tail = range(COMPACTION_STRIDE + 1, iterations)
-
-    def run(orbits, steps):
-        """The orbits after `steps`; sets the cells of those that reach the last iteration."""
-        *orbits, live = _mandelbrot_steps(*orbits, steps, *rule)
-        if steps.stop == iterations:
-            a, b, cr, ci, cells = orbits
-            alive[cells] = live & (a * a + b * b < threshold)
-        return orbits  # a head followed by a tail ends on a compaction, so each orbit it keeps is live
-
-    pending = []  # the live orbits of the tiles not yet run to the end
-
-    def run_pending():
-        run(_joined(pending), tail)
-        pending.clear()
-
+    pending, held = [], 0  # the live orbits of the tiles not yet run to the end, and how many
     rows = _tile_rows(cols)
     for lo in range(0, len(xs), rows):
         tile = xs[lo : lo + rows]
         cr, ci = (c.ravel() for c in np.meshgrid(tile, ys, indexing="ij"))
         cells = np.arange(lo * cols, lo * cols + cr.size)
         if threshold > MANDELBROT_INTERIOR_THRESHOLD:
-            inside = _in_mandelbrot_interior(tile, ys)
+            inside = alive[lo * cols : lo * cols + cr.size]  # unset until the tile marks it
+            _mark_mandelbrot_interior(tile, ys, inside.reshape(len(tile), cols))
             if inside.any():
-                alive[cells[inside]] = True
                 outside = ~inside
                 cr, ci, cells = cr[outside], ci[outside], cells[outside]
-        orbits = run((cr, ci, cr, ci, cells), head)  # z_1 = c; the steps never write into cr and ci
+        # z_1 = c, as the steps never write into cr and ci; a head followed
+        # by a tail ends on a compaction, so each orbit it keeps is live
+        orbits = _mandelbrot_steps(cr, ci, cr, ci, cells, head, *rule)
         if not tail or not orbits[-1].size:
             continue
-        if pending and sum(o[-1].size for o in pending) + orbits[-1].size > _TILE_CELLS:
-            run_pending()
+        if pending and held + orbits[-1].size > _TILE_CELLS:
+            _mandelbrot_steps(*_joined(pending), tail, *rule)
+            pending, held = [], 0
         pending.append(orbits)
+        held += orbits[-1].size
         # past half a tile the set runs at once, while its arrays are still in cache
-        if 2 * sum(o[-1].size for o in pending) > _TILE_CELLS:
-            run_pending()
+        if 2 * held > _TILE_CELLS:
+            _mandelbrot_steps(*_joined(pending), tail, *rule)
+            pending, held = [], 0
     if pending:
-        run_pending()
+        _mandelbrot_steps(*_joined(pending), tail, *rule)
 
 
 def _joined(sets):
@@ -439,11 +433,12 @@ def _joined(sets):
     return tuple(np.concatenate(arrays) for arrays in zip(*sets))
 
 
-def _mandelbrot_steps(a, b, cr, ci, cells, steps, threshold, drop_sq, sticky):
+def _mandelbrot_steps(a, b, cr, ci, cells, steps, threshold, drop_sq, sticky, alive, iterations):
     """Run the orbits z = a + ib through `steps`, a range of step numbers.
 
     Returns z, c and the cells of the orbits kept at the last
-    compaction, and which of them are still live.
+    compaction.  When `steps` ends at the last iteration, also sets the
+    cells of those orbits in `alive`: live and below the threshold.
     """
     live = np.ones(cells.size, dtype=bool)
     for step in steps:
@@ -464,4 +459,6 @@ def _mandelbrot_steps(a, b, cr, ci, cells, steps, threshold, drop_sq, sticky):
         aa -= bb
         aa += cr
         a, b = aa, b2
-    return a, b, cr, ci, cells, live
+    if steps.stop == iterations:
+        alive[cells] = live & (a * a + b * b < threshold)
+    return a, b, cr, ci, cells

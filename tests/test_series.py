@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import oracles
@@ -326,3 +327,55 @@ class TestExactSineOracle:
         c = oracles.sine_iterate_coefficients(-1, 21)
         for m in range(11):
             assert c[2 * m + 1] == Fraction(math.factorial(2 * m), 4**m * math.factorial(m) ** 2 * (2 * m + 1))
+
+
+def cosine_iterates_to_degree(n, degree):
+    """cos^1 .. cos^n, each the list of its Maclaurin coefficients c_0 .. c_degree, in mpmath.
+
+    Each step expands cos about the inner series' constant term c_0:
+    cos(c_0 + g) = sum_j cos^(j)(c_0) g^j / j!, where g has no constant
+    term, so the coefficients up to `degree` are exact at the working
+    precision.
+    """
+    series, chain = [mpmath.mpf(0), mpmath.mpf(1)] + [mpmath.mpf(0)] * (degree - 1), []  # x itself
+    for _ in range(n):
+        g = [mpmath.mpf(0)] + series[1:]
+        power, result = [mpmath.mpf(1)] + [mpmath.mpf(0)] * degree, [mpmath.mpf(0)] * (degree + 1)
+        for j in range(degree + 1):
+            derivative = mpmath.cos(series[0] + j * mpmath.pi / 2) / mpmath.factorial(j)
+            result = [r + derivative * p for r, p in zip(result, power)]
+            power = [sum(power[i] * g[k - i] for i in range(k + 1)) for k in range(degree + 1)]
+        series = result
+        chain.append(series)
+    return chain
+
+
+class TestCosineCoefficientsShrinkAtTheMultiplier:
+    """c_k(n+1) / c_k(n) -> lambda = -sin D for the Maclaurin coefficients of cos^n.
+
+    D is an attracting fixed point of cos with multiplier lambda, and
+    Koenigs linearization gives cos^n(x) - D = phi^-1(lambda^n phi(x)),
+    so c_k(n) = lambda^n (a_k + b_k lambda^n + O(lambda^2n)) for k >= 1,
+    and the ratio minus lambda shrinks as lambda^n.
+    """
+
+    LAST = 60
+
+    def test_the_ratios_converge_to_minus_sin_dottie(self):
+        chain = [cos_series(30)]  # cos^1 .. cos^(LAST + 1), as iterated_series builds them
+        while len(chain) <= self.LAST:
+            chain.append(compose(COS, chain[-1]))
+        assert chain[11].coefficients == iterated_series(COS, 12, 30).coefficients
+        with mpmath.workdps(50):
+            reference = cosine_iterates_to_degree(self.LAST + 1, 8)
+            multiplier = -mpmath.sin(mpmath.findroot(lambda t: mpmath.cos(t) - t, mpmath.mpf("0.739")))
+            for k in (2, 4, 6, 8):
+                scaled = {}
+                for n in range(10, self.LAST + 1):
+                    want = reference[n][k] / reference[n - 1][k]
+                    got = chain[n].coefficients[k] / chain[n - 1].coefficients[k]
+                    # measured: within 5e-6 of the ratio's distance from lambda
+                    assert abs(got - want) <= 1e-4 * abs(want - multiplier), (k, n)
+                    scaled[n] = (want - multiplier) / multiplier**n
+                # measured 0.29438, -2.41575, 0.51027 and 4.58211, agreeing to 4e-7
+                assert abs(scaled[40] - scaled[60]) <= 1e-5 * abs(scaled[60]), (k, scaled[40], scaled[60])

@@ -332,8 +332,9 @@ class TestMandelbrotInterior:
         # and the pre-pass, which tests each cell in the boxes that hold it
         for cells, want in ((inside, True), (outside, False)):
             for c in cells:
-                xs, ys = np.array([c.real]), np.array([c.imag])
-                assert _kernels._in_mandelbrot_interior(xs, ys).tolist() == [want], c
+                marked = np.zeros((1, 1), dtype=bool)
+                _kernels._mark_mandelbrot_interior(np.array([c.real]), np.array([c.imag]), marked)
+                assert marked.tolist() == [[want]], c
 
     def test_period3_multipliers_match_the_cycles_of_the_map(self):
         rng = np.random.default_rng(3)
@@ -374,15 +375,18 @@ class TestMandelbrotInterior:
             # c = 0, the centre of the main cardioid, is the one inside
             assert _kernels._in_period1_or_2(cr, ci).tolist() == ((cr == 0.0) & (ci == 0.0)).tolist()
 
-    # 3-row tiles: the pre-pass marks each tile's interior cells by their
-    # place in the whole grid, and the orbits left live join sets of tiles
+    # 1- and 3-row tiles (grids 53, 47 and 41): the pre-pass marks each
+    # tile's interior cells by their place in the whole grid, and the
+    # orbits left live join sets of tiles
+    @pytest.mark.parametrize("tile_cells", [53, 3 * 53], ids=["rows", "three-rows"])
     @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
     @pytest.mark.parametrize("iterations", [9, 50, 300])
-    def test_tiles_cut_by_the_kernel_equal_the_untrapped_kernel(self, monkeypatch, no_traps, iterations, early_exit):
+    def test_tiles_cut_by_the_kernel_equal_the_untrapped_kernel(self, monkeypatch, no_traps, iterations, early_exit,
+                                                                 tile_cells):
         regions = TestTrapsKeepTheFullIteration.REGIONS[2:]
         params = EscapeParams(iterations, 10.0, early_exit)
         full = [no_traps(scan_raw, *region, MANDELBROT, params).mask for region in regions]
-        monkeypatch.setattr(_kernels, "_TILE_CELLS", 3 * 53)
+        monkeypatch.setattr(_kernels, "_TILE_CELLS", tile_cells)
         for region, want in zip(regions, full):
             assert np.array_equal(scan_raw(*region, MANDELBROT, params).mask, want), region
 
