@@ -19,27 +19,29 @@ so there the fixed cost of the array calls dominates, and the live
 orbits are compacted only every COMPACTION_STRIDE = 8 steps; in between
 the dropped orbits are still computed and their results ignored.
 
-The caller hands the kernel a cos or sin grid one tile of whole rows at
-a time, and a Mandelbrot grid whole.  The Mandelbrot kernel cuts the
-rows into tiles of _TILE_CELLS cells itself.  Each tile's interior
-pre-pass (below) marks its interior cells in the survival mask, and the
-tile's other cells run steps 1 to COMPACTION_STRIDE, which ends on the
-first compaction.  Most orbits escape by then, so a tile leaves only a
-few live, and those of successive tiles are joined, with their c and
-cell indices, into one set while it holds at most _TILE_CELLS orbits;
-each set then runs the remaining steps to the last iteration, at once
-when it holds more than half a tile.  Whichever steps reach the last
-iteration, a tile's or a set's, set the cells of their orbits in the
-mask by the final test.  One set per tile would repeat every one of
-those steps on a few orbits, where the fixed cost of the array calls is
-the whole cost.  A set of more than one tile of orbits grows the
-working memory and ran slower, and so did a set of more than half a
-tile left waiting for the next tile's steps.  A scan of at most
-COMPACTION_STRIDE + 1 iterations finishes inside each tile.  No outcome
-depends on the tiling: a joined orbit runs the same ufuncs on the same
-values, compactions still fall on the steps that are multiples of
-COMPACTION_STRIDE, and every tile and set uses the drop rule of the
-whole scan, below.
+One driver cuts every scan's rows into tiles of _TILE_CELLS cells.  A
+tile's start forms its orbits: for cos and sin z_1 from the axes,
+without the cells whose z_0 fails early exit; for Mandelbrot z_1 = c,
+after its interior pre-pass (below) has marked its interior cells in the
+survival mask.  The tile's orbits run steps 1 to COMPACTION_STRIDE, which
+ends on a compaction in every map.  Most orbits escape or enter a trap
+by then, so a tile leaves only a few live, and those of successive tiles
+are joined, with their cells (and c), into one set while it holds at
+most _TILE_CELLS orbits; each set then runs the remaining steps to the
+last iteration, at once when it holds more than half a tile.  Whichever
+steps reach the last iteration, a tile's or a set's, set the cells of
+their orbits in the mask by the final test.  One set per tile would
+repeat every one of those steps on a few orbits, where the fixed cost of
+the array calls is the whole cost.  A set of more than one tile of
+orbits grows the working memory and ran slower, and so did a set of
+more than half a tile left waiting for the next tile's steps.  A scan of
+at most COMPACTION_STRIDE + 1 iterations finishes inside each tile.  No
+outcome depends on the tiling: a joined orbit runs the same ufuncs on
+the same values, Mandelbrot compactions still fall on the steps that
+are multiples of COMPACTION_STRIDE, and every tile and set uses the drop
+rule of the whole call, below.  A caller may split a grid's rows between
+calls, one per thread: the drop rule of each call holds for every orbit
+of its rows, so no outcome changes either.
 
 A Mandelbrot compaction has one rule in every mode: it keeps the orbits
 with S = aa + bb < drop_sq, where aa = a*a and bb = b*b are the squares
@@ -113,6 +115,16 @@ With early exit the threshold test is the only drop test: an orbit it
 keeps at |Im z| >= 711 steps to a non-finite iterate, which it or the
 final test rejects.
 
+A cos or sin step takes |Im z| once, for the overflow drop and for the
+trap test, and writes the next iterate over the current one: a becomes
+cosh(b) times p and b becomes sinh(b) times q, in place, where no other
+array holds z.  These are the values p cosh y and q sinh y of the full
+grid: a product of two doubles does not depend on the order of its
+operands, and cos's q = -sin x is negated in place, which is exact.  It
+drops the orbits that enter a trap by `keep ^= trapped`: every point of
+a trap lies below both the threshold and 711, so an orbit in a trap
+passes the drop test, and flipping its bit clears it.
+
 The kernel takes the map objects themselves: TrigKind.COSINE,
 TrigKind.SINE or MANDELBROT.  cos z and sin z, z = x + iy, are
 p(x) cosh y + i q(x) sinh y, with (p, q) = (cos x, -sin x) for cos and
@@ -134,11 +146,12 @@ c for each of them.
 
 An orbit is also dropped, and marked as surviving, once it enters a
 trap: a region its map sends into itself, in which every point is below
-the threshold.  Every later iterate then stays in the trap and passes
-the final test and the early-exit test; the iterates before it were
-tested as they ran.  The trap tests are proofs about the float orbit the
-kernel computes, with rounding inside their slack, so the outcome is the
-one the full iteration gives.  Each trap is used only when the threshold
+the threshold; each trap test takes the real part and |Im z|.  Every
+later iterate then stays in the trap and passes the final test and the
+early-exit test; the iterates before it were tested as they ran.  The
+trap tests are proofs about the float orbit the kernel computes, with
+rounding inside their slack, so the outcome is the one the full
+iteration gives.  Each trap is used only when the threshold
 exceeds the squared magnitude of every point of it:
 
 - cos, the rectangle R = [-1.2, 1.2] x [-0.6, 0.6] around the Dottie
@@ -233,11 +246,8 @@ _MULTIPLIER_BOUND = 1.0 - 1e-3
 COMPACTION_STRIDE = 8
 
 # Cells per tile of whole rows.  Tiles bound the kernel's working memory
-# by the tile, not by the grid.  scan_raw hands each cos or sin tile to a
-# thread of its pool, which takes the next tile when it finishes one, so
-# a tile whose orbits escape early does not leave its thread idle.  The
-# Mandelbrot kernel cuts a scan's rows into tiles itself, and a set of
-# live orbits it joins holds at most this many.  PointSet.row_blocks
+# by the tile, not by the grid, and the orbits they leave live after the
+# first compaction join sets of at most this many.  PointSet.row_blocks
 # cuts output blocks of the same size, which bounds the text alive at
 # once.
 _TILE_CELLS = 1 << 15
@@ -253,24 +263,24 @@ def _tile_rows(cols: int) -> int:
     return max(1, _TILE_CELLS // max(1, cols))
 
 
-def _in_dottie_rectangle(a, b):
+def _in_dottie_rectangle(a, im):
     inside = np.abs(a) <= _RECTANGLE_RE
-    inside &= np.abs(b) <= _RECTANGLE_IM
+    inside &= im <= _RECTANGLE_IM
     return inside
 
 
-def _in_dottie_disk(a, b):
+def _in_dottie_disk(a, im):
     d = a - DOTTIE
     d *= d
-    d += b * b
+    d += im * im
     return d < _DISK_RADIUS_SQ
 
 
-def _in_sine_petal(a, b):
+def _in_sine_petal(a, im):
     x = np.abs(a)
     inside = x > 0.0
     inside &= x <= _PETAL_REACH
-    inside &= np.abs(b) <= _PETAL_SLOPE * x
+    inside &= im <= _PETAL_SLOPE * x
     return inside
 
 
@@ -320,48 +330,119 @@ def _trap(mapping, threshold):
 def _factors(mapping, x):
     """(p, q) with cos z or sin z = p cosh y + i q sinh y at z = x + iy."""
     if mapping is TrigKind.COSINE:
-        return np.cos(x), -np.sin(x)
+        q = np.sin(x)
+        return np.cos(x), np.negative(q, out=q)
     return np.sin(x), np.cos(x)
 
 
 def survive(xs, ys, mapping, threshold, early_exit, iterations):
     """Boolean survival grid, shape (len(xs), len(ys)), [real, imag] indexed."""
-    shape = (len(xs), len(ys))
-    alive = np.zeros(shape[0] * shape[1], dtype=bool)
+    alive = np.zeros(len(xs) * len(ys), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         if mapping is MANDELBROT:
             _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations)
-            return alive.reshape(shape)
-        if early_exit or not iterations:
+        elif not iterations:  # the cells with z_0 below the threshold, which early exit keeps
+            for _, _, cells in _trig_tiles(xs, ys, mapping, threshold, True):
+                alive[cells] = True
+        else:
+            rule = (mapping, threshold, early_exit, _trap(mapping, threshold), alive, iterations)
+            _run_tiles(_trig_tiles(xs, ys, mapping, threshold, early_exit), _trig_steps, rule)
+    return alive.reshape(len(xs), len(ys))
+
+
+def _row_tiles(xs, cols):
+    """Each tile of whole rows of the grid with `cols` columns: its real axis and its cells."""
+    rows = _tile_rows(cols)
+    for lo in range(0, len(xs), rows):
+        tile = xs[lo : lo + rows]
+        yield tile, np.arange(lo * cols, (lo + len(tile)) * cols)
+
+
+def _run_tiles(tiles, steps, rule):
+    """Run the orbits of each tile, then the ones they leave live, through every step.
+
+    `tiles` yields each tile's orbit arrays, its cells last, and
+    `steps(*orbits, step_range, *rule)` runs orbits through a range of
+    step numbers and returns the orbits it keeps; `rule` ends with the
+    survival mask and the iteration count.  Each tile runs steps 1 to
+    COMPACTION_STRIDE, which end on a compaction, so every orbit it
+    keeps is live; those orbits join a set of at most _TILE_CELLS
+    orbits, and each set runs the remaining steps.
+    """
+    iterations = rule[-1]
+    head = range(1, min(iterations, COMPACTION_STRIDE + 1))
+    tail = range(COMPACTION_STRIDE + 1, iterations)
+    pending, held = [], 0  # the live orbits of the tiles not yet run to the end, and how many
+    for orbits in tiles:
+        orbits = steps(*orbits, head, *rule)
+        if not tail or not orbits[-1].size:
+            continue
+        if pending and held + orbits[-1].size > _TILE_CELLS:
+            steps(*_joined(pending), tail, *rule)
+            pending, held = [], 0
+        pending.append(orbits)
+        held += orbits[-1].size
+        # past half a tile the set runs at once, while its arrays are still in cache
+        if 2 * held > _TILE_CELLS:
+            steps(*_joined(pending), tail, *rule)
+            pending, held = [], 0
+    if pending:
+        steps(*_joined(pending), tail, *rule)
+
+
+def _joined(sets):
+    """The orbit arrays of several sets, each joined in order."""
+    if len(sets) == 1:
+        return sets[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*sets))
+
+
+def _trig_tiles(xs, ys, mapping, threshold, early_exit):
+    """Each tile's cos or sin orbits at z_1, without the cells whose z_0 fails early exit."""
+    cosh, sinh, ys_sq = np.cosh(ys), np.sinh(ys), ys * ys
+    for tile, cells in _row_tiles(xs, len(ys)):
+        p, q = _factors(mapping, tile)
+        a = np.multiply.outer(p, cosh).ravel()
+        b = np.multiply.outer(q, sinh).ravel()
+        if early_exit:
             # |z_0|^2 with the two roundings of a*a + b*b on the grid
-            keep = np.add.outer(xs * xs, ys * ys).ravel() < threshold
-            if not iterations:
-                return keep.reshape(shape)
-        p, q = _factors(mapping, xs)
-        a = np.multiply.outer(p, np.cosh(ys)).ravel()  # z_1
-        b = np.multiply.outer(q, np.sinh(ys)).ravel()
-        cells = np.arange(a.size)
-        if early_exit and not keep.all():
-            a, b, cells = a[keep], b[keep], cells[keep]
-        trap = _trap(mapping, threshold)
-        for _ in range(1, iterations):
-            if not cells.size:
-                break
-            if early_exit:
-                keep = a * a + b * b < threshold
-            else:
-                keep = np.abs(b) < OVERFLOW_IM
-            if trap is not None:
-                trapped = trap(a, b)
-                if trapped.any():
-                    alive[cells[trapped]] = True
-                    keep &= ~trapped
+            keep = np.add.outer(tile * tile, ys_sq).ravel() < threshold
             if not keep.all():
                 a, b, cells = a[keep], b[keep], cells[keep]
-            p, q = _factors(mapping, a)
-            a, b = p * np.cosh(b), q * np.sinh(b)
+        yield a, b, cells
+
+
+def _trig_steps(a, b, cells, steps, mapping, threshold, early_exit, trap, alive, iterations):
+    """Run the cos or sin orbits z = a + ib through `steps`, a range of step numbers.
+
+    Returns z and the cells of the orbits kept at the last step.  When
+    `steps` ends at the last iteration, also sets the cells of those
+    orbits in `alive` by the final test.
+    """
+    for _ in steps:
+        if not cells.size:
+            break
+        im = np.abs(b)
+        if early_exit:
+            keep = a * a + b * b < threshold
+        else:
+            keep = im < OVERFLOW_IM
+        if trap is not None:
+            trapped = trap(a, im)
+            if trapped.any():
+                alive[cells[trapped]] = True
+                keep ^= trapped  # a trap lies below the threshold and 711, so keep holds it
+        if not keep.all():
+            a, b, cells = a[keep], b[keep], cells[keep]
+        p, q = _factors(mapping, a)
+        # p cosh b and q sinh b, written over z, which no other array holds
+        np.cosh(b, out=a)
+        a *= p
+        np.sinh(b, out=b)
+        b *= q
+    if steps.stop == iterations:
         alive[cells] = a * a + b * b < threshold
-    return alive.reshape(shape)
+    return a, b, cells
 
 
 def _escape_radius_sq(xs, ys):
@@ -378,59 +459,31 @@ def _escape_radius_sq(xs, ys):
 
 
 def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
-    """Set `alive` for the parameters of the grid with axes xs, ys.
-
-    Each tile of whole rows marks its interior cells in `alive` and runs
-    the others through the steps up to the first compaction; the orbits
-    it leaves live join a set of at most _TILE_CELLS orbits, and each
-    set runs the remaining steps, which set the cells of its orbits.
-    """
+    """Set `alive` for the parameters of the grid with axes xs, ys."""
     if iterations == 0:
         alive[:] = True
         return
-    cols = len(ys)
     drop_sq = max(threshold, _escape_radius_sq(xs, ys))
     # past drop_sq an orbit fails every later test, so only a threshold
     # below it needs early exit's own test, on every step
     sticky = early_exit and threshold < drop_sq
+    interior = threshold > MANDELBROT_INTERIOR_THRESHOLD
     rule = (threshold, drop_sq, sticky, alive, iterations)
-    head = range(1, min(iterations, COMPACTION_STRIDE + 1))
-    tail = range(COMPACTION_STRIDE + 1, iterations)
-    pending, held = [], 0  # the live orbits of the tiles not yet run to the end, and how many
-    rows = _tile_rows(cols)
-    for lo in range(0, len(xs), rows):
-        tile = xs[lo : lo + rows]
+    _run_tiles(_mandelbrot_tiles(xs, ys, alive, interior), _mandelbrot_steps, rule)
+
+
+def _mandelbrot_tiles(xs, ys, alive, interior):
+    """Each tile's orbits at z_1 = c; with `interior`, its interior cells go to `alive` instead."""
+    for tile, cells in _row_tiles(xs, len(ys)):
         cr, ci = (c.ravel() for c in np.meshgrid(tile, ys, indexing="ij"))
-        cells = np.arange(lo * cols, lo * cols + cr.size)
-        if threshold > MANDELBROT_INTERIOR_THRESHOLD:
-            inside = alive[lo * cols : lo * cols + cr.size]  # unset until the tile marks it
-            _mark_mandelbrot_interior(tile, ys, inside.reshape(len(tile), cols))
+        if interior:
+            inside = alive[cells[0] : cells[0] + cells.size]  # unset until the tile marks it
+            _mark_mandelbrot_interior(tile, ys, inside.reshape(len(tile), len(ys)))
             if inside.any():
                 outside = ~inside
                 cr, ci, cells = cr[outside], ci[outside], cells[outside]
-        # z_1 = c, as the steps never write into cr and ci; a head followed
-        # by a tail ends on a compaction, so each orbit it keeps is live
-        orbits = _mandelbrot_steps(cr, ci, cr, ci, cells, head, *rule)
-        if not tail or not orbits[-1].size:
-            continue
-        if pending and held + orbits[-1].size > _TILE_CELLS:
-            _mandelbrot_steps(*_joined(pending), tail, *rule)
-            pending, held = [], 0
-        pending.append(orbits)
-        held += orbits[-1].size
-        # past half a tile the set runs at once, while its arrays are still in cache
-        if 2 * held > _TILE_CELLS:
-            _mandelbrot_steps(*_joined(pending), tail, *rule)
-            pending, held = [], 0
-    if pending:
-        _mandelbrot_steps(*_joined(pending), tail, *rule)
-
-
-def _joined(sets):
-    """The orbit arrays of several sets, each joined in order."""
-    if len(sets) == 1:
-        return sets[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*sets))
+        # the steps never write into cr and ci, so they serve as z_1 too
+        yield cr, ci, cr, ci, cells
 
 
 def _mandelbrot_steps(a, b, cr, ci, cells, steps, threshold, drop_sq, sticky, alive, iterations):

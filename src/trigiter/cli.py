@@ -240,8 +240,8 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_count("workers", 1),
         default=None,
-        help="scan threads, capped at the usable CPUs and at one per tile of rows"
-        " (default: all usable CPUs); Mandelbrot scans run on the calling thread",
+        help="scan threads, each scanning every n-th row, capped at the usable CPUs and at one"
+        " per tile of rows (default: all usable CPUs); Mandelbrot scans run on the calling thread",
     )
     parser.add_argument(
         "--format",

@@ -118,6 +118,10 @@ class PointSet:
 # before the call it rose 55.8, 53.0 and 52.4 B/cell at grids 1000, 2000
 # and 3000 where every cell survives (in-process ru_maxrss, Linux,
 # Python 3.11).  The command line writes row blocks and holds only one.
+# The scan itself holds 2 B/cell at most: each thread of a cos or sin
+# scan returns the mask of its rows, which is copied into the scan's
+# mask, and the threads finish together, so the grid-4501 command line
+# peaks at 72-75 MiB on two threads against 55-57 MiB on one.
 # The grid is capped so that this stays within the budget, and the cap
 # is checked before anything is allocated.
 _SCAN_BUDGET_BYTES = 1 << 30
@@ -187,15 +191,18 @@ def scan_raw(
     TrigKind.COSINE, TrigKind.SINE or MANDELBROT; anything else is a
     TypeError.
 
-    cos and sin rows are scanned in tiles of about 32k cells by a pool
-    of at most `workers` threads (default: the usable CPUs), and never
-    more threads than tiles or usable CPUs.  A Mandelbrot scan is one
-    kernel call on the calling thread, which cuts the rows into tiles
-    itself and joins the orbits the tiles leave live after the first
-    compaction; `workers` is still checked.  Its step is a few numpy
-    calls on arrays that shrink within a few compactions, which hold the
-    GIL for most of their time, and one thread scanned the benchmark's
-    Mandelbrot requests faster than two.
+    cos and sin scans run on n = min(workers, tiles, usable CPUs)
+    threads, where `workers` defaults to the usable CPUs and a tile is
+    about 32k cells of whole rows: thread k scans rows k, k + n, k + 2n
+    and so on in one kernel call, so every thread gets a like share of
+    cheap and costly rows for any region.  One thread scans on the
+    calling thread.  A Mandelbrot scan is one kernel call on the calling
+    thread; `workers` is still checked.  Its step is a few numpy calls
+    on arrays that shrink within a few compactions, which hold the GIL
+    for most of their time, and one thread scanned the benchmark's
+    Mandelbrot requests faster than two.  The kernel cuts each call's
+    rows into tiles and joins the orbits the tiles leave live after the
+    first compaction.
     The iteration count is capped by a work budget that shrinks with
     the grid: 52 iterations at MAX_GRID, MAX_ITERATIONS at grid 2.
     """
@@ -220,19 +227,18 @@ def scan_raw(
     _check_count(workers, "workers", 1)
 
     args = (mapping, params.threshold_sq, params.early_exit, params.iterations)
-    if mapping is MANDELBROT:
+    tiles = -(-grid // _kernels._tile_rows(grid))
+    n = 1 if mapping is MANDELBROT else min(workers, tiles, _usable_cpus())
+    if n == 1:
         mask = _kernels.survive(xs, ys, *args)
     else:
         mask = np.empty((grid, grid), dtype=bool)
-        rows = _kernels._tile_rows(grid)
 
-        def run_tile(lo: int) -> None:
-            hi = lo + rows
-            mask[lo:hi] = _kernels.survive(xs[lo:hi], ys, *args)
+        def run(k: int) -> None:
+            mask[k::n] = _kernels.survive(xs[k::n], ys, *args)
 
-        tiles = range(0, grid, rows)
-        with ThreadPoolExecutor(max_workers=min(workers, len(tiles), _usable_cpus())) as pool:
-            list(pool.map(run_tile, tiles))
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            list(pool.map(run, range(n)))
 
     for array in (mask, xs, ys):  # read-only, so PointSet keeps them without a copy
         array.setflags(write=False)

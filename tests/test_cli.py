@@ -484,7 +484,8 @@ class TestBenchmarkPatchPoints:
     The tracer counts survivors with len() of what `cli.scan_raw`
     returns, lines with len() of the first argument of
     `cli.format_points`, and cell-steps from the sixth positional
-    argument of `_kernels.survive`; it times `fractal._cumulative_axis`.
+    argument of `_kernels.survive`, which a cos or sin scan calls once
+    per worker; it times `fractal._cumulative_axis`.
     """
 
     SCANS = {
@@ -515,8 +516,9 @@ class TestBenchmarkPatchPoints:
             (cli, "scan_raw"), (cli, "format_points"), (fractal, "_cumulative_axis"), (_kernels, "survive"),
         ):
             record(module, attr)
-        # 7-row tiles and blocks: several blocks per scan, and several kernel
-        # calls for cos and sin; a Mandelbrot scan is one kernel call over the whole grid
+        # 7-row tiles and blocks: several blocks per scan, and a pool for cos and
+        # sin wherever two CPUs are usable; a Mandelbrot scan is one kernel call
+        # over the whole grid
         monkeypatch.setattr(_kernels, "_TILE_CELLS", 7 * grid)
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -527,7 +529,11 @@ class TestBenchmarkPatchPoints:
             [(args, _)] = calls["survive"]
             assert len(args[0]) == len(args[1]) == grid
         else:
-            assert len(calls["survive"]) > 1
+            # one kernel call per worker, each on an interleaved set of rows
+            workers = min(fractal._usable_cpus(), -(-grid // 7))
+            assert len(calls["survive"]) == workers
+            assert sum(len(args[0]) for args, _ in calls["survive"]) == grid
+            assert all(len(args[1]) == grid for args, _ in calls["survive"])
         assert [args[5] for args, _ in calls["survive"]] == [iterations] * len(calls["survive"])
         for (block, *_), text in calls["format_points"]:
             assert len(block) == text.count("\n")

@@ -322,7 +322,10 @@ class RecordingPool:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """max_workers of every scan's pool; tiles run inline, no thread starts."""
+    """max_workers of every scan's pool; workers run inline, no thread starts.
+
+    A scan with one worker runs on the calling thread and makes no pool.
+    """
     sizes = []
     monkeypatch.setattr(
         fractal, "ThreadPoolExecutor", lambda max_workers: RecordingPool(sizes, max_workers)
@@ -339,14 +342,19 @@ class TestThreadPool:
         self, monkeypatch, pool_sizes, workers, expected
     ):
         monkeypatch.setattr(_kernels, "_TILE_CELLS", 40)  # one row per tile: 40 tiles
+        rows = record_tiles(monkeypatch)
         scan_raw(-1.0, -1.0, 1.0, 1.0, 40, COS, workers=workers)
-        assert pool_sizes == [expected]
+        assert pool_sizes == ([expected] if expected > 1 else [])
+        # one kernel call per worker, on every expected-th row
+        assert rows == [len(range(k, 40, expected)) for k in range(expected)]
 
     def test_pool_is_bounded_by_tiles(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(_kernels, "_TILE_CELLS", 2 * 9)  # rows 0-1, ..., 8: 5 tiles
+        rows = record_tiles(monkeypatch)
         scan_raw(-1.0, -1.0, 1.0, 1.0, 9, COS, workers=5000)
         scan_raw(-1.0, -1.0, 1.0, 1.0, 2, COS, workers=5000)
-        assert pool_sizes == [3, 1]
+        assert pool_sizes == [3]  # the grid-2 scan is one tile, on the calling thread
+        assert rows == [3, 3, 3, 2]
 
     def test_default_falls_back_to_cpu_count(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(_kernels, "_TILE_CELLS", 40)
@@ -354,8 +362,10 @@ class TestThreadPool:
         monkeypatch.setattr(fractal.os, "cpu_count", lambda: 4)
         scan_raw(-1.0, -1.0, 1.0, 1.0, 40, COS)
         monkeypatch.setattr(fractal.os, "cpu_count", lambda: None)
+        rows = record_tiles(monkeypatch)
         scan_raw(-1.0, -1.0, 1.0, 1.0, 40, COS)
-        assert pool_sizes == [4, 1]
+        assert pool_sizes == [4]
+        assert rows == [40]  # one CPU: the calling thread
 
     @pytest.mark.parametrize("workers", [None, 1, 2, 5000], ids=["default", "1", "2", "5000"])
     def test_mandelbrot_uses_one_thread(self, monkeypatch, pool_sizes, workers):

@@ -10,6 +10,7 @@ past the scan's escape radius every float step grows |z|^2.
 """
 
 import cmath
+import itertools
 import math
 import sys
 
@@ -185,16 +186,17 @@ class TestTrapEdges:
         assert got == want
 
     def test_edges_are_inside_and_outside_the_traps(self):
-        disk = _kernels._in_dottie_disk(np.real(DISK_EDGE) + DOTTIE, np.imag(DISK_EDGE))
+        # each trap test takes the real part and |Im z|, which the kernel computes once per step
+        disk = _kernels._in_dottie_disk(np.real(DISK_EDGE) + DOTTIE, np.abs(np.imag(DISK_EDGE)))
         assert disk.tolist() == [False, True] * 12  # outside, inside
-        rectangle = _kernels._in_dottie_rectangle(np.real(RECT_EDGE), np.imag(RECT_EDGE))
+        rectangle = _kernels._in_dottie_rectangle(np.real(RECT_EDGE), np.abs(np.imag(RECT_EDGE)))
         assert rectangle.tolist() == [False, True] * len(SIDES)  # outside, inside
-        exact = _kernels._in_dottie_rectangle(np.real(RECT_EXACT), np.imag(RECT_EXACT))
+        exact = _kernels._in_dottie_rectangle(np.real(RECT_EXACT), np.abs(np.imag(RECT_EXACT)))
         assert exact.tolist() == [True, True, False, False]
         nonfinite = np.array([math.nan, math.inf, -math.inf])
         assert not _kernels._in_dottie_rectangle(nonfinite, np.zeros(3)).any()
-        assert not _kernels._in_dottie_rectangle(np.zeros(3), nonfinite).any()
-        petal = _kernels._in_sine_petal(np.real(PETAL_CELLS), np.imag(PETAL_CELLS))
+        assert not _kernels._in_dottie_rectangle(np.zeros(3), np.abs(nonfinite)).any()
+        petal = _kernels._in_sine_petal(np.real(PETAL_CELLS), np.abs(np.imag(PETAL_CELLS)))
         assert petal.sum() == 16 + 1 + 2
 
 
@@ -235,6 +237,46 @@ class TestTrapsKeepTheFullIteration:
                 assert np.array_equal(fast.mask, full.mask), (threshold, region)
                 for padded in (True, False):
                     assert format_points(fast, padded) == format_points(full, padded)
+
+    # cos and sin regions of grids 47, 41 and 43, the last asymmetric in x, so
+    # that rows written to another worker's place show; 41 cells cut one-row
+    # tiles and 3 * 47 three-row tiles on each
+    ROW_SETS = [(-2.5, -2.5, 2.5, 2.5, 47), (0.2, -0.6, 1.4, 0.6, 41), (-0.9, -1.3, 2.3, 0.8, 43)]
+
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["final", "early"])
+    # 9 ends the scan in each tile's steps; at 10 the joined tail runs one step
+    @pytest.mark.parametrize("iterations", [9, 10, 50, 300])
+    @pytest.mark.parametrize("name", ["cos", "sin"])
+    def test_worker_rows_and_joined_tails_equal_the_untrapped_kernel(self, monkeypatch, no_traps, name, iterations,
+                                                                    early_exit):
+        # each of 1-3 workers scans every n-th row, cut into tiles whose live
+        # orbits join sets after step COMPACTION_STRIDE; the untrapped kernel
+        # runs the same tail, so it is checked against every step on every cell
+        mapping, thresholds = self.MAPS[name]
+        monkeypatch.setattr(fractal, "_usable_cpus", lambda: 3)
+        for threshold in thresholds:
+            params = EscapeParams(iterations, threshold, early_exit)
+            for region in self.ROW_SETS:
+                want = no_traps(scan_raw, *region, mapping, params, 1)
+                assert np.array_equal(want.mask, full_iteration(want.xs, want.ys, mapping, params)), region
+                for tile_cells, workers in itertools.product([41, 3 * 47], [1, 2, 3]):
+                    with monkeypatch.context() as m:
+                        m.setattr(_kernels, "_TILE_CELLS", tile_cells)
+                        got = scan_raw(*region, mapping, params, workers)
+                    assert np.array_equal(got.mask, want.mask), (threshold, region, tile_cells, workers)
+
+
+def full_iteration(xs, ys, mapping, params):
+    """Survival grid of a cos or sin scan by every step on every cell: no drop, trap or tile."""
+    a, b = np.meshgrid(xs, ys, indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = a * a + b * b < params.threshold_sq
+        for _ in range(params.iterations):
+            p, q = _kernels._factors(mapping, a)
+            a, b = p * np.cosh(b), q * np.sinh(b)
+            if params.early_exit:
+                below &= a * a + b * b < params.threshold_sq
+        return below if params.early_exit else a * a + b * b < params.threshold_sq
 
 
 class TestStepFactors:
