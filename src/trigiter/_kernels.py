@@ -41,7 +41,9 @@ the same values, Mandelbrot compactions still fall on the steps that
 are multiples of COMPACTION_STRIDE, and every tile and set uses the drop
 rule of the whole call, below.  A caller may split a grid's rows between
 calls, one per thread: the drop rule of each call holds for every orbit
-of its rows, so no outcome changes either.
+of its rows, so no outcome changes either.  Each call then sets the
+cells of its rows in the caller's grid, every n-th row of one mask, so
+no thread holds a mask of its own.
 
 A Mandelbrot compaction has one rule in every mode: it keeps the orbits
 with S = aa + bb < drop_sq, where aa = a*a and bb = b*b are the squares
@@ -213,17 +215,8 @@ import math
 
 import numpy as np
 
-from .iteration import DOTTIE, TrigKind
+from .iteration import DOTTIE, MANDELBROT, TrigKind
 
-
-class _MandelbrotFamily:
-    """Marker: iterate z -> z*z + c with c set to each point scanned, from z=0."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "MANDELBROT"
-
-
-MANDELBROT = _MandelbrotFamily()
 MAPS = (TrigKind.COSINE, TrigKind.SINE, MANDELBROT)
 
 # Least threshold above which each trap lies wholly below it.
@@ -335,27 +328,50 @@ def _factors(mapping, x):
     return np.sin(x), np.cos(x)
 
 
-def survive(xs, ys, mapping, threshold, early_exit, iterations):
-    """Boolean survival grid, shape (len(xs), len(ys)), [real, imag] indexed."""
-    alive = np.zeros(len(xs) * len(ys), dtype=bool)
+def survive(xs, ys, mapping, threshold, early_exit, iterations, out=None):
+    """Boolean survival grid, shape (len(xs), len(ys)), [real, imag] indexed.
+
+    The grid is `out` where one is given: a boolean array of that shape,
+    False in every cell, whose columns are adjacent in memory but whose
+    rows need not be, such as rows k, k + n, k + 2n ... of a scan's mask,
+    which one thread fills while others fill the rows between.
+    Otherwise it is a new array.
+    """
+    if out is None:
+        out = np.zeros((len(xs), len(ys)), dtype=bool)
+    step = out.strides[0]
+    if out.dtype != np.bool_ or out.shape != (len(xs), len(ys)) or out.strides[1] != 1 or step < len(ys):
+        raise ValueError("out must be a boolean grid of shape (len(xs), len(ys)) with adjacent columns")
+    # the cells as one flat view of the bytes from out[0, 0] to out[-1, -1],
+    # in which the cell at row r, column i is alive[r * step + i]
+    alive = np.lib.stride_tricks.as_strided(out, (max(0, (len(xs) - 1) * step + len(ys)),), (1,))
     with np.errstate(over="ignore", invalid="ignore"):
         if mapping is MANDELBROT:
-            _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations)
+            _survive_mandelbrot(xs, ys, out, alive, threshold, early_exit, iterations)
         elif not iterations:  # the cells with z_0 below the threshold, which early exit keeps
-            for _, _, cells in _trig_tiles(xs, ys, mapping, threshold, True):
+            for _, _, cells in _trig_tiles(xs, ys, out, mapping, threshold, True):
                 alive[cells] = True
         else:
             rule = (mapping, threshold, early_exit, _trap(mapping, threshold), alive, iterations)
-            _run_tiles(_trig_tiles(xs, ys, mapping, threshold, early_exit), _trig_steps, rule)
-    return alive.reshape(len(xs), len(ys))
+            _run_tiles(_trig_tiles(xs, ys, out, mapping, threshold, early_exit), _trig_steps, rule)
+    return out
 
 
-def _row_tiles(xs, cols):
-    """Each tile of whole rows of the grid with `cols` columns: its real axis and its cells."""
+def _row_tiles(xs, out):
+    """Each tile of whole rows of the grid `out`: its real axis, its first row and its cells in survive's `alive`.
+
+    The cells of rows lo.. are the first `cols` of each `step` numbers
+    from lo * step on; where the rows are adjacent (step == cols) that is
+    one range, and ravel copies nothing.  Each tile's cells are yielded
+    without a reference kept here: the caller drops them once it has
+    compacted them, and a tile's worth of cells held one tile longer
+    made Mandelbrot scans 3 % slower.
+    """
+    cols, step = out.shape[1], out.strides[0]
     rows = _tile_rows(cols)
     for lo in range(0, len(xs), rows):
         tile = xs[lo : lo + rows]
-        yield tile, np.arange(lo * cols, (lo + len(tile)) * cols)
+        yield tile, lo, np.arange(lo * step, (lo + len(tile)) * step).reshape(len(tile), step)[:, :cols].ravel()
 
 
 def _run_tiles(tiles, steps, rule):
@@ -397,10 +413,10 @@ def _joined(sets):
     return tuple(np.concatenate(arrays) for arrays in zip(*sets))
 
 
-def _trig_tiles(xs, ys, mapping, threshold, early_exit):
+def _trig_tiles(xs, ys, out, mapping, threshold, early_exit):
     """Each tile's cos or sin orbits at z_1, without the cells whose z_0 fails early exit."""
     cosh, sinh, ys_sq = np.cosh(ys), np.sinh(ys), ys * ys
-    for tile, cells in _row_tiles(xs, len(ys)):
+    for tile, _, cells in _row_tiles(xs, out):
         p, q = _factors(mapping, tile)
         a = np.multiply.outer(p, cosh).ravel()
         b = np.multiply.outer(q, sinh).ravel()
@@ -458,10 +474,10 @@ def _escape_radius_sq(xs, ys):
     return radius_sq if math.isfinite(radius_sq) else math.inf
 
 
-def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
-    """Set `alive` for the parameters of the grid with axes xs, ys."""
+def _survive_mandelbrot(xs, ys, out, alive, threshold, early_exit, iterations):
+    """Set the grid `out`, through `alive`, for the parameters of the grid with axes xs, ys."""
     if iterations == 0:
-        alive[:] = True
+        out[...] = True
         return
     drop_sq = max(threshold, _escape_radius_sq(xs, ys))
     # past drop_sq an orbit fails every later test, so only a threshold
@@ -469,18 +485,18 @@ def _survive_mandelbrot(xs, ys, alive, threshold, early_exit, iterations):
     sticky = early_exit and threshold < drop_sq
     interior = threshold > MANDELBROT_INTERIOR_THRESHOLD
     rule = (threshold, drop_sq, sticky, alive, iterations)
-    _run_tiles(_mandelbrot_tiles(xs, ys, alive, interior), _mandelbrot_steps, rule)
+    _run_tiles(_mandelbrot_tiles(xs, ys, out, interior), _mandelbrot_steps, rule)
 
 
-def _mandelbrot_tiles(xs, ys, alive, interior):
-    """Each tile's orbits at z_1 = c; with `interior`, its interior cells go to `alive` instead."""
-    for tile, cells in _row_tiles(xs, len(ys)):
+def _mandelbrot_tiles(xs, ys, out, interior):
+    """Each tile's orbits at z_1 = c; with `interior`, its interior cells are set in `out` instead."""
+    for tile, lo, cells in _row_tiles(xs, out):
         cr, ci = (c.ravel() for c in np.meshgrid(tile, ys, indexing="ij"))
         if interior:
-            inside = alive[cells[0] : cells[0] + cells.size]  # unset until the tile marks it
-            _mark_mandelbrot_interior(tile, ys, inside.reshape(len(tile), len(ys)))
+            inside = out[lo : lo + len(tile)]  # unset until the tile marks it
+            _mark_mandelbrot_interior(tile, ys, inside)
             if inside.any():
-                outside = ~inside
+                outside = ~inside.ravel()
                 cr, ci, cells = cr[outside], ci[outside], cells[outside]
         # the steps never write into cr and ci, so they serve as z_1 too
         yield cr, ci, cr, ci, cells

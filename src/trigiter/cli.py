@@ -7,6 +7,14 @@ parsing, its usage-then-success quirk, and its exact output format.
 
 Exit codes: 0 success, 1 validation or usage error, 2 internal error;
 a reader that closes stdout early ends the command with 0.
+
+Importing this module loads no numpy: the caps and defaults the parser
+checks come from `iteration`, and the handlers of `series` and of the
+scans import `series` and `fractal`, which import numpy, when they run.
+So `dottie`, `iterate`, `derivative`, `bounds` and `extrema` start
+without numpy.  The scans call `scan_raw` and `format_points` through
+this module's namespace (see `_fractal`), where a test or a tracer may
+replace them.
 """
 
 from __future__ import annotations
@@ -19,22 +27,26 @@ import re
 import sys
 
 from .derivatives import extrema_locations, iterated_derivative
-from .fractal import MANDELBROT, MAX_GRID, MAX_ITERATIONS, EscapeParams, _max_iterations
-from .fractal import format_points, scan_raw
 from .iteration import (
+    _ESCAPE_ITERATIONS,
+    _ESCAPE_THRESHOLD_SQ,
+    MANDELBROT,
     MAX_DIGITS,
+    MAX_GRID,
+    MAX_ITERATIONS,
+    MAX_TRUNCATION,
     ConvergenceError,
     SolverMethod,
     TrigKind,
     _check_count,
     _check_real,
+    _max_iterations,
     cos_range,
     dottie,
     dottie_digits,
     iterate,
     sin_envelope,
 )
-from .series import MAX_TRUNCATION, TailBoundError, iterated_series
 
 # Caps on the count flags, each checked where its flag is parsed.  Each
 # bounds one command's work: MAX_STEPS map steps, MAX_SERIES_ORDER - 1
@@ -164,6 +176,8 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    from .series import TailBoundError, iterated_series
+
     try:
         series = iterated_series(args.f, args.order, args.terms)
     except TailBoundError as exc:
@@ -194,18 +208,40 @@ def _cmd_extrema(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scan(region, grid: int, mapping, params=EscapeParams(), workers=None, padded: bool = True) -> int:
+def _fractal(name: str):
+    """fractal's `name` as this module holds it, bound from fractal on first use.
+
+    fractal imports numpy, so this module binds its scan_raw and
+    format_points only when a scan runs or one of them is read off the
+    module.  A value bound before, such as a test's or a tracer's
+    replacement, is kept, and it is the one that runs.
+    """
+    from . import fractal
+
+    return globals().setdefault(name, getattr(fractal, name))
+
+
+def __getattr__(name: str):
+    if name in ("scan_raw", "format_points"):
+        return _fractal(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _scan(region, grid: int, mapping, params, workers=None, padded: bool = True) -> int:
     """Scan and write the survivors: the one scan path of `legacy`, `julia` and `mandelbrot`.
 
     The text goes out one row block at a time, so a scan holds its mask
     and one block's lines rather than the whole output.
     """
+    scan_raw, format_points = _fractal("scan_raw"), _fractal("format_points")
     for block in scan_raw(*region, grid, mapping, params, workers=workers).row_blocks():
         sys.stdout.write(format_points(block, padded=padded))
     return 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .fractal import EscapeParams
+
     _check_count(args.iterations, f"--iterations at --grid {args.grid}", 0, _max_iterations(args.grid))
     params = EscapeParams(args.iterations, args.threshold, args.early_exit)
     return _scan(args.region, args.grid, args.f, params, args.workers, padded=(args.format == "gnuplot"))
@@ -227,13 +263,13 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--iterations",
         type=_count("iterations", 0, MAX_ITERATIONS),
-        default=EscapeParams.iterations,
+        default=_ESCAPE_ITERATIONS,
         help="orbit length; the cap shrinks with the grid (default %(default)s)",
     )
     parser.add_argument(
         "--threshold",
         type=_finite("threshold", True),
-        default=EscapeParams.threshold_sq,
+        default=_ESCAPE_THRESHOLD_SQ,
         help="escape bound on the squared magnitude (default %(default)s)",
     )
     parser.add_argument(
@@ -343,7 +379,9 @@ def _run_legacy(args: list[str]) -> int:
     except ValueError:
         print(f"Type sin or cos but not {name}", file=sys.stderr)
         return 1
-    return _scan((x1, y1, x2, y2), grid, kind)
+    from .fractal import EscapeParams
+
+    return _scan((x1, y1, x2, y2), grid, kind, EscapeParams())
 
 
 # argparse reads a value that begins with a dash as an option string

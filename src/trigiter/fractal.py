@@ -11,7 +11,6 @@ bytes of a scan regardless of worker count.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,8 +19,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from ._kernels import MANDELBROT
-from .iteration import _check_count, _check_real, _real
+from .iteration import (
+    _ESCAPE_ITERATIONS,
+    _ESCAPE_THRESHOLD_SQ,
+    MANDELBROT,
+    MAX_GRID,
+    _check_count,
+    _check_real,
+    _max_iterations,
+    _real,
+)
 
 __all__ = [
     "MANDELBROT",
@@ -44,8 +51,8 @@ class EscapeParams:
     True or False; anything else, 0, 1 or "no" included, is a TypeError.
     """
 
-    iterations: int = 50
-    threshold_sq: float = 10.0
+    iterations: int = _ESCAPE_ITERATIONS
+    threshold_sq: float = _ESCAPE_THRESHOLD_SQ
     early_exit: bool = False
 
     def __post_init__(self) -> None:
@@ -111,46 +118,6 @@ class PointSet:
             yield PointSet(self.mask[lo:hi], self.xs[lo:hi], self.ys)
 
 
-# Worst-case memory of a scan's whole output as one string, as
-# format_points returns it: a 52-byte gnuplot line for every cell, plus
-# the cell's byte of mask.  format_points builds the string one row
-# block at a time, so that is also its peak: over the resident size
-# before the call it rose 55.8, 53.0 and 52.4 B/cell at grids 1000, 2000
-# and 3000 where every cell survives (in-process ru_maxrss, Linux,
-# Python 3.11).  The command line writes row blocks and holds only one.
-# The scan itself holds 2 B/cell at most: each thread of a cos or sin
-# scan returns the mask of its rows, which is copied into the scan's
-# mask, and the threads finish together, so the grid-4501 command line
-# peaks at 72-75 MiB on two threads against 55-57 MiB on one.
-# The grid is capped so that this stays within the budget, and the cap
-# is checked before anything is allocated.
-_SCAN_BUDGET_BYTES = 1 << 30
-MAX_GRID = math.isqrt(_SCAN_BUDGET_BYTES // (52 + 1))
-
-
-# A scan's work in cell-steps: grid * grid cells per iteration plus the
-# fixed cost of the kernel's array calls in each step, counted as 1024
-# cells.  On orbits that run every step, a cell-step takes 15-30 ns for
-# cos and sin and 3-5 ns for Mandelbrot with or without early exit (real
-# parameters in [-1.99, -1.41] at threshold 10), the fixed cost 5-13 us
-# per step (2-vCPU Xeon, numpy 2.4).
-# The budget, 10-40 s of one thread's kernel time, admits the legacy
-# scanner's 50 iterations at MAX_GRID; it is checked before allocation.
-# It stays the worst case: an orbit that enters a kernel trap stops
-# costing steps, but one that neither enters a trap nor escapes, such
-# as a slowly escaping sin orbit on the imaginary axis, runs every step.
-_SCAN_WORK_BUDGET = 1 << 30
-_STEP_OVERHEAD_CELLS = 1 << 10
-
-
-def _max_iterations(grid: int) -> int:
-    return _SCAN_WORK_BUDGET // (grid * grid + _STEP_OVERHEAD_CELLS)
-
-
-MAX_ITERATIONS = _max_iterations(2)
-"""Most iterations any scan may run: the cap at the smallest grid."""
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS reports one."""
     try:
@@ -194,9 +161,10 @@ def scan_raw(
     cos and sin scans run on n = min(workers, tiles, usable CPUs)
     threads, where `workers` defaults to the usable CPUs and a tile is
     about 32k cells of whole rows: thread k scans rows k, k + n, k + 2n
-    and so on in one kernel call, so every thread gets a like share of
-    cheap and costly rows for any region.  One thread scans on the
-    calling thread.  A Mandelbrot scan is one kernel call on the calling
+    and so on in one kernel call that sets those rows of the scan's
+    mask, so every thread gets a like share of cheap and costly rows for
+    any region, and no thread holds a mask of its own.  One thread scans
+    on the calling thread.  A Mandelbrot scan is one kernel call on the calling
     thread; `workers` is still checked.  Its step is a few numpy calls
     on arrays that shrink within a few compactions, which hold the GIL
     for most of their time, and one thread scanned the benchmark's
@@ -232,10 +200,10 @@ def scan_raw(
     if n == 1:
         mask = _kernels.survive(xs, ys, *args)
     else:
-        mask = np.empty((grid, grid), dtype=bool)
+        mask = np.zeros((grid, grid), dtype=bool)
 
         def run(k: int) -> None:
-            mask[k::n] = _kernels.survive(xs[k::n], ys, *args)
+            _kernels.survive(xs[k::n], ys, *args, mask[k::n])  # sets rows k, k + n, ... of the mask
 
         with ThreadPoolExecutor(max_workers=n) as pool:
             list(pool.map(run, range(n)))

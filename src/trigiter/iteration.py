@@ -7,6 +7,10 @@ Newton step, up to 64 decimal digits of the fixed point proven by an
 interval-Newton enclosure that is built once per process and cached, and
 closed forms for the range of high-order cosine iterates, the sine
 iterate envelope, and the spacing of fixed-point-level crossings.
+
+It imports no numpy, and it also declares what the command line checks
+its flags against before any numpy module loads: the input caps of the
+series and scan modules, the scan defaults and the MANDELBROT marker.
 """
 
 from __future__ import annotations
@@ -40,6 +44,55 @@ MAX_DIGITS = 64
 
 _ENCLOSURE_BITS = 4 * MAX_DIGITS + 64
 """Working precision of the Dottie enclosure: its width is about 2**-320, far below 10**-MAX_DIGITS."""
+
+MAX_TRUNCATION = 170
+"""Largest truncation order of a series: k! converts to a double only up to k = 170."""
+
+# The caps and defaults of the escape-time scans in `fractal`.  They live
+# here, in a module without numpy, because the command line checks its
+# flags against them before anything imports numpy.
+
+# Worst-case memory of a scan's whole output as one string, as
+# format_points returns it: a 52-byte gnuplot line for every cell, plus
+# the cell's byte of mask.  format_points builds the string one row
+# block at a time, so that is also its peak: over the resident size
+# before the call it rose 55.8, 53.0 and 52.4 B/cell at grids 1000, 2000
+# and 3000 where every cell survives (in-process ru_maxrss, Linux,
+# Python 3.11).  The command line writes row blocks and holds only one.
+# The scan itself holds the mask's 1 B/cell: each thread of a cos or sin
+# scan writes the cells of its rows straight into the scan's mask, so
+# the grid-4501 command line peaks at 55-57 MiB on one thread and 58-60
+# MiB on two, the second thread adding only its working arrays.
+# The grid is capped so that this stays within the budget, and the cap
+# is checked before anything is allocated.
+_SCAN_BUDGET_BYTES = 1 << 30
+MAX_GRID = math.isqrt(_SCAN_BUDGET_BYTES // (52 + 1))
+
+# A scan's work in cell-steps: grid * grid cells per iteration plus the
+# fixed cost of the kernel's array calls in each step, counted as 1024
+# cells.  On orbits that run every step, a cell-step takes 15-30 ns for
+# cos and sin and 3-5 ns for Mandelbrot with or without early exit (real
+# parameters in [-1.99, -1.41] at threshold 10), the fixed cost 5-13 us
+# per step (2-vCPU Xeon, numpy 2.4).
+# The budget, 10-40 s of one thread's kernel time, admits the legacy
+# scanner's 50 iterations at MAX_GRID; it is checked before allocation.
+# It stays the worst case: an orbit that enters a kernel trap stops
+# costing steps, but one that neither enters a trap nor escapes, such
+# as a slowly escaping sin orbit on the imaginary axis, runs every step.
+_SCAN_WORK_BUDGET = 1 << 30
+_STEP_OVERHEAD_CELLS = 1 << 10
+
+
+def _max_iterations(grid: int) -> int:
+    return _SCAN_WORK_BUDGET // (grid * grid + _STEP_OVERHEAD_CELLS)
+
+
+MAX_ITERATIONS = _max_iterations(2)
+"""Most iterations any scan may run: the cap at the smallest grid."""
+
+# The defaults of fractal.EscapeParams: the classic scanner's orbit length and squared escape bound.
+_ESCAPE_ITERATIONS = 50
+_ESCAPE_THRESHOLD_SQ = 10.0
 
 
 def _check_count(value, name: str, low: int = 0, high: int | None = None) -> int:
@@ -102,6 +155,16 @@ class TrigKind(Enum):
             if kind.value == name:
                 return kind
         raise ValueError(f"unknown map {name!r}: expected 'cos' or 'sin'")
+
+
+class _MandelbrotFamily:
+    """Marker: iterate z -> z*z + c with c set to each point scanned, from z=0."""
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return "MANDELBROT"
+
+
+MANDELBROT = _MandelbrotFamily()
 
 
 # Read once: an Enum member read off its class takes about 0.14 us, a

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iteration import TrigKind, _check_count, _check_kind, _check_real, _real
+from .iteration import MAX_TRUNCATION, TrigKind, _check_count, _check_kind, _check_real, _real
 
 __all__ = [
     "PowerSeries",
@@ -35,10 +35,6 @@ __all__ = [
     "compose",
     "iterated_series",
 ]
-
-
-MAX_TRUNCATION = 170
-"""Largest truncation order: k! converts to a double only up to k = 170."""
 
 
 class TailBoundError(ValueError):

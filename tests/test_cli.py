@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import pathlib
@@ -679,6 +680,103 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0.73908513321516064166\n"
+
+    # the modules that import numpy, and what each command line loads of them
+    NUMPY_MODULES = ["numpy", "trigiter.fractal", "trigiter._kernels", "trigiter.series"]
+    COMMANDS_AND_MODULES = [
+        (["dottie"], []),
+        (["iterate", "--f", "cos", "--n", "3", "--v", "0.5+1j"], []),
+        (["derivative", "--f", "sin", "--n", "2", "--x", "0.5", "--check"], []),
+        (["bounds", "--f", "cos", "--n", "4"], []),
+        (["extrema", "--f", "sin", "--n", "2", "--periods", "2"], []),
+        (["series", "--f", "cos", "--order", "3", "--terms", "8"], ["numpy", "trigiter.series"]),
+        (["legacy", "-2.5", "-2.5", "2.5", "2.5", "9", "sin"], NUMPY_MODULES),
+        (["mandelbrot", "--grid", "7", "--early-exit"], NUMPY_MODULES),
+    ]
+
+    def test_numpy_loads_only_for_scans_and_series(self, capsys):
+        # one fresh process imports the package, then the command line,
+        # then runs each command in turn, noting what is loaded after each
+        proc = self.run_python(
+            "import contextlib, io, json, sys\n"
+            "def loaded():\n"
+            f"    return [name for name in {self.NUMPY_MODULES!r} if name in sys.modules]\n"
+            "import trigiter\n"
+            "steps = [loaded()]\n"
+            "import trigiter.cli\n"
+            "steps.append(loaded())\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = trigiter.cli.main(argv)\n"
+            "    steps.append([code, out.getvalue(), loaded()])\n"
+            "print(json.dumps(steps))\n",
+            json.dumps([argv for argv, _ in self.COMMANDS_AND_MODULES]),
+        )
+        assert proc.returncode == 0, proc.stderr
+        after_package, after_cli, *runs = json.loads(proc.stdout)
+        assert after_package == after_cli == []
+        for (argv, modules), (code, out, now_loaded) in zip(self.COMMANDS_AND_MODULES, runs):
+            assert now_loaded == modules, argv
+            # the same bytes as in this process, where every module is loaded
+            assert [code, out] == list(run_cli(capsys, argv)[:2]), argv
+
+    def test_lazy_names_are_those_of_their_modules(self):
+        from trigiter import fractal, series
+
+        assert trigiter._FRACTAL == fractal.__all__
+        assert trigiter._SERIES == series.__all__
+        assert len(trigiter.__all__) == len(set(trigiter.__all__)) == 30
+
+    def test_star_import_binds_every_public_name(self):
+        proc = self.run_python(
+            "namespace = {}\n"
+            "exec('from trigiter import *', namespace)\n"
+            "import trigiter\n"
+            "names = sorted(set(namespace) - {'__builtins__'})\n"
+            "assert names == sorted(trigiter.__all__) and len(names) == 30, names\n"
+            "assert all(namespace[name] is getattr(trigiter, name) for name in names)\n"
+            "from trigiter import fractal, series\n"
+            "assert namespace['scan_raw'] is fractal.scan_raw and namespace['compose'] is series.compose\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_threads_reading_a_lazy_name_at_once_get_one_function(self):
+        proc = self.run_python(
+            "import sys, threading\n"
+            "import trigiter\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "start = threading.Barrier(4)\n"
+            "seen = []\n"
+            "def read():\n"
+            "    start.wait()\n"
+            "    seen.append(trigiter.scan_raw)\n"
+            "threads = [threading.Thread(target=read) for _ in range(4)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(60)\n"
+            "assert not any(thread.is_alive() for thread in threads)\n"
+            "from trigiter.fractal import scan_raw\n"
+            "assert len(seen) == 4 and all(f is scan_raw for f in seen), seen\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_patch_set_before_the_first_scan_is_kept(self):
+        # set before anything has read cli.scan_raw, so before fractal is loaded
+        proc = self.run_python(
+            "import trigiter.cli as cli\n"
+            "calls = []\n"
+            "def traced(*args, **kwargs):\n"
+            "    from trigiter.fractal import scan_raw\n"
+            "    calls.append(args)\n"
+            "    return scan_raw(*args, **kwargs)\n"
+            "cli.scan_raw = traced\n"
+            "assert cli.main(['legacy', '0', '0', '1', '1', '3', 'cos']) == 0\n"
+            "assert cli.main(['julia', '--f', 'sin', '--grid', '3']) == 0\n"
+            "assert len(calls) == 2 and cli.scan_raw is traced\n"
+        )
+        assert proc.returncode == 0, proc.stderr
 
     @staticmethod
     def command(entry, argv):

@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigiter.cli import MAX_PERIODS, MAX_SERIES_ORDER, MAX_STEPS, main
-from trigiter.fractal import MAX_GRID, MAX_ITERATIONS
-from trigiter.iteration import MAX_DIGITS
+from trigiter.iteration import MAX_DIGITS, MAX_GRID, MAX_ITERATIONS
 from trigiter.series import MAX_TRUNCATION
 
 # Wall-clock bound on one in-process run.  Bad values are refused before

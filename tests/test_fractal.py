@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from trigiter import _kernels, fractal
+from trigiter import _kernels, fractal, iteration
 from trigiter import (
     MANDELBROT,
     EscapeParams,
@@ -538,7 +538,7 @@ class TestGridCap:
     def test_cap_comes_from_the_budget(self):
         cell_bytes = 52 + 1  # worst-case gnuplot line and mask byte
         cap = fractal.MAX_GRID
-        assert cap * cap * cell_bytes <= fractal._SCAN_BUDGET_BYTES < (cap + 1) ** 2 * cell_bytes
+        assert cap * cap * cell_bytes <= iteration._SCAN_BUDGET_BYTES < (cap + 1) ** 2 * cell_bytes
 
     @pytest.mark.parametrize("grid", [fractal.MAX_GRID + 1, 10**12])
     def test_scan_raw_rejects_grid_over_cap(self, no_allocation, grid):
@@ -556,17 +556,17 @@ class TestGridCap:
         # to 400 iterations at grid 1000
         assert fractal._max_iterations(fractal.MAX_GRID) >= 50
         assert fractal._max_iterations(1000) >= 400
-        assert fractal.MAX_ITERATIONS == fractal._max_iterations(2)
+        assert iteration.MAX_ITERATIONS == fractal._max_iterations(2)
 
     def test_iterations_cap_comes_from_the_work_budget(self):
         for grid in (2, 40, 1000, fractal.MAX_GRID):
             cap = fractal._max_iterations(grid)
-            per_step = grid * grid + fractal._STEP_OVERHEAD_CELLS
-            assert cap * per_step <= fractal._SCAN_WORK_BUDGET < (cap + 1) * per_step
+            per_step = grid * grid + iteration._STEP_OVERHEAD_CELLS
+            assert cap * per_step <= iteration._SCAN_WORK_BUDGET < (cap + 1) * per_step
 
     @pytest.mark.parametrize(
         "grid, iterations",
-        [(2, fractal.MAX_ITERATIONS + 1), (fractal.MAX_GRID, 53), (40, 10**12)],
+        [(2, iteration.MAX_ITERATIONS + 1), (fractal.MAX_GRID, 53), (40, 10**12)],
     )
     def test_scan_raw_rejects_iterations_over_cap(self, no_allocation, grid, iterations):
         cap = fractal._max_iterations(grid)

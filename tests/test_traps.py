@@ -22,7 +22,7 @@ from mpmath import iv
 
 import oracles
 from trigiter import MANDELBROT, DOTTIE, EscapeParams, TrigKind, format_points, scan_raw
-from trigiter import _kernels, fractal
+from trigiter import _kernels, fractal, iteration
 
 COS = TrigKind.COSINE
 SIN = TrigKind.SINE
@@ -96,7 +96,7 @@ class TestTrapConstants:
         bound = cosh(iv.pi / 4)
         assert bound.b < _kernels._PETAL_REACH < (iv.pi / 2).a
         # slope creep: a relative 1e-15 per step over the most iterations
-        creep = iv.mpf(_kernels._PETAL_SLOPE) * (1 + iv.mpf("1e-15")) ** fractal.MAX_ITERATIONS
+        creep = iv.mpf(_kernels._PETAL_SLOPE) * (1 + iv.mpf("1e-15")) ** iteration.MAX_ITERATIONS
         assert creep.b < 0.5
 
     def test_sine_petal_lies_below_its_threshold(self):

@@ -2,10 +2,13 @@
 
     python3 tools/bench_scan.py --baseline REV [--repeats 5] > BENCH_scan.json
     python3 tools/bench_scan.py --baseline REV --section calculus > BENCH_calculus.json
+    python3 tools/bench_scan.py --baseline REV --section startup --repeats 15 > BENCH_startup.json
 
-REV is extracted with `git archive` into a temporary directory.  Each
-tree runs in its own long-lived process, and this checkout runs in a
-second one as well, for an A/A comparison.  The three are timed in turn.
+REV is extracted with `git archive` into a temporary directory, and this
+checkout's `src` is copied twice beside it, without `__pycache__`, so no
+tree starts with a bytecode cache.  The scan and calculus sections run
+each tree in its own long-lived process; the second copy of this
+checkout gives an A/A comparison.  The three are timed in turn.
 
 The scan section times `scan_raw` for cos and sin over [-2.5, 2.5]^2
 (50 iterations) and the Mandelbrot family over [-2, 1] x [-1.5, 1.5]
@@ -23,14 +26,24 @@ set-up included) and once as the mean of 100 later calls;
 `iterated_series` for cos at orders 2 and 12 and sin at order 6; and
 `product_nth_derivative` of 4, 8 and 10 seeded integer tables.
 
-Each configuration gets one warm-up call per process (none for a first
-call, which starts a fresh process for every timing), then `--repeats`
-timed calls per process, rotating which goes first, so host drift falls
-on all of them alike.  The median and the quartiles are recorded per
-process, and per configuration the ratio of the change's median to the
-parent's beside the ratio of the two processes of this checkout: a
-change ratio is resolved only where it lies further from 1 than that
-A/A ratio.  The host and both commits are recorded too.
+The startup section times fresh processes from launch to exit, stdout
+to the null device: `import trigiter`, `import trigiter.cli`, the five
+subcommands that use no numpy (`dottie`, `iterate`, `derivative`,
+`bounds`, `extrema`), `series --f cos --order 12 --terms 30`, a grid-250
+`legacy` cos scan and a grid-200 `mandelbrot --early-exit` scan.  Each
+launch compiles the modules it imports where PYTHONDONTWRITEBYTECODE is
+set; otherwise the warm-up launch writes the tree's bytecode cache and
+the timed launches read it.  The report states which.
+
+Each configuration gets one warm-up call per process or tree (none for
+a first call, which starts a fresh process for every timing), then
+`--repeats` timed calls per process or tree, rotating which goes first,
+so host drift falls on all of them alike.  The median and the quartiles
+are recorded per process, and per configuration the ratio of the
+change's median to the parent's beside the ratio of the two processes
+of this checkout: a change ratio is resolved only where it lies further
+from 1 than that A/A ratio.  The host, both commits and the bytecode
+setting are recorded too.
 """
 
 from __future__ import annotations
@@ -42,11 +55,13 @@ import os
 import pathlib
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCANS = {
@@ -83,11 +98,20 @@ def calculus_configurations() -> list[dict]:
     )
 
 
-SECTIONS = {
-    "scan": ("scan_raw wall time per call, seconds", scan_configurations),
-    "calculus": ("library call wall time, seconds per call (first_call: the first call of a fresh process)",
-                 calculus_configurations),
-}
+def startup_configurations() -> list[dict]:
+    command = ["-m", "trigiter"]
+    return [
+        {"launch": "import trigiter", "argv": ["-c", "import trigiter"]},
+        {"launch": "import trigiter.cli", "argv": ["-c", "import trigiter.cli"]},
+        {"launch": "dottie", "argv": [*command, "dottie"]},
+        {"launch": "iterate", "argv": [*command, "iterate", "--f", "cos", "--n", "10", "--v", "0.5"]},
+        {"launch": "derivative", "argv": [*command, "derivative", "--f", "cos", "--n", "5", "--x", "0.5"]},
+        {"launch": "bounds", "argv": [*command, "bounds", "--f", "cos", "--n", "5"]},
+        {"launch": "extrema", "argv": [*command, "extrema", "--f", "cos", "--n", "3"]},
+        {"launch": "series", "argv": [*command, "series", "--f", "cos", "--order", "12", "--terms", "30"]},
+        {"launch": "legacy", "argv": [*command, "legacy", "-2.5", "-2.5", "2.5", "2.5", "250", "cos"]},
+        {"launch": "mandelbrot", "argv": [*command, "mandelbrot", "--grid", "200", "--early-exit"]},
+    ]
 
 
 def bind(trigiter, config: dict):
@@ -110,8 +134,6 @@ def bind(trigiter, config: dict):
 
 def serve() -> None:
     """Answer each configuration read from stdin with the seconds per call it takes."""
-    import time
-
     import trigiter
 
     for line in sys.stdin:
@@ -154,6 +176,30 @@ class Tree:
     def close(self) -> None:
         self.proc.stdin.close()
         self.proc.wait()
+
+
+class Launcher:
+    """Fresh processes on one checkout's ``src``: each timing is one launch, start to exit."""
+
+    def __init__(self, src: pathlib.Path):
+        self.env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def time(self, config: dict) -> float:
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *config["argv"]], env=self.env, stdout=subprocess.DEVNULL, check=True)
+        return time.perf_counter() - start
+
+    def close(self) -> None:
+        pass
+
+
+SECTIONS = {
+    "scan": ("scan_raw wall time per call, seconds", scan_configurations, Tree),
+    "calculus": ("library call wall time, seconds per call (first_call: the first call of a fresh process)",
+                 calculus_configurations, Tree),
+    "startup": ("fresh-process wall time per launch, seconds, from launch to exit with stdout to the null device",
+                startup_configurations, Launcher),
+}
 
 
 def significant(seconds: float) -> float:
@@ -229,18 +275,16 @@ def main() -> int:
         parser.error("--baseline is required")
     if args.repeats < 2:
         parser.error("--repeats must be at least 2, for the quartiles")
-    benchmark, configurations = SECTIONS[args.section]
+    benchmark, configurations, kind = SECTIONS[args.section]
     baseline = git("rev-parse", args.baseline)
     change = git("rev-parse", "HEAD") + ("+uncommitted" if git("status", "--porcelain", "--", "src") else "")
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", baseline, "src"], cwd=ROOT, capture_output=True, check=True)
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
-        trees = {
-            "parent": Tree(pathlib.Path(tmp) / "src"),
-            "change": Tree(ROOT / "src"),
-            "change-aa": Tree(ROOT / "src"),
-        }
+            tar.extractall(pathlib.Path(tmp) / "parent", filter="data")
+        for copy in ("change", "change-aa"):
+            shutil.copytree(ROOT / "src", pathlib.Path(tmp) / copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        trees = {name: kind(pathlib.Path(tmp) / name / "src") for name in ("parent", "change", "change-aa")}
         try:
             rows, ratios = time_trees(trees, configurations(), args.repeats)
         finally:
@@ -250,6 +294,9 @@ def main() -> int:
         "benchmark": benchmark,
         "host": host(),
         "commits": {"parent": baseline, "change": change},
+        "bytecode": "none: PYTHONDONTWRITEBYTECODE is set, so every process compiles the modules it imports"
+        if os.environ.get("PYTHONDONTWRITEBYTECODE")
+        else "cached: each tree starts without one, and its first process writes it",
         "ratios": ratios,
         "rows": rows,
     }

@@ -8,8 +8,9 @@ docstrings: the string that opens a module, class or function body.
 Blank lines, comments and those docstrings are not counted; a string
 statement anywhere else (an attribute's docstring) is.  Public names
 are the entries of the module's `__all__`, read with `ast`: a list or
-tuple of strings, or a sum of such lists and `module.__all__` of sibling
-modules; a module without `__all__` shows `-`.  Prints one line per
+tuple of strings, or a sum of such lists, names the module binds to such
+lists before `__all__`, and `module.__all__` of sibling modules; a
+module without `__all__` shows `-`.  Prints one line per
 module, then the totals (the package's public names are those of its
 `__init__.py`).
 """
@@ -50,17 +51,25 @@ def code_lines(path: pathlib.Path) -> int:
 
 def public_names(path: pathlib.Path) -> list[str] | None:
     """The strings of the module's `__all__`, None if it assigns none."""
+    lists = {}  # the module's names bound to a list or tuple so far
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            return _names(node.value, path.parent)
+        if not isinstance(node, ast.Assign):
+            continue
+        targets = [getattr(t, "id", None) for t in node.targets]
+        if "__all__" in targets:
+            return _names(node.value, path.parent, lists)
+        if isinstance(node.value, (ast.List, ast.Tuple)):
+            lists.update(dict.fromkeys(targets, node.value))
     return None
 
 
-def _names(node: ast.expr, package: pathlib.Path) -> list[str]:
+def _names(node: ast.expr, package: pathlib.Path, lists: dict) -> list[str]:
+    if isinstance(node, ast.Name) and node.id in lists:
+        node = lists[node.id]
     if isinstance(node, (ast.List, ast.Tuple)):
         return [element.value for element in node.elts]
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        return _names(node.left, package) + _names(node.right, package)
+        return _names(node.left, package, lists) + _names(node.right, package, lists)
     if isinstance(node, ast.Attribute) and node.attr == "__all__" and isinstance(node.value, ast.Name):
         return public_names(package / f"{node.value.id}.py") or []
     raise ValueError(f"an __all__ in {package} is not a sum of string lists: {ast.unparse(node)}")

@@ -7,8 +7,12 @@ subcommand at its caps, as `python -m trigiter` on this checkout's
 `src`, with stdout to /dev/null.  Each command runs under its own
 wrapper process, whose RUSAGE_CHILDREN sees that command alone, and
 prints one line: wall seconds, the command's peak RSS in MiB, its exit
-code and its arguments.  Exits 1 if any command exits non-zero, else 0.
-The nine commands take 30-45 s in all on a 2-vCPU x86-64 host.
+code and its arguments.  Exits 1 if any command exits non-zero, or if
+the grid-4501 cos or sin scan on two threads peaks more than
+THREAD_SLACK_MIB above the cos scan on one: each thread writes its rows
+into the scan's one mask, so a second thread adds only its working
+arrays.  Else exits 0.  The twelve commands take 40-55 s in all on a
+2-vCPU x86-64 host.
 """
 
 from __future__ import annotations
@@ -20,12 +24,19 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
+SCAN_4501 = ["--grid", "4501", "--iterations", "52", "--threshold", "1e300"]
+ONE_THREAD = ["julia", "--f", "cos", *SCAN_4501, "--workers", "1"]
+TWO_THREADS = [["julia", "--f", name, *SCAN_4501, "--workers", "2"] for name in ("cos", "sin")]
+THREAD_SLACK_MIB = 5.0
+
 COMMANDS = [
     ["series", "--f", "cos", "--order", "100", "--terms", "170"],
     # an untrapped window inside the period-4 bulb: all 4 orbits run every step
     ["mandelbrot", "--grid", "2", "--iterations", "1044495", "--region=-1.31,0,-1.30,0.01"],
-    ["julia", "--f", "sin", "--grid", "4501", "--iterations", "52", "--threshold", "1e300"],
-    ["julia", "--f", "cos", "--grid", "4501", "--iterations", "52", "--threshold", "1e300"],
+    ["julia", "--f", "sin", *SCAN_4501],
+    ["julia", "--f", "cos", *SCAN_4501],
+    ONE_THREAD,
+    *TWO_THREADS,
     # inside the period-4 bulb: every orbit runs every step, and the interior pre-pass marks none
     ["mandelbrot", "--grid", "4501", "--iterations", "52", "--region=-1.315,-0.005,-1.305,0.005"],
     ["mandelbrot", "--grid", "4501", "--iterations", "52"],
@@ -57,10 +68,16 @@ def run(argv: list[str]) -> tuple[float, float, int]:
 def main() -> int:
     print(f"{'wall s':>8} {'peak MiB':>9} {'exit':>4}  command")
     failed = 0
+    peaks = {}
     for argv in COMMANDS:
-        wall, peak, code = run(argv)
+        wall, peaks[tuple(argv)], code = run(argv)
         failed += code != 0
-        print(f"{wall:8.2f} {peak:9.1f} {code:4d}  {' '.join(argv)}", flush=True)
+        print(f"{wall:8.2f} {peaks[tuple(argv)]:9.1f} {code:4d}  {' '.join(argv)}", flush=True)
+    for argv in TWO_THREADS:
+        excess = peaks[tuple(argv)] - peaks[tuple(ONE_THREAD)]
+        if excess > THREAD_SLACK_MIB:
+            print(f"{' '.join(argv)} peaks {excess:.1f} MiB above one thread, more than {THREAD_SLACK_MIB}")
+            failed += 1
     return 1 if failed else 0
 
 
