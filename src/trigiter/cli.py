@@ -12,9 +12,12 @@ Importing this module loads no numpy: the caps and defaults the parser
 checks come from `iteration`, and the handlers of `series` and of the
 scans import `series` and `fractal`, which import numpy, when they run.
 So `dottie`, `iterate`, `derivative`, `bounds` and `extrema` start
-without numpy.  The scans call `scan_raw` and `format_points` through
-this module's namespace (see `_fractal`), where a test or a tracer may
-replace them.
+without numpy, and without `dataclasses`, `inspect` or `typing` too:
+of trigiter they load `iteration` and `derivatives`, and of the
+standard library `argparse`, `enum`, `functools` and `re` with what
+those import (`dottie --digits` adds `decimal` and `mpmath`).  The
+scans call `scan_raw` and `format_points` through this module's
+namespace (see `_fractal`), where a test or a tracer may replace them.
 """
 
 from __future__ import annotations
@@ -56,8 +59,10 @@ MAX_STEPS = 10**6
 MAX_SERIES_ORDER = 100
 MAX_PERIODS = 10**4
 
-_INT_PREFIX = re.compile(r"[ \t\n\r\f\v]*([+-]?\d+)")
-_FLOAT_PREFIX = re.compile(
+# Only `legacy` parses with these patterns, so `re` compiles them at their
+# first use (and caches them), not when the module loads.
+_INT_PREFIX = r"[ \t\n\r\f\v]*([+-]?\d+)"
+_FLOAT_PREFIX = (
     r"[ \t\n\r\f\v]*([+-]?(?:\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|[iI][nN][fF](?:[iI][nN][iI][tT][yY])?|[nN][aA][nN]))"
 )
@@ -65,19 +70,23 @@ _FLOAT_PREFIX = re.compile(
 
 def _atoi(text: str) -> int:
     """Leading-prefix integer parse; anything unparsable is 0, as in C."""
-    m = _INT_PREFIX.match(text)
+    m = re.match(_INT_PREFIX, text)
     return int(m.group(1)) if m else 0
 
 
 def _atof(text: str) -> float:
     """Leading-prefix float parse; anything unparsable is 0.0, as in C."""
-    m = _FLOAT_PREFIX.match(text)
+    m = re.match(_FLOAT_PREFIX, text)
     return float(m.group(1)) if m else 0.0
 
 
 def _fmt(x: float) -> str:
     """Shortest decimal string that parses back to `x`: at most 17 significant digits, nan as is."""
-    for precision in range(1, 18):
+    # repr has the fewest significant digits that parse back to x, so no
+    # lower precision does; at some powers of two %g's correctly rounded
+    # digits miss x where repr's do not, and the next precision is needed.
+    digits = repr(float(x)).partition("e")[0].replace(".", "").lstrip("-").strip("0")
+    for precision in range(max(1, len(digits)), 18):
         s = "%.*g" % (precision, x)
         if float(s) == x:
             return s

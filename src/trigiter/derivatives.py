@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Any
 
 from .iteration import TrigKind, _check_count, _check_kind, _check_real, _map_and_slope
 
@@ -43,7 +42,7 @@ def iterated_derivative(kind: TrigKind, order: int, at: float) -> float:
     return p
 
 
-def product_nth_derivative(factors: Sequence[Sequence[Any]], order: int) -> Any:
+def product_nth_derivative(factors: Sequence[Sequence[object]], order: int) -> object:
     """Order-n derivative of a pointwise product from per-factor derivative tables.
 
     `factors[k][j]` holds the j-th derivative of factor k at the point

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 __all__ = [
@@ -118,7 +117,7 @@ def _real(value, name: str, must: str = "a real number", hint: str = "") -> floa
     """
     # the exact types first: an isinstance test against numbers.Real takes about 0.8 us
     exact = type(value) is float or type(value) is int
-    if exact or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+    if exact or _is_real(value):
         try:
             return float(value)
         except OverflowError:
@@ -126,6 +125,17 @@ def _real(value, name: str, must: str = "a real number", hint: str = "") -> floa
     else:
         got = f"{value!r} ({type(value).__name__}, not a real number)"
     raise ValueError(f"{name} must be {must}, got {got}{hint}")
+
+
+def _is_real(value) -> bool:
+    """Whether `value` is a numbers.Real other than a bool.
+
+    `numbers` is imported here, at the first value that is not a float
+    or an int: the command line passes only floats, so it never loads it.
+    """
+    import numbers
+
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_real(value, name: str, positive: bool = False) -> float:
@@ -189,22 +199,22 @@ class ConvergenceError(RuntimeError):
     """A solver ran out of iterations before reaching its tolerance, or could not prove its result."""
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
-    """Solver outcome: the fixed point plus convergence diagnostics."""
+# The two records are named tuples, not dataclasses: importing
+# `dataclasses` pulls in `inspect`, `ast` and `dis`, which took over a third
+# of what `import trigiter.cli` costs beyond a bare interpreter.
+class FixedPointResult(namedtuple("FixedPointResult", ["value", "iterations", "residual", "method"])):
+    """Solver outcome: the fixed point plus convergence diagnostics.
 
-    value: float
-    iterations: int
-    residual: float
-    method: SolverMethod
+    value (float), iterations (int), residual (float), method (SolverMethod).
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RangeBound:
-    """Closed interval [lower, upper] attained by an iterate over the reals."""
+class RangeBound(namedtuple("RangeBound", ["lower", "upper"])):
+    """Closed interval [lower, upper] attained by an iterate over the reals; both ends are floats."""
 
-    lower: float
-    upper: float
+    __slots__ = ()
 
 
 def _cosh_inf(x: float) -> float:

@@ -8,6 +8,7 @@ import pathlib
 import random
 import re
 import stat
+import struct
 import subprocess
 import sys
 
@@ -259,6 +260,38 @@ class TestComputeCommands:
 )
 def test_shortest_text_edges(x, text):
     assert _fmt(x) == text
+
+
+def shortest_by_search(x):
+    """The shortest text as found by trying every precision from one digit up."""
+    for precision in range(1, 18):
+        s = "%.*g" % (precision, x)
+        if float(s) == x:
+            return s
+    return "%.16g" % x
+
+
+def repr_digits(x):
+    return len(repr(x).partition("e")[0].replace(".", "").lstrip("-").strip("0"))
+
+
+def test_shortest_text_equals_the_search_from_one_digit():
+    # _fmt starts at repr's digit count; every power of two and both its
+    # neighbours (where the spacing of doubles changes), the ends of the
+    # subnormal and normal ranges, zeros, infinities, nan and random bit
+    # patterns, each with both signs
+    powers = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    values = [0.0, math.inf, math.nan, 2.225073858507201e-308, 2.2250738585072014e-308, sys.float_info.max]
+    values += powers + [math.nextafter(p, 0.0) for p in powers] + [math.nextafter(p, math.inf) for p in powers]
+    rng = random.Random(32)
+    values += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(20_000)]
+    values += [-v for v in values]
+    assert [v for v in values if _fmt(v) != shortest_by_search(v)] == []
+    # the sweep meets the case where repr's digit count is one short: %g
+    # rounds those digits of 46 powers of two to a double other than x
+    short = [p for p in powers if float("%.*g" % (repr_digits(p), p)) != p]
+    assert len(short) == 46
+    assert all(len(_fmt(p).partition("e")[0].replace(".", "")) == repr_digits(p) + 1 for p in short)
 
 
 def printed(argv):
@@ -721,12 +754,48 @@ class TestEntryPoints:
             # the same bytes as in this process, where every module is loaded
             assert [code, out] == list(run_cli(capsys, argv)[:2]), argv
 
-    def test_lazy_names_are_those_of_their_modules(self):
-        from trigiter import fractal, series
+    # modules a numpy-free command line must not add to a bare interpreter's
+    HEAVY_MODULES = ["numpy", "dataclasses", "inspect", "typing"]
 
-        assert trigiter._FRACTAL == fractal.__all__
+    def test_scalar_command_lines_load_no_numpy_dataclasses_inspect_or_typing(self):
+        # the modules loaded before the first statement are a bare
+        # interpreter's (`python -c pass`): a site .pth file may load typing
+        proc = self.run_python(
+            "import sys\n"
+            f"watched = [name for name in {self.HEAVY_MODULES!r} if name not in sys.modules]\n"
+            "import contextlib, io, json\n"
+            "def loaded():\n"
+            "    return [name for name in watched if name in sys.modules]\n"
+            "import trigiter\n"
+            "steps = [loaded()]\n"
+            "import trigiter.cli\n"
+            "steps.append(loaded())\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert trigiter.cli.main(argv) == 0, argv\n"
+            "    steps.append(loaded())\n"
+            "from trigiter import MANDELBROT, MAX_GRID\n"
+            "steps.append(loaded())\n"
+            "print(json.dumps([watched, steps]))\n",
+            json.dumps([argv for argv, modules in self.COMMANDS_AND_MODULES if not modules]),
+        )
+        assert proc.returncode == 0, proc.stderr
+        watched, steps = json.loads(proc.stdout)
+        assert {"numpy", "dataclasses", "inspect"} <= set(watched)
+        assert len(steps) == 2 + 5 + 1
+        assert steps == [[]] * len(steps)
+
+    def test_lazy_names_are_those_of_their_modules(self):
+        from trigiter import fractal, iteration, series
+
+        # MANDELBROT and MAX_GRID are iteration's, bound when the package loads
+        eager = ["MANDELBROT", "MAX_GRID"]
+        assert trigiter._FRACTAL == [name for name in fractal.__all__ if name not in eager]
         assert trigiter._SERIES == series.__all__
+        assert all(getattr(trigiter, name) is getattr(fractal, name) is getattr(iteration, name) for name in eager)
         assert len(trigiter.__all__) == len(set(trigiter.__all__)) == 30
+        start = trigiter.__all__.index("MANDELBROT")
+        assert trigiter.__all__[start:start + len(fractal.__all__)] == fractal.__all__
 
     def test_star_import_binds_every_public_name(self):
         proc = self.run_python(

@@ -14,6 +14,7 @@ from trigiter import (
     MANDELBROT,
     ConvergenceError,
     EscapeParams,
+    FixedPointResult,
     PowerSeries,
     RangeBound,
     SolverMethod,
@@ -361,6 +362,55 @@ class TestUniversalAttraction:
         for _ in range(100):
             v = rng.uniform(-1e6, 1e6)
             assert abs(iterate(COS, 60, v) - DOTTIE) < 1e-9
+
+
+class TestRecords:
+    """FixedPointResult and RangeBound: built, printed, compared and hashed as the frozen records they replace."""
+
+    NEWTON = (
+        "FixedPointResult(value=0.7390851332151607, iterations=4, residual=0.0,"
+        " method=<SolverMethod.NEWTON: 'newton'>)"
+    )
+
+    def test_built_by_position_or_keyword(self):
+        assert RangeBound(-1.0, 1.0) == RangeBound(lower=-1.0, upper=1.0) == RangeBound(-1.0, upper=1.0)
+        result = FixedPointResult(0.5, 3, 1e-13, SolverMethod.NEWTON)
+        assert result == FixedPointResult(value=0.5, iterations=3, residual=1e-13, method=SolverMethod.NEWTON)
+        assert (result.value, result.iterations, result.residual, result.method) == (0.5, 3, 1e-13, SolverMethod.NEWTON)
+        with pytest.raises(TypeError):
+            RangeBound(-1.0)
+        with pytest.raises(TypeError):
+            RangeBound(-1.0, 1.0, upper=2.0)
+
+    def test_repr(self):
+        assert repr(cos_range(1)) == "RangeBound(lower=-1.0, upper=1.0)"
+        assert repr(cos_range(3)) == "RangeBound(lower=0.5403023058681398, upper=0.8575532158463934)"
+        assert repr(dottie(method=SolverMethod.NEWTON)) == self.NEWTON
+
+    def test_equal_records_hash_equal(self):
+        assert hash(cos_range(1)) == hash(RangeBound(-1.0, 1.0))
+        assert len({cos_range(5), cos_range(5), dottie(), dottie()}) == 2
+        assert cos_range(2) != cos_range(3)
+
+    @pytest.mark.parametrize(
+        "record, name",
+        [(RangeBound(-1.0, 1.0), "upper"), (FixedPointResult(0.5, 3, 1e-13, SolverMethod.NEWTON), "iterations")],
+    )
+    def test_immutable(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+        with pytest.raises(AttributeError):
+            record.extra = 0.0
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+    def test_named_tuples(self):
+        # what the named tuples add to the frozen records: they unpack, and
+        # they equal the tuple of their fields
+        lower, upper = cos_range(1)
+        assert (lower, upper) == (-1.0, 1.0)
+        assert cos_range(1) == (-1.0, 1.0)
+        assert dottie(method=SolverMethod.NEWTON)[1:] == (4, 0.0, SolverMethod.NEWTON)
 
 
 class TestCosRange:

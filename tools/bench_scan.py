@@ -27,13 +27,18 @@ set-up included) and once as the mean of 100 later calls;
 `product_nth_derivative` of 4, 8 and 10 seeded integer tables.
 
 The startup section times fresh processes from launch to exit, stdout
-to the null device: `import trigiter`, `import trigiter.cli`, the five
-subcommands that use no numpy (`dottie`, `iterate`, `derivative`,
-`bounds`, `extrema`), `series --f cos --order 12 --terms 30`, a grid-250
-`legacy` cos scan and a grid-200 `mandelbrot --early-exit` scan.  Each
+to the null device: a bare interpreter (`-c pass`, which pays the
+host's `site` start-up alone), `import trigiter`, `import trigiter.cli`,
+the five subcommands that use no numpy (`dottie`, `iterate`,
+`derivative`, `bounds`, `extrema`), `series --f cos --order 12 --terms
+30`, a grid-250 `legacy` cos scan and a grid-200 `mandelbrot
+--early-exit` scan.  Each
 launch compiles the modules it imports where PYTHONDONTWRITEBYTECODE is
 set; otherwise the warm-up launch writes the tree's bytecode cache and
-the timed launches read it.  The report states which.
+the timed launches read it.  The report states which.  Each row also
+gives its launch's excess over the bare interpreter's median in the same
+tree, trigiter's own share, and each ratio the change's excess over the
+parent's.
 
 Each configuration gets one warm-up call per process or tree (none for
 a first call, which starts a fresh process for every timing), then
@@ -98,9 +103,13 @@ def calculus_configurations() -> list[dict]:
     )
 
 
+BARE = "bare interpreter"
+
+
 def startup_configurations() -> list[dict]:
     command = ["-m", "trigiter"]
     return [
+        {"launch": BARE, "argv": ["-c", "pass"]},
         {"launch": "import trigiter", "argv": ["-c", "import trigiter"]},
         {"launch": "import trigiter.cli", "argv": ["-c", "import trigiter.cli"]},
         {"launch": "dottie", "argv": [*command, "dottie"]},
@@ -238,6 +247,18 @@ def time_trees(trees: dict[str, Tree], configs: list[dict], repeats: int) -> tup
     return [row for name in trees for row in rows[name]], ratios
 
 
+def add_excess_over_bare(rows: list[dict], ratios: list[dict]) -> None:
+    """Give each launch its excess over the bare interpreter in its tree, and each ratio the excesses' ratio."""
+    bare = {row["tree"]: row["median_s"] for row in rows if row["launch"] == BARE}
+    excess = {}
+    for row in rows:
+        row["excess_s"] = excess[row["tree"], row["launch"]] = significant(row["median_s"] - bare[row["tree"]])
+    for ratio in ratios:
+        if ratio["launch"] != BARE:
+            launch = ratio["launch"]
+            ratio["excess_change_over_parent"] = round(excess["change", launch] / excess["parent", launch], 3)
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
@@ -290,6 +311,8 @@ def main() -> int:
         finally:
             for tree in trees.values():
                 tree.close()
+    if args.section == "startup":
+        add_excess_over_bare(rows, ratios)
     report = {
         "benchmark": benchmark,
         "host": host(),

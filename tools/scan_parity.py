@@ -335,14 +335,14 @@ def canon(value):
         return [value.real.hex(), value.imag.hex()]
     if isinstance(value, (int, str)):  # before the attribute tests: a str has `lower`
         return value
-    if isinstance(value, (list, tuple)):
-        return [canon(v) for v in value]
     if hasattr(value, "coefficients"):  # PowerSeries
         return [canon(value.coefficients), canon(value.tail_bound)]
     if hasattr(value, "lower"):  # RangeBound: its ends, not its repr
         return [canon(value.lower), canon(value.upper)]
-    if hasattr(value, "residual"):  # FixedPointResult
+    if hasattr(value, "residual"):  # FixedPointResult, before the tuples: it may be one
         return [canon(value.value), value.iterations, canon(value.residual), value.method.value]
+    if isinstance(value, (list, tuple)):
+        return [canon(v) for v in value]
     if hasattr(value, "threshold_sq"):  # EscapeParams
         return [value.iterations, canon(value.threshold_sq), value.early_exit]
     if hasattr(value, "mask"):  # PointSet
