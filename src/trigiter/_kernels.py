@@ -328,17 +328,14 @@ def _factors(mapping, x):
     return np.sin(x), np.cos(x)
 
 
-def survive(xs, ys, mapping, threshold, early_exit, iterations, out=None):
-    """Boolean survival grid, shape (len(xs), len(ys)), [real, imag] indexed.
+def survive(xs, ys, mapping, threshold, early_exit, iterations, out):
+    """Fill and return `out`, the boolean survival grid, shape (len(xs), len(ys)), [real, imag] indexed.
 
-    The grid is `out` where one is given: a boolean array of that shape,
-    False in every cell, whose columns are adjacent in memory but whose
-    rows need not be, such as rows k, k + n, k + 2n ... of a scan's mask,
-    which one thread fills while others fill the rows between.
-    Otherwise it is a new array.
+    `out` is False in every cell, and its columns are adjacent in memory
+    but its rows need not be, such as rows k, k + n, k + 2n ... of a
+    scan's mask, which one thread fills while others fill the rows
+    between.
     """
-    if out is None:
-        out = np.zeros((len(xs), len(ys)), dtype=bool)
     step = out.strides[0]
     if out.dtype != np.bool_ or out.shape != (len(xs), len(ys)) or out.strides[1] != 1 or step < len(ys):
         raise ValueError("out must be a boolean grid of shape (len(xs), len(ys)) with adjacent columns")

@@ -197,14 +197,14 @@ def scan_raw(
     args = (mapping, params.threshold_sq, params.early_exit, params.iterations)
     tiles = -(-grid // _kernels._tile_rows(grid))
     n = 1 if mapping is MANDELBROT else min(workers, tiles, _usable_cpus())
+    mask = np.zeros((grid, grid), dtype=bool)
+
+    def run(k: int) -> None:
+        _kernels.survive(xs[k::n], ys, *args, mask[k::n])  # sets rows k, k + n, ... of the mask
+
     if n == 1:
-        mask = _kernels.survive(xs, ys, *args)
+        run(0)
     else:
-        mask = np.zeros((grid, grid), dtype=bool)
-
-        def run(k: int) -> None:
-            _kernels.survive(xs[k::n], ys, *args, mask[k::n])  # sets rows k, k + n, ... of the mask
-
         with ThreadPoolExecutor(max_workers=n) as pool:
             list(pool.map(run, range(n)))
 

@@ -24,7 +24,7 @@ def survives(z, mapping, params=EscapeParams()):
     """The kernel's escape test of one starting point (parameter point for MANDELBROT)."""
     grid = _kernels.survive(
         np.array([z.real]), np.array([z.imag]), mapping,
-        params.threshold_sq, params.early_exit, params.iterations,
+        params.threshold_sq, params.early_exit, params.iterations, np.zeros((1, 1), dtype=bool),
     )
     return bool(grid[0, 0])
 

@@ -15,17 +15,17 @@ import trigiter
 SRC = pathlib.Path(trigiter.__file__).resolve().parents[1]
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "scan_parity.py"
 
-# appended to a copy of _kernels.py: every Mandelbrot grid comes back with its first cell flipped
+# appended to a copy of _kernels.py: every Mandelbrot grid is filled with its first cell flipped
 FLIP_FIRST_CELL = '''
 
 _survive = survive
 
 
-def survive(xs, ys, mapping, *args):
-    grid = _survive(xs, ys, mapping, *args)
+def survive(xs, ys, mapping, threshold, early_exit, iterations, out):
+    _survive(xs, ys, mapping, threshold, early_exit, iterations, out)
     if mapping is MANDELBROT:
-        grid[0, 0] = not grid[0, 0]
-    return grid
+        out[0, 0] = not out[0, 0]
+    return out
 '''
 
 # appended to a copy of cli.py: every number the calculus commands print at 16 digits, not the shortest

@@ -111,7 +111,8 @@ def kernel_cells(points, mapping, iterations, threshold, early_exit):
     """Kernel outcome for each point: the diagonal of the grid of their parts."""
     xs = np.array([z.real for z in points])
     ys = np.array([z.imag for z in points])
-    grid = _kernels.survive(xs, ys, mapping, threshold, early_exit, iterations)
+    out = np.zeros((len(xs), len(ys)), dtype=bool)
+    grid = _kernels.survive(xs, ys, mapping, threshold, early_exit, iterations, out)
     return np.diagonal(grid).tolist()
 
 
@@ -359,7 +360,8 @@ class TestMandelbrotInterior:
         cells = interior_edge(radius, component)
         xs = np.array([c.real for c in cells])
         ys = np.array([c.imag for c in cells])
-        grid = _kernels.survive(xs, ys, MANDELBROT, 10.0, early_exit, iterations)
+        out = np.zeros((len(xs), len(ys)), dtype=bool)
+        grid = _kernels.survive(xs, ys, MANDELBROT, 10.0, early_exit, iterations, out)
         got = np.diagonal(grid).tolist()
         want = [oracles.quadratic_survives(0j, c, iterations, 10.0, early_exit) for c in cells]
         assert got == want

@@ -6,9 +6,11 @@
 
 REV is extracted with `git archive` into a temporary directory, and this
 checkout's `src` is copied twice beside it, without `__pycache__`, so no
-tree starts with a bytecode cache.  The scan and calculus sections run
-each tree in its own long-lived process; the second copy of this
-checkout gives an A/A comparison.  The three are timed in turn.
+tree starts with a bytecode cache; the second copy of this checkout
+gives an A/A comparison.  Every timing is one fresh process, started and
+measured by `launch`.  In the scan and calculus sections the process
+makes one untimed call (none for a first call), then the timed call or
+calls, and prints the seconds it measured.
 
 The scan section times `scan_raw` for cos and sin over [-2.5, 2.5]^2
 (50 iterations) and the Mandelbrot family over [-2, 1] x [-1.5, 1.5]
@@ -32,21 +34,21 @@ host's `site` start-up alone), `import trigiter`, `import trigiter.cli`,
 the five subcommands that use no numpy (`dottie`, `iterate`,
 `derivative`, `bounds`, `extrema`), `series --f cos --order 12 --terms
 30`, a grid-250 `legacy` cos scan and a grid-200 `mandelbrot
---early-exit` scan.  Each
-launch compiles the modules it imports where PYTHONDONTWRITEBYTECODE is
-set; otherwise the warm-up launch writes the tree's bytecode cache and
-the timed launches read it.  The report states which.  Each row also
-gives its launch's excess over the bare interpreter's median in the same
-tree, trigiter's own share, and each ratio the change's excess over the
-parent's.
+--early-exit` scan.  Each row also gives its launch's excess over the
+bare interpreter's median in the same tree, trigiter's own share, and
+each ratio the change's excess over the parent's.
 
-Each configuration gets one warm-up call per process or tree (none for
-a first call, which starts a fresh process for every timing), then
-`--repeats` timed calls per process or tree, rotating which goes first,
-so host drift falls on all of them alike.  The median and the quartiles
-are recorded per process, and per configuration the ratio of the
-change's median to the parent's beside the ratio of the two processes
-of this checkout: a change ratio is resolved only where it lies further
+Each tree's first launch is untimed and imports every module of the
+package: it writes the tree's bytecode cache, which the timed launches
+read, unless PYTHONDONTWRITEBYTECODE is set, when every launch compiles
+the modules it imports.  The report states which.  Then each of
+`--repeats` repeats times every configuration once on every tree, the
+trees taking turns and the one that goes first rotating with the
+repeat, so host drift falls on all of them alike and the bare row is
+timed beside the launches it is subtracted from.  The median and the
+quartiles are recorded per tree, and per configuration the ratio of the
+change's median to the parent's beside the ratio of the two copies of
+this checkout: a change ratio is resolved only where it lies further
 from 1 than that A/A ratio.  The host, both commits and the bytecode
 setting are recorded too.
 """
@@ -67,6 +69,8 @@ import sys
 import tarfile
 import tempfile
 import time
+
+from launch import launch
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCANS = {
@@ -141,73 +145,42 @@ def bind(trigiter, config: dict):
     return lambda: trigiter.product_nth_derivative(tables, config["order"])
 
 
-def serve() -> None:
-    """Answer each configuration read from stdin with the seconds per call it takes."""
+def timed_call(config: dict) -> None:
+    """Print a configuration's seconds per call, after one untimed call unless it times the first."""
     import trigiter
 
-    for line in sys.stdin:
-        config = json.loads(line)
-        work = bind(trigiter, config)
-        calls = config.get("calls", 1)
-        start = time.perf_counter()
-        for _ in range(calls):
-            work()
-        print((time.perf_counter() - start) / calls, flush=True)
+    work = bind(trigiter, config)
+    if not config.get("first_call"):
+        work()
+    calls = config.get("calls", 1)
+    start = time.perf_counter()
+    for _ in range(calls):
+        work()
+    print((time.perf_counter() - start) / calls)
 
 
-class Tree:
-    """A process serving timings for one checkout's ``src``."""
-
-    def __init__(self, src: pathlib.Path):
-        self.src = src
-        self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--worker"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
-
-    def time(self, config: dict) -> float:
-        if config.get("first_call"):
-            fresh = Tree(self.src)
-            try:
-                return fresh.time({key: value for key, value in config.items() if key != "first_call"})
-            finally:
-                fresh.close()
-        self.proc.stdin.write(json.dumps(config) + "\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise RuntimeError(f"timing process exited with {self.proc.wait()}")
-        return float(line)
-
-    def close(self) -> None:
-        self.proc.stdin.close()
-        self.proc.wait()
+# one fresh process timing the scan or calculus configuration given as JSON in its first argument
+TIMED_CALL = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import bench_scan; "
+              "bench_scan.timed_call(json.loads(sys.argv[1]))")
+# each tree's untimed first launch imports every module, so it writes the bytecode cache where that is allowed
+FIRST_LAUNCH = {"argv": ["-c", "import trigiter.cli, trigiter.fractal, trigiter.series"]}
 
 
-class Launcher:
-    """Fresh processes on one checkout's ``src``: each timing is one launch, start to exit."""
-
-    def __init__(self, src: pathlib.Path):
-        self.env = {**os.environ, "PYTHONPATH": str(src)}
-
-    def time(self, config: dict) -> float:
-        start = time.perf_counter()
-        subprocess.run([sys.executable, *config["argv"]], env=self.env, stdout=subprocess.DEVNULL, check=True)
-        return time.perf_counter() - start
-
-    def close(self) -> None:
-        pass
+def measure(src: pathlib.Path, config: dict) -> float:
+    """One timing in a fresh process on `src`: a startup launch's wall time, or the seconds per call it prints."""
+    argv = config.get("argv") or ["-c", TIMED_CALL, json.dumps(config)]
+    wall, _, code, out = launch(src, argv, capture="argv" not in config)
+    if code:
+        raise RuntimeError(f"{' '.join(argv)} exited with {code} on {src}")
+    return wall if out is None else float(out)
 
 
 SECTIONS = {
-    "scan": ("scan_raw wall time per call, seconds", scan_configurations, Tree),
+    "scan": ("scan_raw wall time per call, seconds", scan_configurations),
     "calculus": ("library call wall time, seconds per call (first_call: the first call of a fresh process)",
-                 calculus_configurations, Tree),
+                 calculus_configurations),
     "startup": ("fresh-process wall time per launch, seconds, from launch to exit with stdout to the null device",
-                startup_configurations, Launcher),
+                startup_configurations),
 }
 
 
@@ -215,26 +188,28 @@ def significant(seconds: float) -> float:
     return float(f"{seconds:.4g}")
 
 
-def time_trees(trees: dict[str, Tree], configs: list[dict], repeats: int) -> tuple[list[dict], list[dict]]:
-    """Rows of timings for every configuration and process, and the ratios of their medians.
+def time_trees(srcs: dict[str, pathlib.Path], configs: list[dict], repeats: int) -> tuple[list[dict], list[dict]]:
+    """Rows of timings for every configuration and tree, and the ratios of their medians.
 
-    The processes take turns, and which one goes first rotates with the repeat.
+    After each tree's untimed first launch, every repeat times every
+    configuration on every tree, one launch each.  The trees take turns,
+    and which one goes first rotates with the repeat.
     """
-    rows = {name: [] for name in trees}
-    ratios = []
-    names = list(trees)
-    for config in configs:
-        times = {name: [] for name in trees}
-        if not config.get("first_call"):
-            for tree in trees.values():
-                tree.time(config)
-        for repeat in range(repeats):
-            first = repeat % len(names)
+    names = list(srcs)
+    for src in srcs.values():
+        measure(src, FIRST_LAUNCH)
+    times = [{name: [] for name in names} for _ in configs]
+    for repeat in range(repeats):
+        first = repeat % len(names)
+        for config, timed in zip(configs, times):
             for name in names[first:] + names[:first]:
-                times[name].append(trees[name].time(config))
+                timed[name].append(measure(srcs[name], config))
+    rows = {name: [] for name in names}
+    ratios = []
+    for config, timed in zip(configs, times):
         medians = {}
-        for name in trees:
-            q1, medians[name], q3 = statistics.quantiles(times[name], n=4, method="inclusive")
+        for name in names:
+            q1, medians[name], q3 = statistics.quantiles(timed[name], n=4, method="inclusive")
             rows[name].append({
                 "tree": name, **config, "median_s": significant(medians[name]), "q1_s": significant(q1),
                 "q3_s": significant(q3), "repeats": repeats,
@@ -244,7 +219,7 @@ def time_trees(trees: dict[str, Tree], configs: list[dict], repeats: int) -> tup
             "change_over_parent": round(medians["change"] / medians["parent"], 3),
             "aa_change_over_change": round(medians["change-aa"] / medians["change"], 3),
         })
-    return [row for name in trees for row in rows[name]], ratios
+    return [row for name in names for row in rows[name]], ratios
 
 
 def add_excess_over_bare(rows: list[dict], ratios: list[dict]) -> None:
@@ -255,8 +230,8 @@ def add_excess_over_bare(rows: list[dict], ratios: list[dict]) -> None:
         row["excess_s"] = excess[row["tree"], row["launch"]] = significant(row["median_s"] - bare[row["tree"]])
     for ratio in ratios:
         if ratio["launch"] != BARE:
-            launch = ratio["launch"]
-            ratio["excess_change_over_parent"] = round(excess["change", launch] / excess["parent", launch], 3)
+            name = ratio["launch"]
+            ratio["excess_change_over_parent"] = round(excess["change", name] / excess["parent", name], 3)
 
 
 def git(*args: str) -> str:
@@ -287,16 +262,12 @@ def main() -> int:
     parser.add_argument("--baseline", help="git revision to compare against")
     parser.add_argument("--section", choices=SECTIONS, default="scan", help="what to time (default: scan)")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.worker:
-        serve()
-        return 0
     if args.baseline is None:
         parser.error("--baseline is required")
     if args.repeats < 2:
         parser.error("--repeats must be at least 2, for the quartiles")
-    benchmark, configurations, kind = SECTIONS[args.section]
+    benchmark, configurations = SECTIONS[args.section]
     baseline = git("rev-parse", args.baseline)
     change = git("rev-parse", "HEAD") + ("+uncommitted" if git("status", "--porcelain", "--", "src") else "")
     with tempfile.TemporaryDirectory() as tmp:
@@ -305,12 +276,8 @@ def main() -> int:
             tar.extractall(pathlib.Path(tmp) / "parent", filter="data")
         for copy in ("change", "change-aa"):
             shutil.copytree(ROOT / "src", pathlib.Path(tmp) / copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        trees = {name: kind(pathlib.Path(tmp) / name / "src") for name in ("parent", "change", "change-aa")}
-        try:
-            rows, ratios = time_trees(trees, configurations(), args.repeats)
-        finally:
-            for tree in trees.values():
-                tree.close()
+        srcs = {name: pathlib.Path(tmp) / name / "src" for name in ("parent", "change", "change-aa")}
+        rows, ratios = time_trees(srcs, configurations(), args.repeats)
     if args.section == "startup":
         add_excess_over_bare(rows, ratios)
     report = {
@@ -319,7 +286,7 @@ def main() -> int:
         "commits": {"parent": baseline, "change": change},
         "bytecode": "none: PYTHONDONTWRITEBYTECODE is set, so every process compiles the modules it imports"
         if os.environ.get("PYTHONDONTWRITEBYTECODE")
-        else "cached: each tree starts without one, and its first process writes it",
+        else "cached: each tree starts without one, and its untimed first launch writes it",
         "ratios": ratios,
         "rows": rows,
     }
